@@ -53,15 +53,16 @@ int Run() {
 
   gpu::PerfModel model;
   device.ResetCounters();
+  gpu::PassLogScope passes(&device);
   Timer gpu_timer;
   auto result = core::KMeans2D(&device, id.ValueOrDie(), kBits, init, 20);
   const double gpu_wall = gpu_timer.ElapsedMs();
   if (!result.ok()) return 1;
   const gpu::GpuTimeBreakdown b = model.Estimate(device.counters());
 
-  // Per-phase split from the pass log: Accumulator passes run TestBitFP.
+  // Per-phase split from the pass records: Accumulator passes run TestBitFP.
   double update_ms = 0, assign_ms = 0;
-  for (const auto& pass : device.counters().pass_log) {
+  for (const gpu::PassRecord& pass : passes.records()) {
     if (pass.label == "TestBitFP") {
       update_ms += model.PassFillMs(pass) + model.params().pass_setup_ms;
     } else {

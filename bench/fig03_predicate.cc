@@ -26,6 +26,7 @@ int Run() {
     core::AttributeBinding attr = UploadColumn(device.get(), column, n);
 
     device->ResetCounters();
+    gpu::PassLogScope passes(device.get());
     Timer gpu_timer;
     auto gpu_count = core::CompareSelect(device.get(), attr,
                                          gpu::CompareOp::kGreater, threshold);
@@ -45,7 +46,7 @@ int Run() {
     row.gpu_model_total_ms = b.TotalMs();
     // "Considering only computation time" excludes the copy pass: charge
     // just the comparison quad + occlusion readback.
-    const gpu::PassRecord& compare_pass = device->counters().pass_log.back();
+    const gpu::PassRecord& compare_pass = passes.records().back();
     row.gpu_model_compute_ms = gpu_model.PassFillMs(compare_pass) +
                                gpu_model.params().pass_setup_ms +
                                gpu_model.params().occlusion_readback_ms;

@@ -31,6 +31,7 @@ int Run() {
     auto device = MakeDevice();
     core::AttributeBinding attr = UploadColumn(device.get(), column, n);
     device->ResetCounters();
+    gpu::PassLogScope passes(device.get());
     Timer gpu_timer;
     auto gpu_count = core::RangeSelect(device.get(), attr, low, high);
     const double gpu_wall = gpu_timer.ElapsedMs();
@@ -46,7 +47,7 @@ int Run() {
     ResultRow row;
     row.label = std::to_string(n);
     row.gpu_model_total_ms = b.TotalMs();
-    const gpu::PassRecord& bounds_pass = device->counters().pass_log.back();
+    const gpu::PassRecord& bounds_pass = passes.records().back();
     row.gpu_model_compute_ms = gpu_model.PassFillMs(bounds_pass) +
                                gpu_model.params().pass_setup_ms +
                                gpu_model.params().occlusion_readback_ms;

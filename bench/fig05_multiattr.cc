@@ -43,6 +43,7 @@ int Run() {
       }
 
       device->ResetCounters();
+      gpu::PassLogScope passes(device.get());
       Timer gpu_timer;
       auto sel = core::EvalCnf(device.get(), clauses);
       const double gpu_wall = gpu_timer.ElapsedMs();
@@ -68,19 +69,12 @@ int Run() {
       row.label = std::to_string(n);
       row.gpu_model_total_ms = b.TotalMs();
       // Compute-only: exclude the per-attribute copy passes.
-      double copy_ms = 0;
-      for (const auto& pass : device->counters().pass_log) {
-        if (pass.label == "CopyToDepthFP") {
-          copy_ms += gpu_model.PassFillMs(pass) +
-                     static_cast<double>(pass.depth_writes) *
-                         gpu_model.params().depth_write_cycles /
-                         (gpu_model.params().clock_hz *
-                          gpu_model.params().pixel_pipes) *
-                         1e3 +
-                     gpu_model.params().pass_setup_ms;
-        }
+      gpu::DeviceCounters copies;
+      for (const gpu::PassRecord& pass : passes.records()) {
+        if (pass.label == "CopyToDepthFP") copies.Add(pass);
       }
-      row.gpu_model_compute_ms = b.TotalMs() - copy_ms;
+      row.gpu_model_compute_ms =
+          b.TotalMs() - gpu_model.Estimate(copies).ComputeMs();
       row.cpu_model_ms = cpu_model.MultiAttributeScanMs(n, attrs);
       row.gpu_wall_ms = gpu_wall;
       row.cpu_wall_ms = cpu_wall;

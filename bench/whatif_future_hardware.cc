@@ -14,6 +14,7 @@
 //    the per-pass overhead and occlusion latency.
 
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/core/accumulator.h"
@@ -24,14 +25,18 @@ namespace gpudb {
 namespace bench {
 namespace {
 
-/// Re-prices a recorded pass log under hypothetical hardware: copy passes
+/// Re-prices recorded passes under hypothetical hardware: copy passes
 /// become 1-instruction blits without the depth-write penalty, TestBit
-/// passes become 1-instruction integer bit tests.
-gpu::DeviceCounters RewriteForFutureHardware(gpu::DeviceCounters counters,
-                                             bool direct_copy,
-                                             bool integer_instructions) {
-  counters.fp_instructions_executed = 0;
-  for (gpu::PassRecord& pass : counters.pass_log) {
+/// passes become 1-instruction integer bit tests. The work outside the
+/// passes (uploads, readbacks) carries over from `counters` unchanged.
+gpu::DeviceCounters RewriteForFutureHardware(
+    const gpu::DeviceCounters& counters,
+    const std::vector<gpu::PassRecord>& passes, bool direct_copy,
+    bool integer_instructions) {
+  gpu::DeviceCounters recorded;
+  gpu::DeviceCounters rewritten;
+  for (gpu::PassRecord pass : passes) {
+    recorded.Add(pass);
     if (direct_copy && pass.label == "CopyToDepthFP") {
       pass.fp_instructions = 1;
       pass.depth_writes = 0;
@@ -39,10 +44,11 @@ gpu::DeviceCounters RewriteForFutureHardware(gpu::DeviceCounters counters,
     if (integer_instructions && pass.label == "TestBitFP") {
       pass.fp_instructions = 1;
     }
-    counters.fp_instructions_executed +=
-        pass.fragments * static_cast<uint64_t>(pass.fp_instructions);
+    rewritten.Add(pass);
   }
-  return counters;
+  gpu::DeviceCounters out = gpu::DeltaSince(recorded, counters);
+  out += rewritten;
+  return out;
 }
 
 gpu::PerfModelParams FasterBus(gpu::PerfModelParams params) {
@@ -72,6 +78,7 @@ int Run() {
   struct Case {
     std::string name;
     gpu::DeviceCounters counters;
+    std::vector<gpu::PassRecord> passes;
     double cpu_ms;
   };
   std::vector<Case> cases;
@@ -81,34 +88,38 @@ int Run() {
     core::AttributeBinding attr = UploadColumn(device.get(), column, n);
     const float t = ThresholdForSelectivity(column, n, 0.6);
     device->ResetCounters();
+    gpu::PassLogScope passes(device.get());
     if (!core::CompareSelect(device.get(), attr, gpu::CompareOp::kGreater, t)
              .ok()) {
       return 1;
     }
     cases.push_back({"predicate-select", device->counters(),
-                     cpu_model.PredicateScanMs(n)});
+                     passes.records(), cpu_model.PredicateScanMs(n)});
   }
   {  // KthLargest (median).
     auto device = MakeDevice();
     core::AttributeBinding attr = UploadColumn(device.get(), column, n);
     device->ResetCounters();
+    gpu::PassLogScope passes(device.get());
     if (!core::MedianValue(device.get(), attr, bits).ok()) return 1;
     cases.push_back({"median (kth-largest)", device->counters(),
-                     cpu_model.QuickSelectMs(n)});
+                     passes.records(), cpu_model.QuickSelectMs(n)});
   }
   {  // Accumulator SUM -- the paper's lost benchmark.
     auto device = MakeDevice();
     core::AttributeBinding attr = UploadColumn(device.get(), column, n);
     device->ResetCounters();
+    gpu::PassLogScope passes(device.get());
     if (!core::Accumulate(device.get(), attr.texture, 0, bits).ok()) return 1;
     cases.push_back({"sum (accumulator)", device->counters(),
-                     cpu_model.SumMs(n)});
+                     passes.records(), cpu_model.SumMs(n)});
   }
 
   for (const Case& c : cases) {
     const double old_ms = baseline.EstimateMs(c.counters);
     const gpu::DeviceCounters rewritten = RewriteForFutureHardware(
-        c.counters, /*direct_copy=*/true, /*integer_instructions=*/true);
+        c.counters, c.passes, /*direct_copy=*/true,
+        /*integer_instructions=*/true);
     const double new_ms = future_bus.EstimateMs(rewritten);
     const bool gpu_wins = new_ms < c.cpu_ms;
     std::printf("%-22s %12.3f %14.3f %14.3f %12s\n", c.name.c_str(), old_ms,

@@ -16,6 +16,9 @@
 #   3. a fault-injection sweep: the resilience and fuzz suites re-run with
 #      $GPUDB_FAULT_RATE > 0 so every degradation path (retry, breaker,
 #      CPU fallback) executes in the gating build,
+#   3b. a 1M-statement single-session soak (flat RSS and latency),
+#   3c. the session benchmark (perfbench/) at reduced size, gated on its
+#       run-time invariants by scripts/perfbench_invariants.py,
 #   4. an ASan+UBSan Debug build of the test suite, which also turns on the
 #      record-time PassRecord invariant asserts in gpu::Device and re-runs
 #      the fault sweep under ASan,
@@ -121,6 +124,21 @@ GPUDB_FAULT_SEED=20260805 GPUDB_FAULT_RATE=0.05 \
   ./build/tests/gpu_pool_test
 GPUDB_FAULT_SEED=20260805 GPUDB_FAULT_RATE=0.05 \
   ./build/tests/device_fuzz_test --gtest_filter='PoolSoak.*'
+
+echo "== soak: one session, 1M statements, flat memory and latency =="
+# tests/sql_soak_test at full length: one sql::Session runs the same
+# one-pass COUNT a million times. Peak RSS may grow by less than 4 MB after
+# the warm-up, and the median latency of the last 10k statements must stay
+# within 1.5x of the first 10k -- per-statement accounting is fixed-size
+# (scalar device counters, no retained pass log). ctest runs it at 20k.
+GPUDB_SOAK_STATEMENTS=1000000 ./build/tests/sql_soak_test
+
+echo "== perfbench: every workload at reduced size, run-time invariants =="
+# The session benchmark's own Release driver (built into build-perfbench/),
+# each workload untraced and traced: correct answers, no failed statement,
+# fail_ratio 0, nothing swapped or rejected, and no per-pass records left
+# on any device (gpu.pass_log_len.* read 0).
+CARGO_TARGET_DIR=build-perfbench python3 scripts/perfbench_invariants.py
 
 echo "== sanitizers: ASan+UBSan Debug build + tests =="
 cmake -B build-asan -S . -DGPUDB_SANITIZE=ON >/dev/null

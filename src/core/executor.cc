@@ -90,6 +90,7 @@ Result<T> Executor::RunResilient(const char* op_name,
   // except for the periodic probe call that tests whether it recovered.
   if (breaker_.open() && can_fall_back) {
     if (!breaker_.AllowProbe()) {
+      ++tally_.fallbacks;
       metrics.fell_back.Increment();
       MetricsRegistry::Global()
           .counter("queries.fell_back." + std::string(op_name))
@@ -107,6 +108,7 @@ Result<T> Executor::RunResilient(const char* op_name,
        retry < resilience_.retry.max_attempts - 1;
        ++retry) {
     if (retry == 0) metrics.retried.Increment();
+    ++tally_.retries;
     metrics.retry_attempts.Increment();
     TraceResilienceEvent("resilience.retry", op_name, retry + 1);
     BackoffSleep(resilience_.retry.DelayMs(retry), resilience_.retry.sleep);
@@ -137,6 +139,7 @@ Result<T> Executor::RunResilient(const char* op_name,
   // The deadline may have fired while the device was faulting; the CPU
   // tier honours it too.
   GPUDB_RETURN_NOT_OK(device_->CheckInterrupt());
+  ++tally_.fallbacks;
   metrics.fell_back.Increment();
   MetricsRegistry::Global()
       .counter("queries.fell_back." + std::string(op_name))

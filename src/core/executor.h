@@ -142,6 +142,9 @@ class Executor {
   /// The breaker guarding this executor's GPU path (open = degraded).
   const CircuitBreaker& breaker() const { return breaker_; }
 
+  /// Retries and CPU-tier answers of this executor's entry points so far.
+  const ResilienceTally& resilience_tally() const { return tally_; }
+
   /// Attaches ANALYZE statistics (owned by the db::Catalog; may be null to
   /// detach). With stats attached, Where() tags each selection span with
   /// `est_rows` -- the histogram-based cardinality estimate -- so EXPLAIN
@@ -255,6 +258,7 @@ class Executor {
 
   ResilienceOptions resilience_;
   CircuitBreaker breaker_{3};
+  ResilienceTally tally_;
 };
 
 }  // namespace core

@@ -129,9 +129,18 @@ Result<T> PoolExecutor::RunShard(
       hop_off(device_id);
       continue;
     }
+    const gpu::Device& device = pool_->device(device_id);
+    const gpu::DeviceCounters before = device.counters();
     Result<Executor*> exec = ShardExecutorFor(shard_index, device_id);
     if (!exec.ok()) return exec.status();
-    Result<T> result = gpu_op(*exec.ValueOrDie());
+    Executor& shard_exec = *exec.ValueOrDie();
+    const uint64_t retries_before = shard_exec.resilience_tally().retries;
+    Result<T> result = gpu_op(shard_exec);
+    // Charge the dispatch to this statement while the lease still pins the
+    // device to it: faulted attempts did real work too.
+    last_stats_.counters += gpu::DeltaSince(before, device.counters());
+    last_stats_.retries +=
+        shard_exec.resilience_tally().retries - retries_before;
     if (result.ok()) {
       pool_->RecordSuccess(device_id);
       span.AddTag("outcome", "ok");

@@ -21,12 +21,18 @@ namespace gpudb {
 namespace core {
 
 /// \brief Per-query outcome of the scatter/gather path, for query-log
-/// attribution (which failure domain served / failed) and tests.
+/// attribution (which failure domain served / failed, what the shards cost)
+/// and tests.
 struct PoolQueryStats {
   uint64_t failovers = 0;        ///< Shard hops off their primary device.
   int first_device = -1;         ///< Primary device of the first shard run.
   int first_failed_device = -1;  ///< First device a shard hopped off, or -1.
   bool cpu_fallback = false;     ///< Some shard was answered by the CPU tier.
+  uint64_t retries = 0;          ///< In-place retries inside shard attempts.
+  /// Device work of every shard dispatch, summed over the pool devices:
+  /// each dispatch's counter delta is taken on its device while the lease
+  /// is held, so other sessions' shards never leak in.
+  gpu::DeviceCounters counters;
 };
 
 /// \brief Scatter/gather executor over a ShardedTable on a DevicePool

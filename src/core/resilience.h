@@ -1,6 +1,8 @@
 #ifndef GPUDB_CORE_RESILIENCE_H_
 #define GPUDB_CORE_RESILIENCE_H_
 
+#include <cstdint>
+
 #include "src/common/status.h"
 
 namespace gpudb {
@@ -68,6 +70,16 @@ class CircuitBreaker {
   int probe_interval_;
   int consecutive_failures_ = 0;
   int skipped_calls_ = 0;
+};
+
+/// \brief Cumulative resilience outcomes of one executor: in-place retry
+/// attempts and answers served by the CPU tier. A statement takes the
+/// difference across its own run, as it does for DeviceCounters, so its
+/// query-log entry counts only its own executors' events -- never another
+/// session's, as a process-wide counter delta would under concurrency.
+struct ResilienceTally {
+  uint64_t retries = 0;
+  uint64_t fallbacks = 0;
 };
 
 /// \brief Per-executor resilience configuration (DESIGN.md section 11).

@@ -1119,18 +1119,10 @@ Status Device::FinishPass(PassRecord pass) {
         "PassRecord invariants violated at record time in pass '" +
         pass.label + "'");
   }
-  ++counters_.passes;
-  counters_.fragments_generated += pass.fragments;
-  counters_.fragments_passed += pass.fragments_passed;
-  counters_.fp_instructions_executed +=
-      pass.fragments * static_cast<uint64_t>(pass.fp_instructions);
-  counters_.depth_writes += pass.depth_writes;
-  counters_.stencil_updates += pass.stencil_updates;
-  if (pass.fused) ++counters_.fused_passes;
+  counters_.Add(pass);
   DeviceMetrics::Get().passes.Increment();
   DeviceMetrics::Get().fragments.Add(pass.fragments);
   if (pass.profiled) {
-    counters_.prof.Merge(pass.prof);
     DeviceMetrics::Get().alpha_killed.Add(pass.prof.alpha_killed);
     DeviceMetrics::Get().stencil_killed.Add(pass.prof.stencil_killed);
     DeviceMetrics::Get().depth_killed.Add(pass.prof.depth_killed);
@@ -1165,7 +1157,11 @@ Status Device::FinishPass(PassRecord pass) {
       span.AddTag("plane_bytes_written", pass.prof.plane_bytes_written);
     }
   }
-  counters_.pass_log.push_back(std::move(pass));
+  // Per-pass records are retained only for open scopes; with none open the
+  // pass lives on as the scalar counters above and nothing else.
+  for (PassLogScope* scope : pass_log_scopes_) {
+    scope->records_.push_back(pass);
+  }
   return Status::OK();
 }
 
@@ -1256,9 +1252,9 @@ Status Device::RenderInternal(float quad_depth, bool textured) {
   // belongs to exactly one band and each pass touches each pixel at most
   // once, so framebuffer writes are race-free by construction; per-band
   // PassRecord counters and occlusion counts are reduced in fixed band
-  // order afterwards so every reduction (and therefore counters_,
-  // pass_log, and EndOcclusionQuery results) is bit-identical to serial
-  // execution.
+  // order afterwards so every reduction (and therefore counters_, the
+  // records PassLogScopes see, and EndOcclusionQuery results) is
+  // bit-identical to serial execution.
   // Wall-clock band time rides in the Tile but never enters the PassRecord:
   // counters stay bit-stable across thread counts while timings feed the
   // "gpu.band_ms" histogram and trace counter track.
@@ -1484,6 +1480,15 @@ Result<std::vector<float>> Device::ReadColorChannel(int channel) {
     out[i] = fb_.color(i)[channel];
   }
   return out;
+}
+
+PassLogScope::PassLogScope(Device* device) : device_(device) {
+  device_->pass_log_scopes_.push_back(this);
+}
+
+PassLogScope::~PassLogScope() {
+  std::vector<PassLogScope*>& scopes = device_->pass_log_scopes_;
+  scopes.erase(std::find(scopes.begin(), scopes.end(), this));
 }
 
 }  // namespace gpu

@@ -26,6 +26,8 @@
 namespace gpudb {
 namespace gpu {
 
+class PassLogScope;
+
 /// Texture object handle returned by Device::UploadTexture.
 using TextureId = int;
 
@@ -313,10 +315,14 @@ class Device {
 
   // --- Counters ------------------------------------------------------------
 
+  /// Cumulative scalar counters; a copy is a fixed-size snapshot. Per-pass
+  /// records are not kept here -- open a PassLogScope to see them.
   const DeviceCounters& counters() const { return counters_; }
   void ResetCounters() { counters_.Reset(); }
 
  private:
+  friend class PassLogScope;
+
   /// A texture object plus its residency bookkeeping.
   struct TextureSlot {
     Texture data;
@@ -448,6 +454,42 @@ class Device {
   std::unique_ptr<ThreadPool> pool_;
 
   DeviceCounters counters_;
+  /// Open PassLogScopes, in opening order; FinishPass appends every
+  /// finished pass to each. Empty in steady state.
+  std::vector<PassLogScope*> pass_log_scopes_;
+};
+
+/// \brief RAII window onto a device's per-pass records.
+///
+/// The device keeps only scalar DeviceCounters. While a scope is open,
+/// every pass the device finishes is also appended to the scope's
+/// records(); nested or overlapping scopes each see every pass, and a scope
+/// sees nothing after it closes. With no scope open nothing is retained, so
+/// a device's bookkeeping stays the same size however long it runs.
+///
+///   gpu::PassLogScope log(&device);
+///   GPUDB_RETURN_NOT_OK(core::CompareSelect(&device, attr, op, t).status());
+///   for (const gpu::PassRecord& pass : log.records()) { ... }
+///
+/// Like the device, a scope belongs to the thread that issues passes: the
+/// record is appended in FinishPass, after the band reduction, never from
+/// a pixel-engine worker. The scope must not outlive its device.
+class PassLogScope {
+ public:
+  explicit PassLogScope(Device* device);
+  ~PassLogScope();
+
+  PassLogScope(const PassLogScope&) = delete;
+  PassLogScope& operator=(const PassLogScope&) = delete;
+
+  /// Passes finished on the device since this scope opened, in order.
+  const std::vector<PassRecord>& records() const { return records_; }
+
+ private:
+  friend class Device;
+
+  Device* device_;
+  std::vector<PassRecord> records_;
 };
 
 }  // namespace gpu

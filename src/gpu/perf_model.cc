@@ -7,27 +7,23 @@ namespace gpudb {
 namespace gpu {
 
 double PerfModel::PassFillMs(const PassRecord& pass) const {
-  // Each pipe retires one instruction per fragment per clock; fixed-function
-  // passes (depth/stencil-only) cost one cycle per fragment.
-  const double instr = std::max(1, pass.fp_instructions);
-  const double cycles = static_cast<double>(pass.fragments) * instr;
-  const double throughput =
-      params_.clock_hz * static_cast<double>(params_.pixel_pipes);
-  return cycles / throughput * 1e3;
+  DeviceCounters one;
+  one.Add(pass);
+  return Estimate(one).fill_ms;
 }
 
 GpuTimeBreakdown PerfModel::Estimate(const DeviceCounters& counters) const {
   GpuTimeBreakdown b;
   const double throughput =
       params_.clock_hz * static_cast<double>(params_.pixel_pipes);
-  for (const PassRecord& pass : counters.pass_log) {
-    b.fill_ms += PassFillMs(pass);
-    b.depth_write_ms += static_cast<double>(pass.depth_writes) *
-                        params_.depth_write_cycles / throughput * 1e3;
-    b.setup_ms += params_.pass_setup_ms;
-  }
-  b.readback_ms += static_cast<double>(counters.occlusion_readbacks) *
-                   params_.occlusion_readback_ms;
+  // Each pipe retires one instruction per fragment per clock; fill_cycles
+  // already charges fixed-function fragments one cycle each.
+  b.fill_ms = static_cast<double>(counters.fill_cycles) / throughput * 1e3;
+  b.depth_write_ms = static_cast<double>(counters.depth_writes) *
+                     params_.depth_write_cycles / throughput * 1e3;
+  b.setup_ms = static_cast<double>(counters.passes) * params_.pass_setup_ms;
+  b.readback_ms = static_cast<double>(counters.occlusion_readbacks) *
+                  params_.occlusion_readback_ms;
   b.upload_ms = static_cast<double>(counters.bytes_uploaded) /
                 params_.upload_bytes_per_ms;
   b.swap_ms = static_cast<double>(counters.bytes_swapped) /

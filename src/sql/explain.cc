@@ -10,6 +10,7 @@
 #include "src/common/profile.h"
 #include "src/core/op_span.h"
 #include "src/gpu/counters.h"
+#include "src/gpu/device.h"
 #include "src/gpu/perf_model.h"
 
 namespace gpudb {
@@ -235,6 +236,8 @@ Result<QueryResult> ExecuteAnalyze(core::Executor* executor,
   if (query.explain_profile) profiler.set_enabled(true);
   const size_t mark = tracer.FinishedCount();
   const gpu::DeviceCounters before = executor->device().counters();
+  // EXPLAIN PROFILE groups this query's individual passes.
+  const gpu::PassLogScope pass_log(&executor->device());
 
   QueryResult result;
   Status status = Status::OK();
@@ -256,11 +259,11 @@ Result<QueryResult> ExecuteAnalyze(core::Executor* executor,
   result.explain = FormatSpanTree(result.spans);
   if (query.explain_profile) {
     // Group this query's profiled passes by label in first-appearance
-    // order. The pass log and its deep counters are band-reduced
+    // order. The pass records and their deep counters are band-reduced
     // deterministically, so groups -- and the rendered table -- are
     // byte-identical at any worker-thread count.
     std::vector<PassProfileGroup> groups;
-    for (const gpu::PassRecord& pass : delta.pass_log) {
+    for (const gpu::PassRecord& pass : pass_log.records()) {
       if (!pass.profiled) continue;
       PassProfileGroup* group = nullptr;
       for (PassProfileGroup& g : groups) {

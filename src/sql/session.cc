@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/common/metrics.h"
 #include "src/common/query_log.h"
 #include "src/common/timer.h"
 #include "src/core/analyze.h"
@@ -143,16 +142,16 @@ Result<core::Executor*> Session::ExecutorForLocked(
 
 Result<QueryResult> Session::Dispatch(std::string_view sql,
                                       const std::string& table_name,
-                                      gpu::DeviceCounters* counters_out) {
+                                      StatementCost* cost) {
   if (db::Catalog::IsSystemTable(table_name)) {
-    return RunSystemTable(sql, table_name, counters_out);
+    return RunSystemTable(sql, table_name, cost);
   }
-  return RunUserTable(sql, table_name, counters_out);
+  return RunUserTable(sql, table_name, cost);
 }
 
 Result<QueryResult> Session::RunSystemTable(std::string_view sql,
                                             const std::string& table_name,
-                                            gpu::DeviceCounters* counters_out) {
+                                            StatementCost* cost) {
   GPUDB_ASSIGN_OR_RETURN(db::Table snapshot,
                          catalog_->MaterializeSystemTable(table_name));
   const auto snap = std::make_shared<const db::Table>(std::move(snapshot));
@@ -172,14 +171,19 @@ Result<QueryResult> Session::RunSystemTable(std::string_view sql,
   GPUDB_ASSIGN_OR_RETURN(std::unique_ptr<core::Executor> exec,
                          core::Executor::Make(&device, snap.get()));
   exec->set_resilience_options(resilience_);
-  QueryResult result;
+  Result<QueryResult> result = QueryResult();
   if (query.explain_analyze) {
-    GPUDB_ASSIGN_OR_RETURN(result, ExecuteAnalyze(exec.get(), query, sql));
+    result = ExecuteAnalyze(exec.get(), query, sql);
   } else {
-    GPUDB_RETURN_NOT_OK(ExecuteParsed(exec.get(), query, &result));
+    const Status status =
+        ExecuteParsed(exec.get(), query, &result.ValueOrDie());
+    if (!status.ok()) result = status;
   }
-  result.table_view = snap;
-  *counters_out = device.counters();
+  // The ephemeral device and executor saw this statement and nothing else.
+  cost->counters = device.counters();
+  cost->retries = exec->resilience_tally().retries;
+  cost->fell_back = exec->resilience_tally().fallbacks > 0;
+  if (result.ok()) result.ValueOrDie().table_view = snap;
   return result;
 }
 
@@ -238,13 +242,23 @@ Result<QueryResult> Session::RunPooled(core::PoolExecutor& exec,
 
 Result<QueryResult> Session::RunUserTable(std::string_view sql,
                                           const std::string& table_name,
-                                          gpu::DeviceCounters* counters_out) {
+                                          StatementCost* cost) {
   GPUDB_ASSIGN_OR_RETURN(core::Executor* exec, ExecutorForLocked(table_name));
   // Stats may have been (re)collected since the executor was cached.
   exec->set_table_stats(catalog_->Stats(table_name));
   const gpu::DeviceCounters before = device_->counters();
+  const core::ResilienceTally tally_before = exec->resilience_tally();
   Result<QueryResult> result = RunUserStatement(sql, table_name, exec);
-  *counters_out = gpu::DeltaSince(before, device_->counters());
+  cost->counters = gpu::DeltaSince(before, device_->counters());
+  cost->retries = exec->resilience_tally().retries - tally_before.retries;
+  cost->fell_back =
+      exec->resilience_tally().fallbacks > tally_before.fallbacks;
+  if (pooled_statement_) {
+    // The shards ran on the pool devices; RunShard measured each dispatch.
+    cost->counters += pool_stats_.counters;
+    cost->retries += pool_stats_.retries;
+    cost->fell_back = cost->fell_back || pool_stats_.cpu_fallback;
+  }
   return result;
 }
 
@@ -338,27 +352,19 @@ Result<QueryResult> Session::Execute(std::string_view sql) {
   double wall_ms = 0.0;
   bool pooled = false;
   core::PoolQueryStats pool_stats;
-  gpu::DeviceCounters delta;
-  // Resilience outcome for the query log: the delta of the process-wide
-  // retry/fallback counters across this statement (sessions execute
-  // statements one at a time, so the delta is this statement's).
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  uint64_t retries_before = 0;
-  uint64_t fellback_before = 0;
+  StatementCost cost;
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
     MutexLock lock(&execute_mu_);
     queue_ms = timer.ElapsedMs();
     pooled_statement_ = false;
     pool_stats_ = core::PoolQueryStats();
-    retries_before = registry.counter("queries.retry_attempts").value();
-    fellback_before = registry.counter("queries.fell_back").value();
     // No inner dispatch lambda: a lambda body is analyzed without the
     // enclosing capability, so the REQUIRES(execute_mu_) call to Dispatch
     // must sit lexically inside this MutexLock scope.
     const Result<std::string> table_name = StatementTableName(sql);
     Result<QueryResult> r =
         table_name.ok()
-            ? Dispatch(sql, table_name.ValueOrDie(), &delta)
+            ? Dispatch(sql, table_name.ValueOrDie(), &cost)
             : Result<QueryResult>(table_name.status());
     wall_ms = timer.ElapsedMs();
     pooled = pooled_statement_;
@@ -382,17 +388,14 @@ Result<QueryResult> Session::Execute(std::string_view sql) {
                           ? pool_stats.first_failed_device
                           : pool_stats.first_device;
     entry.failovers = pool_stats.failovers;
-    entry.fell_back = entry.fell_back || pool_stats.cpu_fallback;
   }
-  entry.retries =
-      registry.counter("queries.retry_attempts").value() - retries_before;
-  entry.fell_back =
-      registry.counter("queries.fell_back").value() > fellback_before;
-  entry.passes = delta.passes;
-  entry.fragments = delta.fragments_generated;
-  entry.fused_passes = delta.fused_passes;
-  entry.cache_hits = delta.plane_cache_hits;
-  entry.simulated_ms = gpu::PerfModel().Estimate(delta).TotalMs();
+  entry.retries = cost.retries;
+  entry.fell_back = cost.fell_back;
+  entry.passes = cost.counters.passes;
+  entry.fragments = cost.counters.fragments_generated;
+  entry.fused_passes = cost.counters.fused_passes;
+  entry.cache_hits = cost.counters.plane_cache_hits;
+  entry.simulated_ms = gpu::PerfModel().Estimate(cost.counters).TotalMs();
   if (result.ok()) {
     entry.kind = std::string(ToString(result.ValueOrDie().kind));
     entry.rows_out = RowsOut(result.ValueOrDie());

@@ -122,21 +122,30 @@ class Session {
       std::string_view table_name) EXCLUDES(execute_mu_);
 
  private:
+  /// What one statement cost, for its query-log entry: the device work it
+  /// caused on every device it touched, and the retries and CPU-tier
+  /// answers of its own executors.
+  struct StatementCost {
+    gpu::DeviceCounters counters;
+    uint64_t retries = 0;
+    bool fell_back = false;
+  };
+
   /// Dispatches a statement whose target table is already resolved;
-  /// `counters_out` receives the device-counter delta the statement caused.
+  /// `cost` receives what the statement caused.
   [[nodiscard]] Result<QueryResult> Dispatch(std::string_view sql,
                                const std::string& table_name,
-                               gpu::DeviceCounters* counters_out)
+                               StatementCost* cost)
       REQUIRES(execute_mu_);
 
   [[nodiscard]] Result<QueryResult> RunSystemTable(std::string_view sql,
                                      const std::string& table_name,
-                                     gpu::DeviceCounters* counters_out)
+                                     StatementCost* cost)
       REQUIRES(execute_mu_);
 
   [[nodiscard]] Result<QueryResult> RunUserTable(std::string_view sql,
                                    const std::string& table_name,
-                                   gpu::DeviceCounters* counters_out)
+                                   StatementCost* cost)
       REQUIRES(execute_mu_);
 
   /// The statement body of RunUserTable (routing, ANALYZE, EXPLAIN, plain

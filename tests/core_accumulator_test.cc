@@ -45,11 +45,13 @@ TEST_F(AccumulatorTest, OnePassPerBit) {
   const std::vector<uint32_t> ints = RandomInts(100, 13, 92);
   AttributeBinding attr = UploadIntAttribute(&device_, ints);
   device_.ResetCounters();
+  gpu::PassLogScope log(&device_);
   ASSERT_OK(Accumulate(&device_, attr.texture, 0, 13).status());
   EXPECT_EQ(device_.counters().passes, 13u);
   EXPECT_EQ(device_.counters().occlusion_readbacks, 13u);
   // Every pass runs the paper's 5-instruction TestBit program.
-  for (const auto& pass : device_.counters().pass_log) {
+  ASSERT_EQ(log.records().size(), 13u);
+  for (const gpu::PassRecord& pass : log.records()) {
     EXPECT_EQ(pass.fp_instructions, 5);
   }
 }

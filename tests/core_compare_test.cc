@@ -193,14 +193,16 @@ TEST_F(CompareTest, PassStructureMatchesPaper) {
   const std::vector<uint32_t> ints = RandomInts(100, 8, 46);
   AttributeBinding attr = UploadIntAttribute(&device_, ints);
   device_.ResetCounters();
+  gpu::PassLogScope log(&device_);
   ASSERT_OK_AND_ASSIGN(uint64_t count,
                        Compare(&device_, attr, CompareOp::kLess, 100.0));
   (void)count;
   EXPECT_EQ(device_.counters().passes, 2u);
   EXPECT_EQ(device_.counters().occlusion_readbacks, 1u);
   // The copy runs the 3-instruction program on every fragment.
-  EXPECT_EQ(device_.counters().pass_log[0].fp_instructions, 3);
-  EXPECT_EQ(device_.counters().pass_log[1].fp_instructions, 0);
+  ASSERT_EQ(log.records().size(), 2u);
+  EXPECT_EQ(log.records()[0].fp_instructions, 3);
+  EXPECT_EQ(log.records()[1].fp_instructions, 0);
 }
 
 }  // namespace

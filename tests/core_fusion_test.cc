@@ -283,6 +283,7 @@ TEST_F(PlaneCacheExecTest, MissThenHitStaysBitExactAndSkipsTheCopy) {
   EXPECT_EQ(first.ValueOrDie().count, ref.ValueOrDie().count);
 
   SelectionExecOptions warm = CachedOpts(clauses);
+  gpu::PassLogScope warm_log(&device_);
   auto second = EvalCnfPlanned(&device_, clauses, &warm);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(warm.cache_hits, 1);
@@ -291,10 +292,13 @@ TEST_F(PlaneCacheExecTest, MissThenHitStaysBitExactAndSkipsTheCopy) {
 
   EXPECT_EQ(device_.counters().plane_cache_hits, 1u);
   EXPECT_EQ(device_.counters().plane_cache_misses, 1u);
-  // The warm query ran no CopyToDepth: its pass log is restore + compare,
+  // The warm query ran no CopyToDepth: its passes end restore + compare,
   // and the restore is flagged as a cache hit.
-  const auto& log = device_.counters().pass_log;
+  const std::vector<gpu::PassRecord>& log = warm_log.records();
   ASSERT_GE(log.size(), 2u);
+  for (const gpu::PassRecord& pass : log) {
+    EXPECT_NE(pass.label, "CopyToDepthFP");
+  }
   const auto& restore = log[log.size() - 2];
   EXPECT_EQ(restore.label, "plane-restore");
   EXPECT_TRUE(restore.cache_hit);

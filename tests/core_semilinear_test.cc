@@ -78,13 +78,15 @@ TEST_F(SemilinearTest, SinglePassNoCopy) {
   const std::vector<float> a = ToFloats(RandomInts(100, 8, 57));
   const gpu::TextureId tex = Upload({&a});
   device_.ResetCounters();
+  gpu::PassLogScope log(&device_);
   SemilinearQuery q;
   q.weights = {1.0f, 0, 0, 0};
   q.op = CompareOp::kGreaterEqual;
   q.b = 100.0f;
   ASSERT_OK(SemilinearSelect(&device_, tex, q).status());
   EXPECT_EQ(device_.counters().passes, 1u);
-  EXPECT_EQ(device_.counters().pass_log[0].fp_instructions, 4);
+  ASSERT_EQ(log.records().size(), 1u);
+  EXPECT_EQ(log.records()[0].fp_instructions, 4);
   EXPECT_EQ(device_.counters().depth_writes, 0u);
 }
 

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/metrics.h"
+#include "src/common/query_log.h"
 #include "src/common/random.h"
 #include "src/core/executor.h"
 #include "src/core/resilience.h"
@@ -39,6 +41,7 @@ TEST_P(DeviceFuzz, RandomApiSequencesNeverCorruptState) {
   const TestBitProgram test_bit(0, 2);
   const SemilinearProgram semilinear({1, 0, 0, 0}, CompareOp::kGreater, 8.0f);
   bool query_open = false;
+  PassLogScope log(&dev);
 
   for (int step = 0; step < 400; ++step) {
     switch (rng.NextUint64(16)) {
@@ -143,7 +146,8 @@ TEST_P(DeviceFuzz, RandomApiSequencesNeverCorruptState) {
     // Invariants after every step.
     const DeviceCounters& c = dev.counters();
     ASSERT_GE(c.fragments_generated, c.fragments_passed);
-    ASSERT_EQ(c.passes, c.pass_log.size());
+    ASSERT_EQ(c.passes, log.records().size());
+    ASSERT_GE(c.fill_cycles, c.fragments_generated);
     ASSERT_LE(dev.video_memory_used(), dev.video_memory_budget());
     ASSERT_GE(dev.viewport_pixels(), 1u);
     ASSERT_LE(dev.viewport_pixels(), dev.framebuffer().pixel_count());
@@ -412,6 +416,15 @@ TEST(PoolSoak, SixteenSessionsSixtyFourSeedsZeroWrongAnswers) {
   admission_options.max_queue_wait_ms = 60000.0;  // soak must not shed
   sql::AdmissionController admission(admission_options);
 
+  // Attribution baseline: the soak's 256 statements exactly fill the query
+  // log ring once the reference run's entries are cleared.
+  QueryLog::Global().Clear();
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const uint64_t retries_before =
+      registry.counter("queries.retry_attempts").value();
+  const uint64_t fell_back_before =
+      registry.counter("queries.fell_back").value();
+
   std::vector<std::vector<std::string>> failures(kSessions);
   std::vector<std::thread> threads;
   threads.reserve(kSessions);
@@ -450,6 +463,31 @@ TEST(PoolSoak, SixteenSessionsSixtyFourSeedsZeroWrongAnswers) {
       ADD_FAILURE() << "session " << s << ": " << failure;
     }
   }
+
+  // Per-statement attribution: each entry counts only its own executors'
+  // retries and fallbacks, so the entries add up to the process-wide
+  // counters exactly. A statement that read a global counter delta would
+  // also pick up the other 15 sessions' events and overshoot.
+  const std::vector<QueryLogEntry> entries = QueryLog::Global().Entries();
+  ASSERT_EQ(QueryLog::Global().total_recorded(), entries.size())
+      << "query log ring overflowed; attribution check needs every entry";
+  uint64_t entry_retries = 0;
+  uint64_t entries_fell_back = 0;
+  for (const QueryLogEntry& entry : entries) {
+    entry_retries += entry.retries;
+    if (entry.fell_back) ++entries_fell_back;
+    // Pooled entries carry their shard dispatches' device work.
+    if (entry.ok) {
+      EXPECT_TRUE(entry.passes > 0 || entry.fell_back) << entry.sql;
+    }
+  }
+  const uint64_t fell_back =
+      registry.counter("queries.fell_back").value() - fell_back_before;
+  EXPECT_EQ(entry_retries,
+            registry.counter("queries.retry_attempts").value() -
+                retries_before);
+  EXPECT_LE(entries_fell_back, fell_back);
+  EXPECT_EQ(entries_fell_back > 0, fell_back > 0);
 }
 
 }  // namespace

@@ -237,6 +237,7 @@ TEST(DeviceTest, BindTextureValidatesId) {
 
 TEST(DeviceTest, CountersTrackWork) {
   Device dev(4, 4);
+  PassLogScope log(&dev);
   dev.SetDepthTest(true, CompareOp::kAlways);
   ASSERT_OK(dev.RenderQuad(0.5f));
   ASSERT_OK(dev.RenderQuad(0.5f));
@@ -245,8 +246,10 @@ TEST(DeviceTest, CountersTrackWork) {
   EXPECT_EQ(c.fragments_generated, 32u);
   EXPECT_EQ(c.fragments_passed, 32u);
   EXPECT_EQ(c.depth_writes, 32u);
-  ASSERT_EQ(c.pass_log.size(), 2u);
-  EXPECT_EQ(c.pass_log[0].fragments, 16u);
+  // Fixed-function fragments cost one fill cycle each.
+  EXPECT_EQ(c.fill_cycles, 32u);
+  ASSERT_EQ(log.records().size(), 2u);
+  EXPECT_EQ(log.records()[0].fragments, 16u);
   dev.ResetCounters();
   EXPECT_EQ(dev.counters().passes, 0u);
 }
@@ -313,6 +316,7 @@ TEST(DeviceTest, ProfiledQuadPassComputesDeepCountersAndPlaneTraffic) {
   dev.ClearDepth(0.5f);
   dev.SetDepthTest(true, CompareOp::kLess);
   dev.SetDepthWriteMask(true);
+  PassLogScope log(&dev);
   ASSERT_OK(dev.BeginOcclusionQuery());
   ASSERT_OK(dev.RenderQuad(0.25f));  // all 4 fragments pass and write depth
   ASSERT_OK(dev.RenderQuad(0.75f));  // all 4 fail the kLess test
@@ -320,8 +324,8 @@ TEST(DeviceTest, ProfiledQuadPassComputesDeepCountersAndPlaneTraffic) {
   EXPECT_EQ(count, 4u);
 
   const DeviceCounters& c = dev.counters();
-  ASSERT_EQ(c.pass_log.size(), 2u);
-  const PassRecord& hit = c.pass_log[0];
+  ASSERT_EQ(log.records().size(), 2u);
+  const PassRecord& hit = log.records()[0];
   EXPECT_TRUE(hit.profiled);
   EXPECT_EQ(hit.prof.alpha_killed, 0u);
   EXPECT_EQ(hit.prof.stencil_killed, 0u);
@@ -334,7 +338,7 @@ TEST(DeviceTest, ProfiledQuadPassComputesDeepCountersAndPlaneTraffic) {
   EXPECT_EQ(hit.prof.plane_bytes_read, 4u * 4);
   EXPECT_EQ(hit.prof.plane_bytes_written, 4u * 4 + 4u * 16);
 
-  const PassRecord& miss = c.pass_log[1];
+  const PassRecord& miss = log.records()[1];
   EXPECT_TRUE(miss.profiled);
   EXPECT_EQ(miss.prof.depth_tested, 4u);
   EXPECT_EQ(miss.prof.depth_killed, 4u);
@@ -369,14 +373,14 @@ TEST(DeviceTest, ProfiledKillAttributionSplitsAlphaAndStencil) {
   dev.SetStencilTest(true, CompareOp::kAlways, 1);
   dev.SetStencilOp(StencilOp::kReplace, StencilOp::kReplace,
                    StencilOp::kReplace);
+  PassLogScope log(&dev);
   ASSERT_OK(dev.BeginOcclusionQuery());
   ASSERT_OK(dev.RenderTexturedQuad());
   ASSERT_OK_AND_ASSIGN(uint64_t count, dev.EndOcclusionQuery());
   EXPECT_EQ(count, 1u);
 
-  const DeviceCounters& c = dev.counters();
-  ASSERT_EQ(c.pass_log.size(), 1u);
-  const PassRecord& pass = c.pass_log.back();
+  ASSERT_EQ(log.records().size(), 1u);
+  const PassRecord& pass = log.records().back();
   ASSERT_TRUE(pass.profiled);
   // The program KIL on the negative value is an alpha-stage kill; the
   // always-true stencil test kills nothing, so one fragment reaches the
@@ -395,13 +399,13 @@ TEST(DeviceTest, ProfiledKillAttributionSplitsAlphaAndStencil) {
 TEST(DeviceTest, UnprofiledPassLeavesDeepCountersZero) {
   ASSERT_FALSE(Profiler::Global().enabled());
   Device dev(2, 2);
+  PassLogScope log(&dev);
   dev.SetDepthTest(true, CompareOp::kAlways);
   ASSERT_OK(dev.RenderQuad(0.5f));
-  const DeviceCounters& c = dev.counters();
-  ASSERT_EQ(c.pass_log.size(), 1u);
-  EXPECT_FALSE(c.pass_log[0].profiled);
-  EXPECT_EQ(c.pass_log[0].prof, PassProfile{});
-  EXPECT_EQ(c.prof, PassProfile{});
+  ASSERT_EQ(log.records().size(), 1u);
+  EXPECT_FALSE(log.records()[0].profiled);
+  EXPECT_EQ(log.records()[0].prof, PassProfile{});
+  EXPECT_EQ(dev.counters().prof, PassProfile{});
 }
 
 TEST(VideoMemoryTest, UploadWithinBudgetStaysResident) {
@@ -536,21 +540,100 @@ TEST(CompareOpTest, InvertIsLogicalNegation) {
   }
 }
 
-TEST(DeviceTest, ResetCountersClearsPassLog) {
+TEST(DeviceTest, ResetCountersZeroesEveryCounter) {
   Device dev(4, 4);
   ASSERT_OK(dev.RenderQuad(0.5f));
   ASSERT_OK(dev.RenderQuad(0.5f));
-  ASSERT_EQ(dev.counters().pass_log.size(), 2u);
+  ASSERT_EQ(dev.counters().passes, 2u);
   dev.ResetCounters();
-  EXPECT_TRUE(dev.counters().pass_log.empty());
+  EXPECT_EQ(dev.counters().passes, 0u);
   EXPECT_EQ(dev.counters().fragments_generated, 0u);
-  // The log starts fresh: new passes are not appended after stale entries.
+  EXPECT_EQ(dev.counters().fill_cycles, 0u);
+  // Counting starts fresh: new passes are not added to stale totals.
   ASSERT_OK(dev.RenderQuad(0.5f));
-  ASSERT_EQ(dev.counters().pass_log.size(), 1u);
+  EXPECT_EQ(dev.counters().passes, 1u);
 }
 
-TEST(DeviceTest, PassLogEntriesSatisfyInvariants) {
+TEST(PassLogScopeTest, NoOpenScopeKeepsNoRecords) {
   Device dev(4, 4);
+  ASSERT_OK(dev.RenderQuad(0.5f));
+  ASSERT_OK(dev.RenderQuad(0.5f));
+  // A scope opened afterwards sees nothing from before it: the device did
+  // not keep the two earlier passes anywhere.
+  PassLogScope late(&dev);
+  EXPECT_TRUE(late.records().empty());
+  EXPECT_EQ(dev.counters().passes, 2u);
+  ASSERT_OK(dev.RenderQuad(0.5f));
+  EXPECT_EQ(late.records().size(), 1u);
+}
+
+TEST(PassLogScopeTest, NestedScopesEachSeeEveryPass) {
+  Device dev(4, 4);
+  PassLogScope outer(&dev);
+  ASSERT_OK(dev.RenderQuad(0.5f));
+  {
+    PassLogScope inner(&dev);
+    dev.SetDepthTest(true, CompareOp::kAlways);
+    ASSERT_OK(dev.RenderQuad(0.25f));
+    PassLogScope innermost(&dev);
+    ASSERT_OK(dev.RenderQuad(0.75f));
+    ASSERT_EQ(inner.records().size(), 2u);
+    ASSERT_EQ(innermost.records().size(), 1u);
+    EXPECT_EQ(inner.records()[0].depth_writes, 16u);
+    EXPECT_EQ(innermost.records()[0].depth_writes, 16u);
+  }
+  ASSERT_EQ(outer.records().size(), 3u);
+  EXPECT_EQ(outer.records()[0].depth_writes, 0u);
+}
+
+TEST(PassLogScopeTest, RecordsStopAtScopeClose) {
+  Device dev(4, 4);
+  PassLogScope outer(&dev);
+  std::vector<PassRecord> kept;
+  {
+    PassLogScope inner(&dev);
+    ASSERT_OK(dev.RenderQuad(0.5f));
+    kept = inner.records();
+  }
+  // The closed scope is unregistered: the passes below reach the still-open
+  // outer scope and the scalar counters only (a stale registration would
+  // write through a dead pointer, which the sanitizer builds catch), and a
+  // fresh scope starts empty.
+  ASSERT_OK(dev.RenderQuad(0.5f));
+  ASSERT_OK(dev.RenderQuad(0.5f));
+  EXPECT_EQ(kept.size(), 1u);
+  EXPECT_EQ(outer.records().size(), 3u);
+  EXPECT_EQ(dev.counters().passes, 3u);
+  PassLogScope fresh(&dev);
+  EXPECT_TRUE(fresh.records().empty());
+}
+
+TEST(PassLogScopeTest, PassesDeltaMatchesRecordCount) {
+  Device dev(4, 4);
+  ASSERT_OK(dev.RenderQuad(0.5f));
+  const DeviceCounters before = dev.counters();
+  PassLogScope scope(&dev);
+  dev.SetStencilTest(true, CompareOp::kAlways, 1);
+  dev.SetStencilOp(StencilOp::kKeep, StencilOp::kKeep, StencilOp::kReplace);
+  ASSERT_OK(dev.BeginOcclusionQuery());
+  ASSERT_OK(dev.RenderQuad(0.5f));
+  ASSERT_OK(dev.EndOcclusionQuery().status());
+  ASSERT_OK(dev.RenderQuad(0.5f));
+  const DeviceCounters delta = DeltaSince(before, dev.counters());
+  EXPECT_EQ(delta.passes, scope.records().size());
+  // Re-folding the scope's records reproduces every pass-derived counter.
+  DeviceCounters refolded;
+  for (const PassRecord& pass : scope.records()) refolded.Add(pass);
+  EXPECT_EQ(refolded.passes, delta.passes);
+  EXPECT_EQ(refolded.fragments_generated, delta.fragments_generated);
+  EXPECT_EQ(refolded.fragments_passed, delta.fragments_passed);
+  EXPECT_EQ(refolded.fill_cycles, delta.fill_cycles);
+  EXPECT_EQ(refolded.stencil_updates, delta.stencil_updates);
+}
+
+TEST(DeviceTest, PassRecordsSatisfyInvariants) {
+  Device dev(4, 4);
+  PassLogScope log(&dev);
   // A mix of pass shapes: plain quad, depth-tested, stencil-writing,
   // fragment-program with kills.
   ASSERT_OK(dev.RenderQuad(0.5f));
@@ -559,7 +642,7 @@ TEST(DeviceTest, PassLogEntriesSatisfyInvariants) {
   dev.SetStencilTest(true, CompareOp::kAlways, 1);
   dev.SetStencilOp(StencilOp::kKeep, StencilOp::kKeep, StencilOp::kReplace);
   ASSERT_OK(dev.RenderQuad(0.1f));
-  for (const PassRecord& pass : dev.counters().pass_log) {
+  for (const PassRecord& pass : log.records()) {
     EXPECT_TRUE(pass.Valid())
         << pass.label << ": passed=" << pass.fragments_passed
         << " generated=" << pass.fragments
@@ -577,9 +660,9 @@ TEST(DeviceTest, DeltaSinceIsolatesTheWindow) {
   const DeviceCounters delta = DeltaSince(before, dev.counters());
   EXPECT_EQ(delta.passes, 1u);
   EXPECT_EQ(delta.fragments_generated, 16u);
+  EXPECT_EQ(delta.fill_cycles, 16u);
   EXPECT_EQ(delta.bytes_read_back, 16u);
-  ASSERT_EQ(delta.pass_log.size(), 1u);
-  EXPECT_EQ(delta.pass_log[0].depth_writes, 16u);
+  EXPECT_EQ(delta.depth_writes, 16u);
 }
 
 TEST(VideoMemoryTest, FirstUploadIsNotChargedAsSwap) {

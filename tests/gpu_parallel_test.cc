@@ -37,13 +37,15 @@ using testing_util::RandomInts;
 using testing_util::UploadIntAttribute;
 
 /// Every observable output of a scenario: the three framebuffer planes,
-/// the cumulative hardware counters with their pass log, and the values
-/// each routine returned (counts, order statistics, sums).
+/// the cumulative hardware counters, every pass record (read through a
+/// PassLogScope open for the whole scenario), and the values each routine
+/// returned (counts, order statistics, sums).
 struct Snapshot {
   std::vector<uint32_t> depth;
   std::vector<uint8_t> stencil;
   std::vector<float> color;
   gpu::DeviceCounters counters;
+  std::vector<gpu::PassRecord> passes;
   std::vector<uint64_t> results;
 };
 
@@ -55,6 +57,7 @@ Snapshot RunScenario(int threads, const std::vector<uint32_t>& ints,
   Snapshot snap;
   gpu::Device device(100, 100);
   EXPECT_OK(device.SetWorkerThreads(threads));
+  gpu::PassLogScope log(&device);
   AttributeBinding attr = UploadIntAttribute(&device, ints);
   const auto domain = static_cast<double>(uint64_t{1} << bit_width);
 
@@ -105,6 +108,7 @@ Snapshot RunScenario(int threads, const std::vector<uint32_t>& ints,
     snap.color.insert(snap.color.end(), rgba, rgba + 4);
   }
   snap.counters = device.counters();
+  snap.passes = log.records();
   return snap;
 }
 
@@ -156,13 +160,15 @@ void ExpectBitIdentical(const Snapshot& serial, const Snapshot& parallel,
   EXPECT_EQ(serial.depth, parallel.depth) << what;
   EXPECT_EQ(serial.stencil, parallel.stencil) << what;
   EXPECT_EQ(serial.color, parallel.color) << what;
-  // Hardware counters, including the per-pass log the cost model consumes.
+  // Hardware counters, including the fill cycles the cost model prices,
+  // and every per-pass record.
   const gpu::DeviceCounters& a = serial.counters;
   const gpu::DeviceCounters& b = parallel.counters;
   EXPECT_EQ(a.passes, b.passes) << what;
   EXPECT_EQ(a.fragments_generated, b.fragments_generated) << what;
   EXPECT_EQ(a.fragments_passed, b.fragments_passed) << what;
   EXPECT_EQ(a.fp_instructions_executed, b.fp_instructions_executed) << what;
+  EXPECT_EQ(a.fill_cycles, b.fill_cycles) << what;
   EXPECT_EQ(a.depth_writes, b.depth_writes) << what;
   EXPECT_EQ(a.stencil_updates, b.stencil_updates) << what;
   EXPECT_EQ(a.occlusion_readbacks, b.occlusion_readbacks) << what;
@@ -172,7 +178,8 @@ void ExpectBitIdentical(const Snapshot& serial, const Snapshot& parallel,
   EXPECT_EQ(a.plane_cache_hits, b.plane_cache_hits) << what;
   EXPECT_EQ(a.plane_cache_misses, b.plane_cache_misses) << what;
   EXPECT_EQ(a.prof, b.prof) << what << " (cumulative deep counters)";
-  ExpectPassLogsEqual(a.pass_log, b.pass_log, what);
+  EXPECT_EQ(a.passes, serial.passes.size()) << what;
+  ExpectPassLogsEqual(serial.passes, parallel.passes, what);
 }
 
 constexpr int kBitWidth = 16;
@@ -221,7 +228,7 @@ TEST(ParallelDeterminismTest, ProfiledCountersBitIdenticalAcrossThreadCounts) {
   EXPECT_GT(serial.counters.prof.plane_bytes_read, 0u);
   EXPECT_GT(serial.counters.prof.plane_bytes_written, 0u);
   bool any_profiled_pass = false;
-  for (const gpu::PassRecord& pass : serial.counters.pass_log) {
+  for (const gpu::PassRecord& pass : serial.passes) {
     if (pass.profiled) any_profiled_pass = true;
   }
   EXPECT_TRUE(any_profiled_pass);
@@ -236,6 +243,7 @@ Snapshot RunPlannedScenario(int threads, const std::vector<uint32_t>& ints) {
   Snapshot snap;
   gpu::Device device(100, 100);
   EXPECT_OK(device.SetWorkerThreads(threads));
+  gpu::PassLogScope log(&device);
   AttributeBinding attr = UploadIntAttribute(&device, ints);
   attr.column = 0;
   const auto domain = static_cast<double>(uint64_t{1} << kBitWidth);
@@ -275,6 +283,7 @@ Snapshot RunPlannedScenario(int threads, const std::vector<uint32_t>& ints) {
   snap.depth = fb.depth_plane();
   snap.stencil = fb.stencil_plane();
   snap.counters = device.counters();
+  snap.passes = log.records();
   return snap;
 }
 

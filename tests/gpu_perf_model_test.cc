@@ -34,8 +34,7 @@ TEST(PerfModelTest, KthLargestUtilizationMatchesPaper) {
   // ideal 5.28 ms, observed ~6.6 ms -> ~80% utilization (Section 6.2.2).
   DeviceCounters counters;
   for (int i = 0; i < 19; ++i) {
-    counters.pass_log.push_back(SimplePass(1000000));
-    ++counters.passes;
+    counters.Add(SimplePass(1000000));
     ++counters.occlusion_readbacks;
   }
   counters.bytes_read_back = 19 * 4;
@@ -51,8 +50,7 @@ TEST(PerfModelTest, DepthWritePenaltyCharged) {
   PassRecord copy = SimplePass(1000000);
   copy.fp_instructions = 3;
   copy.depth_writes = 1000000;
-  counters.pass_log.push_back(copy);
-  ++counters.passes;
+  counters.Add(copy);
   PerfModel model;
   const GpuTimeBreakdown b = model.Estimate(counters);
   // Copy-to-depth per million records: 3-instr fill + 3-cycle write penalty
@@ -80,7 +78,7 @@ TEST(PerfModelTest, EmptyCountersCostNothing) {
 
 TEST(PerfModelTest, FormatBreakdownMentionsTotal) {
   DeviceCounters counters;
-  counters.pass_log.push_back(SimplePass(1000));
+  counters.Add(SimplePass(1000));
   PerfModel model;
   const std::string s = PerfModel::FormatBreakdown(model.Estimate(counters));
   EXPECT_NE(s.find("total="), std::string::npos);
@@ -95,6 +93,46 @@ TEST(PerfModelTest, DeviceDrivenCountersMatchManual) {
   const GpuTimeBreakdown b = model.Estimate(dev.counters());
   EXPECT_NEAR(b.fill_ms, 10000.0 / (8 * 450e6) * 1e3, 1e-6);
   EXPECT_GT(b.depth_write_ms, 0.0);
+}
+
+TEST(PerfModelTest, ScalarCountersPriceLikePerPassSum) {
+  // The model prices the device's scalar counters; the same passes priced
+  // one record at a time (read through a scope) must agree, for a mix of
+  // fixed-function, depth-writing and programmed passes.
+  Device dev(64, 64);
+  PassLogScope log(&dev);
+  std::vector<float> vals(64 * 64, 3.0f);
+  ASSERT_OK_AND_ASSIGN(Texture tex, Texture::FromColumns({&vals}, 64));
+  ASSERT_OK_AND_ASSIGN(TextureId id, dev.UploadTexture(std::move(tex)));
+  ASSERT_OK(dev.BindTexture(id));
+  ASSERT_OK(dev.RenderQuad(0.5f));
+  dev.SetDepthTest(true, CompareOp::kAlways);
+  ASSERT_OK(dev.RenderQuad(0.25f));
+  const SemilinearProgram program({1, 0, 0, 0}, CompareOp::kGreater, 1.0f);
+  dev.UseProgram(&program);
+  ASSERT_OK(dev.RenderTexturedQuad());
+  dev.UseProgram(nullptr);
+
+  // The expected times use the per-record formulas directly: a pass costs
+  // fragments × max(1, instructions) cycles of fill and depth_write_cycles
+  // per depth write, spread over every pipe.
+  PerfModel model;
+  const double throughput =
+      model.params().clock_hz * model.params().pixel_pipes;
+  double fill_ms = 0;
+  double depth_write_ms = 0;
+  for (const PassRecord& pass : log.records()) {
+    fill_ms += static_cast<double>(pass.fragments) *
+               std::max(1, pass.fp_instructions) / throughput * 1e3;
+    depth_write_ms += static_cast<double>(pass.depth_writes) *
+                      model.params().depth_write_cycles / throughput * 1e3;
+  }
+  const GpuTimeBreakdown b = model.Estimate(dev.counters());
+  ASSERT_EQ(log.records().size(), 3u);
+  EXPECT_GT(log.records()[2].fp_instructions, 0);
+  EXPECT_NEAR(b.fill_ms, fill_ms, 1e-12);
+  EXPECT_NEAR(b.depth_write_ms, depth_write_ms, 1e-12);
+  EXPECT_DOUBLE_EQ(b.setup_ms, 3 * model.params().pass_setup_ms);
 }
 
 }  // namespace

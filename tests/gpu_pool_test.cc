@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "src/db/datagen.h"
 #include "src/db/sharding.h"
 #include "src/gpu/device_pool.h"
+#include "src/gpu/perf_model.h"
 #include "src/predicate/expr.h"
 #include "src/sql/admission.h"
 #include "src/sql/session.h"
@@ -439,6 +441,88 @@ TEST(SessionPool, PooledStatementsMatchClassicAndLogFailureDomains) {
                        pooled.Execute("SELECT MEDIAN(data_count) FROM traffic"));
   EXPECT_EQ(got_med.scalar, want_med.scalar);
   EXPECT_EQ(QueryLog::Global().Entries().back().device_id, -1);
+}
+
+TEST(SessionPool, PooledEntriesCarryTheShardDispatchWork) {
+  ASSERT_OK_AND_ASSIGN(db::Table table, db::MakeTcpIpTable(3000, /*seed=*/9));
+  db::Catalog catalog;
+  ASSERT_OK(catalog.Register("traffic", &table));
+  gpu::Device session_device(100, 100);
+  sql::Session session(&session_device, &catalog);
+  auto pool = MakePool(2);
+  session.SetDevicePool(pool.get());
+
+  const gpu::DeviceCounters session_before = session_device.counters();
+  const gpu::DeviceCounters before0 = pool->device(0).counters();
+  const gpu::DeviceCounters before1 = pool->device(1).counters();
+  ASSERT_OK_AND_ASSIGN(
+      sql::QueryResult result,
+      session.Execute("SELECT COUNT(*) FROM traffic WHERE data_count > 20000"));
+  (void)result;
+  gpu::DeviceCounters shards =
+      gpu::DeltaSince(before0, pool->device(0).counters());
+  shards += gpu::DeltaSince(before1, pool->device(1).counters());
+
+  // The statement ran on the pool devices, not the session's own device,
+  // and its log entry is the sum of the shard dispatches.
+  const QueryLogEntry entry = QueryLog::Global().Entries().back();
+  EXPECT_EQ(session_device.counters().passes, session_before.passes);
+  EXPECT_GT(entry.passes, 0u);
+  EXPECT_EQ(entry.passes, shards.passes);
+  EXPECT_EQ(entry.fragments, shards.fragments_generated);
+  EXPECT_GT(entry.simulated_ms, 0.0);
+  EXPECT_DOUBLE_EQ(entry.simulated_ms,
+                   gpu::PerfModel().Estimate(shards).TotalMs());
+  EXPECT_EQ(entry.retries, 0u);
+  EXPECT_FALSE(entry.fell_back);
+}
+
+TEST(SessionPool, ResilienceOutcomesStayWithTheirOwnSession) {
+  // Two sessions run concurrently on their own devices; only one device
+  // injects faults. Retries and CPU fallbacks are counted per statement
+  // from the session's own executors, so none of the faulty session's
+  // events may land on the clean session's log entries.
+  ASSERT_OK_AND_ASSIGN(db::Table table, db::MakeTcpIpTable(2000, /*seed=*/4));
+  db::Catalog catalog;
+  ASSERT_OK(catalog.Register("traffic", &table));
+  gpu::Device faulty_device(100, 100);
+  gpu::Device clean_device(100, 100);
+  faulty_device.ConfigureFaults({/*seed=*/20260805, /*rate=*/0.3});
+  sql::Session faulty(&faulty_device, &catalog);
+  sql::Session clean(&clean_device, &catalog);
+  faulty.set_tenant("faulty");
+  clean.set_tenant("clean");
+
+  constexpr int kStatements = 100;
+  QueryLog::Global().Clear();
+  auto run = [](sql::Session* session) {
+    for (int i = 0; i < kStatements; ++i) {
+      const std::string sql =
+          "SELECT COUNT(*) FROM traffic WHERE data_count > " +
+          std::to_string(1000 * (i % 40));
+      (void)session->Execute(sql);  // the faulty session may fail some
+    }
+  };
+  std::thread faulty_thread(run, &faulty);
+  std::thread clean_thread(run, &clean);
+  faulty_thread.join();
+  clean_thread.join();
+
+  const std::vector<QueryLogEntry> entries = QueryLog::Global().Entries();
+  ASSERT_EQ(entries.size(), 2u * kStatements);
+  uint64_t faulty_events = 0;
+  for (const QueryLogEntry& entry : entries) {
+    if (entry.tenant == "faulty") {
+      faulty_events += entry.retries + (entry.fell_back ? 1 : 0);
+      continue;
+    }
+    ASSERT_EQ(entry.tenant, "clean");
+    EXPECT_TRUE(entry.ok) << entry.sql << ": " << entry.error;
+    EXPECT_EQ(entry.retries, 0u) << entry.sql;
+    EXPECT_FALSE(entry.fell_back) << entry.sql;
+  }
+  // The injection must actually have fired for the check to mean anything.
+  EXPECT_GT(faulty_events, 0u);
 }
 
 TEST(SessionPool, AdmissionRejectionSurfacesAndIsLogged) {
