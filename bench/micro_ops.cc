@@ -4,20 +4,24 @@
 // performance -- the paper-shape numbers come from the fig* binaries.
 
 #include <algorithm>
+#include <cstring>
 
 #include <benchmark/benchmark.h>
 
 #include "src/core/accumulator.h"
 #include "src/core/bitonic_sort.h"
 #include "src/core/compare.h"
+#include "src/core/count.h"
 #include "src/core/kth_largest.h"
 #include "src/core/range.h"
 #include "src/core/semilinear.h"
 #include "src/cpu/aggregate.h"
 #include "src/cpu/quickselect.h"
 #include "src/cpu/scan.h"
+#include "src/common/random.h"
 #include "src/db/datagen.h"
 #include "src/gpu/device.h"
+#include "src/gpu/fragment_program.h"
 
 namespace gpudb {
 namespace {
@@ -131,6 +135,174 @@ void BM_SimSemilinearSelect(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_SimSemilinearSelect)->Arg(10'000)->Arg(100'000);
+
+// --- One pass per row kernel shape ----------------------------------------
+//
+// A side x side viewport (1000 = 1M fragments, 64 = 4K) over a 4-channel
+// texture of 19-bit integers, with a random ~50% stencil selection (value
+// 1), one pixel-engine worker. Each row times one pass of a shape the
+// operators issue. BM_Pass_Stream is the same-run memory baseline: it reads
+// the same texel channel and stencil bytes, so a shape's ns/fragment
+// (1e9 / items_per_second) can be set against memory speed.
+
+constexpr int kChannel = 2;
+
+struct PassBench {
+  explicit PassBench(benchmark::State& state)
+      : side(static_cast<uint32_t>(state.range(0))),
+        pixels(uint64_t{side} * side),
+        device(side, side) {
+    Random rng(1004);
+    std::vector<std::vector<float>> columns(4, std::vector<float>(pixels));
+    for (auto& column : columns) {
+      for (float& v : column) v = static_cast<float>(rng.NextUint64(1 << 19));
+    }
+    auto tex = gpu::Texture::FromColumns(
+        {&columns[0], &columns[1], &columns[2], &columns[3]}, side);
+    attr.texture = device.UploadTexture(std::move(tex).ValueOrDie())
+                       .ValueOrDie();
+    attr.channel = kChannel;
+    attr.encoding = core::DepthEncoding::ExactInt24();
+    (void)device.SetWorkerThreads(1);
+    selection.resize(pixels);
+    for (uint8_t& s : selection) s = static_cast<uint8_t>(rng.NextUint64(2));
+    RestoreSelection();
+  }
+
+  void RestoreSelection() {
+    std::copy(selection.begin(), selection.end(),
+              device.framebuffer().stencil_data());
+  }
+
+  uint32_t side;
+  uint64_t pixels;
+  gpu::Device device;
+  core::AttributeBinding attr;
+  std::vector<uint8_t> selection;
+};
+
+void PassRows(benchmark::internal::Benchmark* b) {
+  b->Arg(1000)->Arg(64)->Unit(benchmark::kMicrosecond);
+}
+
+void BM_Pass_Stream(benchmark::State& state) {
+  PassBench p(state);
+  const float* const texels =
+      p.device.texture(p.attr.texture).data().data() + kChannel;
+  const uint8_t* const stencil = p.device.framebuffer().stencil_data();
+  for (auto _ : state) {
+    // Branch-free and free of a float add chain, so memory sets the pace.
+    uint64_t selected = 0;
+    uint32_t digest = 0;
+    for (uint64_t i = 0; i < p.pixels; ++i) {
+      const uint32_t on = stencil[i] == 1 ? 1 : 0;
+      uint32_t bits;
+      std::memcpy(&bits, &texels[i * 4], sizeof(bits));
+      selected += on;
+      digest ^= bits & (0u - on);
+    }
+    benchmark::DoNotOptimize(selected);
+    benchmark::DoNotOptimize(digest);
+  }
+  state.SetItemsProcessed(state.iterations() * p.pixels);
+}
+BENCHMARK(BM_Pass_Stream)->Apply(PassRows);
+
+// Accumulate's per-bit pass over a selection (Routine 4.6).
+void BM_Pass_TestBitSelected(benchmark::State& state) {
+  PassBench p(state);
+  gpu::Device& d = p.device;
+  (void)d.BindTexture(p.attr.texture);
+  d.SetDepthTest(false, gpu::CompareOp::kAlways);
+  d.SetColorWriteMask(false);
+  d.SetAlphaTest(true, gpu::CompareOp::kGreaterEqual, 0.5f);
+  d.SetStencilTest(true, gpu::CompareOp::kEqual, 1);
+  d.SetStencilOp(gpu::StencilOp::kKeep, gpu::StencilOp::kKeep,
+                 gpu::StencilOp::kKeep);
+  const gpu::TestBitProgram program(kChannel, 7);
+  d.UseProgram(&program);
+  for (auto _ : state) {
+    (void)d.BeginOcclusionQuery();
+    (void)d.RenderTexturedQuad();
+    benchmark::DoNotOptimize(d.EndOcclusionQuery().ValueOrDie());
+  }
+  d.UseProgram(nullptr);
+  state.SetItemsProcessed(state.iterations() * p.pixels);
+}
+BENCHMARK(BM_Pass_TestBitSelected)->Apply(PassRows);
+
+void BM_Pass_CountSelected(benchmark::State& state) {
+  PassBench p(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::CountSelected(&p.device, 1).ValueOrDie());
+  }
+  state.SetItemsProcessed(state.iterations() * p.pixels);
+}
+BENCHMARK(BM_Pass_CountSelected)->Apply(PassRows);
+
+// One link of the planner's fused selection chain (DESIGN.md §14):
+// stencil EQUAL 1 / zpass INCR around a FusedCompare pass. The pass moves
+// its survivors to 2, so the selection is restored between passes.
+void BM_Pass_FusedCompareChain(benchmark::State& state) {
+  PassBench p(state);
+  gpu::Device& d = p.device;
+  d.SetStencilTest(true, gpu::CompareOp::kEqual, 1);
+  d.SetStencilOp(gpu::StencilOp::kKeep, gpu::StencilOp::kKeep,
+                 gpu::StencilOp::kIncr);
+  for (auto _ : state) {
+    (void)core::FusedComparePass(&d, p.attr, gpu::CompareOp::kLess,
+                                 double{1 << 18});
+    state.PauseTiming();
+    p.RestoreSelection();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * p.pixels);
+}
+BENCHMARK(BM_Pass_FusedCompareChain)->Apply(PassRows);
+
+void BM_Pass_CopyToDepth(benchmark::State& state) {
+  PassBench p(state);
+  for (auto _ : state) {
+    (void)core::CopyToDepth(&p.device, p.attr);
+  }
+  state.SetItemsProcessed(state.iterations() * p.pixels);
+}
+BENCHMARK(BM_Pass_CopyToDepth)->Apply(PassRows);
+
+// The comparison quad behind a CopyToDepth: constant depth, counted.
+void BM_Pass_CompareCount(benchmark::State& state) {
+  PassBench p(state);
+  (void)core::CopyToDepth(&p.device, p.attr);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::CompareCount(&p.device,
+                                                gpu::CompareOp::kLess,
+                                                double{1 << 18},
+                                                p.attr.encoding)
+                                 .ValueOrDie());
+  }
+  state.SetItemsProcessed(state.iterations() * p.pixels);
+}
+BENCHMARK(BM_Pass_CompareCount)->Apply(PassRows);
+
+// A CNF bookkeeping quad: the stencil test passes everything and the
+// survivors' bytes are incremented, which takes the table-driven stencil.
+void BM_Pass_CompareIncrement(benchmark::State& state) {
+  PassBench p(state);
+  gpu::Device& d = p.device;
+  (void)core::CopyToDepth(&d, p.attr);
+  d.SetStencilTest(true, gpu::CompareOp::kAlways, 0);
+  d.SetStencilOp(gpu::StencilOp::kKeep, gpu::StencilOp::kKeep,
+                 gpu::StencilOp::kIncr);
+  for (auto _ : state) {
+    (void)core::CompareQuad(&d, gpu::CompareOp::kLess, double{1 << 18},
+                            p.attr.encoding);
+    state.PauseTiming();
+    p.RestoreSelection();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * p.pixels);
+}
+BENCHMARK(BM_Pass_CompareIncrement)->Apply(PassRows);
 
 void BM_CpuStdSort(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));

@@ -68,9 +68,9 @@ struct PassProfileGroup {
 /// \brief Process-wide switch and aggregation point for deep profiling.
 ///
 /// Disabled by default; `enabled()` is a relaxed atomic load the Device
-/// reads once per pass, and the per-fragment counter increments it gates are
-/// compiled out of the kernels' cold instantiation (QuadRowKernel<false>),
-/// so the profiler costs nothing measurable when off and <5% when on.
+/// reads once per pass, and the row kernel skips the kill counts it gates
+/// behind that per-pass flag, so the profiler costs nothing measurable
+/// when off and <5% when on.
 ///
 /// RecordPass aggregates by pass label under a mutex -- called once per
 /// pass, not per fragment, so contention is irrelevant. RecordBandTimings

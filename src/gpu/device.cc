@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -493,9 +495,7 @@ void Device::ResetTransform() {
 
 GPUDB_ALWAYS_INLINE
 void Device::ProcessFragment(const RasterFragment& frag, PassContext* ctx) {
-  const RenderState& rs = state_;
   const uint64_t i = uint64_t{frag.y} * fb_.width() + frag.x;
-  ++ctx->pass->fragments;
 
   // --- Fragment program (pixel processing engine) ----------------------
   FragmentOutput out;
@@ -509,39 +509,29 @@ void Device::ProcessFragment(const RasterFragment& frag, PassContext* ctx) {
     in.tex2 = ctx->units[2];
     in.tex3 = ctx->units[3];
     ctx->program->Execute(in, &out);
-    if (out.discarded) {  // KILL: skips all later stages.
-      if (ctx->profile) ++ctx->pass->prof.alpha_killed;
-      return;
-    }
-  } else if (ctx->flat_depth) {
-    // Fixed-function quad: depth quantization and the alpha test were
-    // resolved once per pass (same outcome for every fragment).
-    if (ctx->alpha_fail) {
-      if (ctx->profile) ++ctx->pass->prof.alpha_killed;
-      return;
-    }
-    ProcessTestedFragment(i, ctx->flat_depth_q, out.color, ctx);
-    return;
   }
   const uint32_t frag_depth_q =
       out.depth_written ? fb_.Quantize(out.depth) : fb_.Quantize(frag.depth);
 
-  // --- Alpha test -------------------------------------------------------
-  if (rs.alpha_test_enabled &&
-      !EvalCompare(rs.alpha_func, out.color[3], rs.alpha_ref)) {
-    // Alpha failures do not reach the stencil stage.
-    if (ctx->profile) ++ctx->pass->prof.alpha_killed;
-    return;
-  }
-
-  ProcessTestedFragment(i, frag_depth_q, out.color, ctx);
+  // --- KILL and the alpha test ------------------------------------------
+  const RenderState& rs = state_;
+  const bool alive =
+      !out.discarded && (!rs.alpha_test_enabled ||
+                         EvalCompare(rs.alpha_func, out.color[3], rs.alpha_ref));
+  TestFragment(i, frag_depth_q, alive, out.color, ctx);
 }
 
 GPUDB_ALWAYS_INLINE
-void Device::ProcessTestedFragment(uint64_t i, uint32_t frag_depth_q,
-                                   const std::array<float, 4>& color,
-                                   PassContext* ctx) {
+void Device::TestFragment(uint64_t i, uint32_t frag_depth_q, bool alive,
+                          const std::array<float, 4>& color,
+                          PassContext* ctx) {
   const RenderState& rs = state_;
+  ++ctx->pass->fragments;
+  if (!alive) {
+    // KILLed and alpha-failed fragments do not reach the stencil stage.
+    if (ctx->profile) ++ctx->pass->prof.alpha_killed;
+    return;
+  }
 
   // --- Stencil test -------------------------------------------------------
   const uint8_t stored_stencil = fb_.stencil(i);
@@ -608,467 +598,467 @@ void Device::ProcessTestedFragment(uint64_t i, uint32_t frag_depth_q,
 
 namespace {
 
-/// Per-band output of a specialized quad-row kernel, reduced into the
-/// band's PassContext by the caller.
-struct QuadKernelOut {
+/// A loop-invariant compare op as a truth table over the orderings of
+/// (lhs, rhs), so the row kernel evaluates it as lane masks. `un` covers
+/// unordered float operands (a NaN alpha), for which only NOTEQUAL and
+/// ALWAYS hold. Built from EvalCompare itself, so the table cannot
+/// disagree with the interpreter.
+struct CompareTable {
+  explicit CompareTable(CompareOp op = CompareOp::kAlways)
+      : lt(EvalCompare(op, 0, 1)),
+        eq(EvalCompare(op, 0, 0)),
+        gt(EvalCompare(op, 1, 0)),
+        un(EvalCompare(op, std::numeric_limits<float>::quiet_NaN(), 0.0f)) {}
+  uint8_t lt, eq, gt, un;
+};
+
+/// One quad pass, resolved once from the render state and the bound
+/// program into what its fragments can vary on: the depth source (the
+/// constant quad depth, or CopyToDepth's affine texel fetch), the alpha
+/// source (constant 1.0, or TestBit's fetched bit), the tests as truth
+/// tables (ALWAYS when off), the stencil ops and the write set (read from
+/// `rs` by the kernel). Bands share it read-only.
+struct PassShape {
+  PassShape(const RenderState& state, const FrameBuffer& fb,
+            const BatchedForm& batched, const Texture* tex0, float quad_depth,
+            bool profiled)
+      : rs(state),
+        form(batched),
+        quad_depth_q(fb.Quantize(quad_depth)),
+        depth_max(fb.depth_max()),
+        const_alive(!rs.alpha_test_enabled ||
+                    EvalCompare(rs.alpha_func, 1.0f, rs.alpha_ref)),
+        depth_stage(rs.depth_test_enabled || rs.depth_bounds_test_enabled),
+        profile(profiled) {
+    if (rs.alpha_test_enabled) alpha_cmp = CompareTable(rs.alpha_func);
+    if (rs.depth_test_enabled) depth_cmp = CompareTable(rs.depth_func);
+    stencil_cmp = CompareTable(rs.stencil_func);
+    if (form.kind != BatchedForm::Kind::kNone) {
+      texels = tex0->data().data() + form.channel;
+      texel_stride = static_cast<uint64_t>(tex0->channels());
+    }
+  }
+
+  RenderState rs;
+  BatchedForm form;  // kNone here: no program, the fixed-function quad
+  uint32_t quad_depth_q;
+  uint32_t depth_max;
+  bool const_alive;  // the alpha verdict for a constant alpha of 1.0
+  bool depth_stage;  // reads the stored depth (depth or bounds test on)
+  bool profile;      // count the kill ledger too
+  CompareTable alpha_cmp;
+  CompareTable depth_cmp;
+  CompareTable stencil_cmp;
+  const float* texels = nullptr;  // tex0 data + the program's channel
+  uint64_t texel_stride = 0;
+};
+
+/// A band's counters from the sixteen-wide lane, folded into its
+/// PassRecord at band end. `alive` (past KILL and the alpha test) and
+/// `stencil_ok` (of those, past the stencil test) feed the kill ledger and
+/// are counted on profiled passes only.
+struct KernelOut {
   uint64_t fragments = 0;
+  uint64_t alive = 0;
+  uint64_t stencil_ok = 0;
   uint64_t passed = 0;
   uint64_t depth_writes = 0;
   uint64_t stencil_updates = 0;
-  uint64_t occlusion = 0;
-  // Filled only by the kProfile instantiation; zero otherwise.
-  uint64_t alpha_killed = 0;
-  uint64_t stencil_killed = 0;
+
+  void FoldInto(bool stencil_tested, bool profile, PassRecord* pass,
+                uint64_t* occlusion) const {
+    pass->fragments += fragments;
+    pass->fragments_passed += passed;
+    pass->depth_writes += depth_writes;
+    pass->stencil_updates += stencil_updates;
+    if (profile) {
+      pass->prof.alpha_killed += fragments - alive;
+      if (stencil_tested) pass->prof.stencil_killed += alive - stencil_ok;
+    }
+    if (occlusion != nullptr) *occlusion += passed;
+  }
 };
 
-/// Shared body of the specialized quad-row kernels: the exact
-/// alpha/stencil/depth-bounds/depth chain and buffer writes of
-/// ProcessFragment/ProcessTestedFragment for a screen-aligned quad whose
-/// per-fragment color is FragmentOutput's default and whose alpha test was
-/// resolved once per pass, with the fragment depth supplied by
-/// `depth_q_of(i)` (a constant for fixed-function quads, a texel fetch for
-/// depth-copy programs).
-///
-/// Everything the loop reads lives in locals: the stencil plane is
-/// uint8_t, and char-typed stores may alias any object in the abstract
-/// machine, so a loop reading RenderState or the plane pointers through
-/// members would reload them after every stencil write. Locals whose
-/// address never escapes cannot alias and stay in registers.
-///
-/// `kProfile` selects the gpuprof instantiation: the extra kill counters
-/// are `if constexpr`-guarded, so the default <false> kernel -- the one
-/// every non-profiled pass runs -- compiles to exactly the pre-gpuprof
-/// loop (counters off = no-ops, not branches).
-template <bool kProfile, typename DepthQFn>
-void QuadRowKernel(const RenderState& rs_in, FrameBuffer* fb,
-                   const ScissorRect& rect, uint32_t y_begin, uint32_t y_end,
-                   bool alpha_fail, bool count_occlusion, DepthQFn depth_q_of,
-                   QuadKernelOut* result) {
-  const RenderState rs = rs_in;
+struct AlphaVerdict {
+  bool alive;   // survived the KILL and the alpha test
+  float alpha;  // the fragment's output alpha
+};
+
+// The depth and alpha sources, one fragment at a time (operator()) and,
+// for the SSE2 lane, four at a time (Lanes: depth codes as uint32 lanes,
+// alpha verdicts as all-ones lanes).
+
+/// Constant depth source: the quad's quantized depth.
+struct ConstDepth {
+  uint32_t q;
+  uint32_t operator()(uint64_t /*i*/) const { return q; }
+#if defined(__SSE2__)
+  __m128i Lanes(uint64_t /*i*/) const {
+    return _mm_set1_epi32(static_cast<int>(q));
+  }
+#endif
+};
+
+/// Texel depth source: CopyToDepthProgram::Execute + FrameBuffer::Quantize
+/// -- fetch, normalize in double, round once to float32, quantize.
+struct TexelDepth {
+  const float* texels;
+  uint64_t stride;
+  double scale;
+  double offset;
+  uint32_t depth_max;
+  uint32_t operator()(uint64_t i) const {
+    const float v = texels[i * stride];
+    const auto d =
+        static_cast<float>((static_cast<double>(v) - offset) * scale);
+    if (!(d > 0.0f)) return 0;
+    if (d >= 1.0f) return depth_max;
+    return static_cast<uint32_t>(static_cast<double>(d) * depth_max + 0.5);
+  }
+#if defined(__SSE2__)
+  __m128i Lanes(uint64_t i) const {
+    const float* t = texels + i * stride;
+    const __m128 v = _mm_setr_ps(t[0], t[stride], t[2 * stride], t[3 * stride]);
+    const __m128d off = _mm_set1_pd(offset);
+    const __m128d sc = _mm_set1_pd(scale);
+    const __m128 d = _mm_movelh_ps(
+        _mm_cvtpd_ps(_mm_mul_pd(_mm_sub_pd(_mm_cvtps_pd(v), off), sc)),
+        _mm_cvtpd_ps(_mm_mul_pd(
+            _mm_sub_pd(_mm_cvtps_pd(_mm_movehl_ps(v, v)), off), sc)));
+    const __m128d mx = _mm_set1_pd(depth_max);
+    const __m128d half = _mm_set1_pd(0.5);
+    const __m128i q = _mm_unpacklo_epi64(
+        _mm_cvttpd_epi32(_mm_add_pd(_mm_mul_pd(_mm_cvtps_pd(d), mx), half)),
+        _mm_cvttpd_epi32(_mm_add_pd(
+            _mm_mul_pd(_mm_cvtps_pd(_mm_movehl_ps(d, d)), mx), half)));
+    // Lanes at or below 0, and NaN, quantize to 0; lanes at or above 1 to
+    // depth_max.
+    const __m128i top = _mm_castps_si128(_mm_cmpge_ps(d, _mm_set1_ps(1.0f)));
+    const __m128i in = _mm_castps_si128(_mm_cmpgt_ps(d, _mm_setzero_ps()));
+    return _mm_or_si128(
+        _mm_and_si128(top, _mm_set1_epi32(static_cast<int>(depth_max))),
+        _mm_andnot_si128(top, _mm_and_si128(in, q)));
+  }
+#endif
+};
+
+/// Constant alpha source: 1.0, with the alpha test resolved once per pass.
+struct ConstAlpha {
+  bool alive;
+  AlphaVerdict operator()(uint64_t /*i*/) const { return {alive, 1.0f}; }
+#if defined(__SSE2__)
+  __m128i Lanes(uint64_t /*i*/) const { return _mm_set1_epi32(-alive); }
+#endif
+};
+
+/// TestBit alpha source: TestBitProgram::Execute's frac(v / 2^(bit+1)),
+/// TestBitKillProgram's KILL below 0.5, then the alpha test.
+struct TestBitAlpha {
+  const float* texels;
+  uint64_t stride;
+  float bit_scale;  // exactly 2^-(bit+1)
+  bool kill;
+  CompareOp func;
+  float ref;
+  CompareTable cmp;
+  AlphaVerdict operator()(uint64_t i) const {
+    const float scaled = texels[i * stride] * bit_scale;
+    const float frac = scaled - FloorF32(scaled);
+    return {(!kill || !(frac < 0.5f)) && EvalCompare(func, frac, ref), frac};
+  }
+#if defined(__SSE2__)
+  __m128i Lanes(uint64_t i) const {
+    const float* t = texels + i * stride;
+    const __m128 scaled =
+        _mm_mul_ps(_mm_setr_ps(t[0], t[stride], t[2 * stride], t[3 * stride]),
+                   _mm_set1_ps(bit_scale));
+    // FloorF32, lane by lane.
+    const __m128 small = _mm_cmplt_ps(
+        _mm_and_ps(scaled, _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff))),
+        _mm_set1_ps(8388608.0f));
+    const __m128 xs = _mm_and_ps(scaled, small);
+    const __m128 tr = _mm_cvtepi32_ps(_mm_cvttps_epi32(xs));
+    const __m128 f =
+        _mm_sub_ps(tr, _mm_and_ps(_mm_cmpgt_ps(tr, xs), _mm_set1_ps(1.0f)));
+    const __m128 use_f =
+        _mm_and_ps(small, _mm_cmpneq_ps(scaled, _mm_setzero_ps()));
+    const __m128 frac = _mm_sub_ps(
+        scaled, _mm_or_ps(_mm_and_ps(use_f, f), _mm_andnot_ps(use_f, scaled)));
+    const __m128 r = _mm_set1_ps(ref);
+    const auto mask = [](bool on) {
+      return _mm_castsi128_ps(_mm_set1_epi32(on ? -1 : 0));
+    };
+    const __m128 verdict = _mm_or_ps(
+        _mm_or_ps(_mm_and_ps(_mm_cmplt_ps(frac, r), mask(cmp.lt)),
+                  _mm_and_ps(_mm_cmpeq_ps(frac, r), mask(cmp.eq))),
+        _mm_or_ps(_mm_and_ps(_mm_cmpgt_ps(frac, r), mask(cmp.gt)),
+                  _mm_and_ps(_mm_cmpunord_ps(frac, r), mask(cmp.un))));
+    const __m128 kept =
+        _mm_or_ps(_mm_cmpnlt_ps(frac, _mm_set1_ps(0.5f)), mask(!kill));
+    return _mm_castps_si128(_mm_and_ps(kept, verdict));
+  }
+#endif
+};
+
+#if defined(__SSE2__)
+/// The row kernel: TestFragment's test chain and writes, sixteen
+/// fragments per step over columns [rect.x0, rect.x1) (a multiple of 16
+/// wide) of rows [y_begin, y_end), with the depth from `depth_q_of` and
+/// the alpha verdict from `alpha_of`. Test outcomes are lane masks, so the
+/// 40-60% selectivities of the paper's queries cost no mispredicted
+/// branches, and the stencil ops run as byte arithmetic.
+template <typename DepthFn, typename AlphaFn>
+void ShapeRowKernel(const PassShape& s, FrameBuffer* fb,
+                    const ScissorRect& rect, uint32_t y_begin, uint32_t y_end,
+                    DepthFn depth_q_of, AlphaFn alpha_of, KernelOut* out) {
+  // Everything the loop reads lives in locals: a stencil store may alias
+  // any object, so values read through `s` would be reloaded after it.
+  const RenderState& rs = s.rs;
+  const bool depth_stage = s.depth_stage;
+  const bool bounds_test = rs.depth_bounds_test_enabled;
+  const bool stencil_test = rs.stencil_test_enabled;
+  const bool write_depth = rs.depth_test_enabled && rs.depth_write_mask;
+  const bool write_color = rs.color_write_mask;
+  const bool profile = s.profile;
+  const StencilOp fail_op = rs.stencil_fail_op;
+  const StencilOp zfail_op = rs.stencil_zfail_op;
+  const StencilOp zpass_op = rs.stencil_zpass_op;
   const uint32_t w = fb->width();
   uint32_t* const depth = fb->depth_data();
   uint8_t* const stencil = fb->stencil_data();
   float* const color = fb->color_data();
-  // FragmentOutput's default color: what these quad passes write.
-  const std::array<float, 4> out_color = {0, 0, 0, 1};
-  const auto ref_masked =
-      static_cast<uint8_t>(rs.stencil_ref & rs.stencil_value_mask);
 
-  uint64_t fragments = 0;
-  uint64_t passed = 0;
-  uint64_t depth_writes = 0;
-  uint64_t stencil_updates = 0;
-  uint64_t occl = 0;
-  uint64_t stencil_killed = 0;
-
-  for (uint32_t y = y_begin; y < y_end; ++y) {
-    uint64_t i = uint64_t{y} * w + rect.x0;
-    for (uint32_t x = rect.x0; x < rect.x1; ++x, ++i) {
-      ++fragments;
-      if (alpha_fail) continue;
-
-      const uint8_t stored_stencil = stencil[i];
-      const auto update_stencil = [&](StencilOp op) {
-        const uint8_t result8 =
-            ApplyStencilOp(op, stored_stencil, rs.stencil_ref);
-        const uint8_t merged =
-            static_cast<uint8_t>((stored_stencil & ~rs.stencil_write_mask) |
-                                 (result8 & rs.stencil_write_mask));
-        if (merged != stored_stencil) {
-          stencil[i] = merged;
-          ++stencil_updates;
-        }
-      };
-      if (rs.stencil_test_enabled) {
-        const auto val =
-            static_cast<uint8_t>(stored_stencil & rs.stencil_value_mask);
-        if (!EvalCompare(rs.stencil_func, ref_masked, val)) {
-          update_stencil(rs.stencil_fail_op);  // Op1
-          if constexpr (kProfile) ++stencil_killed;
-          continue;
-        }
-      }
-
-      const uint32_t frag_depth_q = depth_q_of(i);
-
-      bool depth_pass = true;
-      if (rs.depth_bounds_test_enabled) {
-        const uint32_t stored_depth = depth[i];
-        depth_pass = stored_depth >= rs.depth_bounds_min &&
-                     stored_depth <= rs.depth_bounds_max;
-      }
-      if (depth_pass && rs.depth_test_enabled) {
-        depth_pass = EvalCompare(rs.depth_func, frag_depth_q, depth[i]);
-      }
-      if (!depth_pass) {
-        if (rs.stencil_test_enabled) update_stencil(rs.stencil_zfail_op);
-        continue;
-      }
-      if (rs.stencil_test_enabled) update_stencil(rs.stencil_zpass_op);
-
-      ++passed;
-      if (count_occlusion) ++occl;
-      if (rs.depth_test_enabled && rs.depth_write_mask) {
-        if (depth[i] != frag_depth_q) depth[i] = frag_depth_q;
-        ++depth_writes;
-      }
-      if (rs.color_write_mask) {
-        for (int c = 0; c < 4; ++c) color[i * 4 + c] = out_color[c];
-      }
-    }
-  }
-
-  result->fragments = fragments;
-  result->passed = passed;
-  result->depth_writes = depth_writes;
-  result->stencil_updates = stencil_updates;
-  result->occlusion = occl;
-  if constexpr (kProfile) {
-    // A pre-resolved alpha failure kills every fragment of the quad.
-    result->alpha_killed = alpha_fail ? fragments : 0;
-    result->stencil_killed = stencil_killed;
-  } else {
-    (void)stencil_killed;
-  }
-}
-
-/// Whether a pass can run the branchless TestCountRowKernel below instead
-/// of the general QuadRowKernel: nothing but the stencil plane and the
-/// counters may change (depth and color writes off, bounds test off), the
-/// fragment must reach the depth test whenever the stencil lets it through
-/// (no alpha kill), and a failing fragment must leave its stencil alone
-/// (Keep on both fail paths). This is the shape of every comparison,
-/// selection, chain, and counting quad the operators issue, which makes it
-/// the hottest loop in the simulator. Profiled passes stay eligible: the
-/// only per-fragment gpuprof tallies are the kill counts, alpha_killed is
-/// structurally zero here (no alpha kill) and stencil_killed is the
-/// stencil-fail count the kernels produce on demand.
-bool EligibleForTestCount(const RenderState& rs, bool alpha_fail) {
-  return !alpha_fail && !rs.depth_bounds_test_enabled &&
-         rs.depth_test_enabled && !rs.depth_write_mask &&
-         !rs.color_write_mask &&
-         (!rs.stencil_test_enabled ||
-          (rs.stencil_fail_op == StencilOp::kKeep &&
-           rs.stencil_zfail_op == StencilOp::kKeep));
-}
-
-/// Branchless body for EligibleForTestCount passes. Semantically identical
-/// to QuadRowKernel under that configuration -- same counters, same stencil
-/// results -- but the data-dependent test outcomes feed arithmetic selects
-/// instead of branches: at the 40-60% selectivities the paper's queries
-/// run, the general loop's depth-test branch mispredicts almost every other
-/// fragment, which is what made a fixed-function comparison quad slower
-/// than the 3-instruction copy pass it follows.
-template <typename DepthQFn>
-void TestCountRowKernel(const RenderState& rs_in, FrameBuffer* fb,
-                        const ScissorRect& rect, uint32_t y_begin,
-                        uint32_t y_end, bool count_occlusion, bool profile,
-                        DepthQFn depth_q_of, QuadKernelOut* result) {
-  const RenderState rs = rs_in;
-  const uint32_t w = fb->width();
-  const uint32_t* const depth = fb->depth_data();
-  uint8_t* const stencil = fb->stencil_data();
-  const bool stest = rs.stencil_test_enabled;
-  const auto ref_masked =
-      static_cast<uint8_t>(rs.stencil_ref & rs.stencil_value_mask);
-
-  // The compare op is loop-invariant, so reduce it to a truth table over
-  // the three orderings: dp = (lt & m_lt) | (eq & m_eq) | (gt & m_gt).
-  const CompareOp df = rs.depth_func;
-  const uint8_t m_lt =
-      (df == CompareOp::kLess || df == CompareOp::kLessEqual ||
-       df == CompareOp::kNotEqual || df == CompareOp::kAlways)
-          ? 1
-          : 0;
-  const uint8_t m_eq =
-      (df == CompareOp::kEqual || df == CompareOp::kLessEqual ||
-       df == CompareOp::kGreaterEqual || df == CompareOp::kAlways)
-          ? 1
-          : 0;
-  const uint8_t m_gt =
-      (df == CompareOp::kGreater || df == CompareOp::kGreaterEqual ||
-       df == CompareOp::kNotEqual || df == CompareOp::kAlways)
-          ? 1
-          : 0;
-
-  // The stencil pipeline -- func, zpass op, write mask -- only ever sees the
-  // stored byte as its varying input, so the whole thing collapses into two
-  // 256-entry tables computed once per pass.
-  uint8_t sok_of[256];
-  uint8_t pass_value_of[256];
-  if (stest) {
-    for (int s = 0; s < 256; ++s) {
-      const auto stored = static_cast<uint8_t>(s);
-      sok_of[s] = EvalCompare(
-                      rs.stencil_func, ref_masked,
-                      static_cast<uint8_t>(stored & rs.stencil_value_mask))
-                      ? 1
-                      : 0;
-      const uint8_t res =
-          ApplyStencilOp(rs.stencil_zpass_op, stored, rs.stencil_ref);
-      pass_value_of[s] =
-          static_cast<uint8_t>((stored & ~rs.stencil_write_mask) |
-                               (res & rs.stencil_write_mask));
-    }
-  }
-
-  // The chain passes the planner emits (DESIGN.md §14) test the stencil
-  // with kEqual under full masks, so a passing fragment always holds
-  // exactly `ref` and its replacement value is one constant -- the table
-  // lookups drop out of the loop entirely.
-  const bool exact_equal = stest && rs.stencil_func == CompareOp::kEqual &&
-                           rs.stencil_value_mask == 0xff;
-  const uint8_t eq_next = exact_equal ? pass_value_of[ref_masked] : 0;
-
-  uint64_t fragments = 0;
-  uint64_t passed = 0;
-  uint64_t stencil_updates = 0;
-  uint64_t stencil_ok = 0;  // -> stencil_killed when profiling
-  for (uint32_t y = y_begin; y < y_end; ++y) {
-    uint64_t i = uint64_t{y} * w + rect.x0;
-    if (exact_equal) {
-      for (uint32_t x = rect.x0; x < rect.x1; ++x, ++i) {
-        const uint8_t stored = stencil[i];
-        const uint32_t q = depth_q_of(i);
-        const uint32_t d = depth[i];
-        const uint8_t dp = static_cast<uint8_t>((m_lt & (q < d ? 1 : 0)) |
-                                                (m_eq & (q == d ? 1 : 0)) |
-                                                (m_gt & (q > d ? 1 : 0)));
-        const uint8_t sok = stored == ref_masked ? 1 : 0;
-        const uint8_t pass = static_cast<uint8_t>(sok & dp);
-        stencil_ok += sok;
-        const uint8_t next = pass != 0 ? eq_next : stored;
-        stencil[i] = next;
-        stencil_updates += next != stored ? 1 : 0;
-        passed += pass;
-      }
-    } else if (stest) {
-      for (uint32_t x = rect.x0; x < rect.x1; ++x, ++i) {
-        const uint8_t stored = stencil[i];
-        const uint32_t q = depth_q_of(i);
-        const uint32_t d = depth[i];
-        const uint8_t dp = static_cast<uint8_t>((m_lt & (q < d ? 1 : 0)) |
-                                                (m_eq & (q == d ? 1 : 0)) |
-                                                (m_gt & (q > d ? 1 : 0)));
-        const uint8_t sok = sok_of[stored];
-        const uint8_t pass = static_cast<uint8_t>(sok & dp);
-        stencil_ok += sok;
-        const uint8_t next = pass != 0 ? pass_value_of[stored] : stored;
-        stencil[i] = next;
-        stencil_updates += next != stored ? 1 : 0;
-        passed += pass;
-      }
-    } else {
-      for (uint32_t x = rect.x0; x < rect.x1; ++x, ++i) {
-        const uint32_t q = depth_q_of(i);
-        const uint32_t d = depth[i];
-        passed += (m_lt & (q < d ? 1 : 0)) | (m_eq & (q == d ? 1 : 0)) |
-                  (m_gt & (q > d ? 1 : 0));
-      }
-    }
-    fragments += rect.x1 - rect.x0;
-  }
-  result->fragments = fragments;
-  result->passed = passed;
-  result->stencil_updates = stencil_updates;
-  result->occlusion = count_occlusion ? passed : 0;
-  // Same ledger the kProfile QuadRowKernel keeps: alpha_killed is zero by
-  // eligibility (no alpha kill), stencil_killed is the stencil-fail count.
-  if (profile && stest) result->stencil_killed = fragments - stencil_ok;
-}
-
-#if defined(__SSE2__)
-/// SSE2 lane of TestCountRowKernel for flat quads (one depth value for the
-/// whole primitive) whose stencil state is either off or the planner's
-/// exact-equal chain shape. Sixteen fragments per step; the scalar kernel
-/// handles the row remainder and every other configuration. Counter and
-/// stencil results are bit-identical to the scalar loop.
-bool TestCountRowsFlatSimd(const RenderState& rs, FrameBuffer* fb,
-                           const ScissorRect& rect, uint32_t y_begin,
-                           uint32_t y_end, bool count_occlusion, bool profile,
-                           uint32_t q, QuadKernelOut* result) {
-  const bool stest = rs.stencil_test_enabled;
-  const bool exact_equal = stest && rs.stencil_func == CompareOp::kEqual &&
-                           rs.stencil_value_mask == 0xff;
-  if (stest && !exact_equal) return false;
-
-  const CompareOp df = rs.depth_func;
-  const bool w_lt = df == CompareOp::kLess || df == CompareOp::kLessEqual ||
-                    df == CompareOp::kNotEqual || df == CompareOp::kAlways;
-  const bool w_eq = df == CompareOp::kEqual || df == CompareOp::kLessEqual ||
-                    df == CompareOp::kGreaterEqual || df == CompareOp::kAlways;
-  const bool w_gt = df == CompareOp::kGreater ||
-                    df == CompareOp::kGreaterEqual ||
-                    df == CompareOp::kNotEqual || df == CompareOp::kAlways;
-
-  const uint32_t w = fb->width();
-  const uint32_t* const depth = fb->depth_data();
-  uint8_t* const stencil = fb->stencil_data();
-  const auto ref =
-      static_cast<uint8_t>(rs.stencil_ref & rs.stencil_value_mask);
-  uint8_t eq_next = 0;
-  if (exact_equal) {
-    const uint8_t res = ApplyStencilOp(rs.stencil_zpass_op, ref,
-                                       rs.stencil_ref);
-    eq_next = static_cast<uint8_t>((ref & ~rs.stencil_write_mask) |
-                                   (res & rs.stencil_write_mask));
-  }
-
+  const auto mask32 = [](uint8_t on) { return _mm_set1_epi32(-on); };
+  const auto mask8 = [](uint8_t on) {
+    return _mm_set1_epi8(static_cast<char>(-on));
+  };
+  const auto set8 = [](uint8_t v) {
+    return _mm_set1_epi8(static_cast<char>(v));
+  };
+  // Unsigned compares as signed ones on sign-flipped lanes.
   const __m128i bias = _mm_set1_epi32(static_cast<int>(0x80000000u));
-  const __m128i qv = _mm_set1_epi32(static_cast<int>(q));
-  const __m128i qb = _mm_xor_si128(qv, bias);
-  const __m128i m_lt = _mm_set1_epi32(w_lt ? -1 : 0);
-  const __m128i m_eq = _mm_set1_epi32(w_eq ? -1 : 0);
-  const __m128i m_gt = _mm_set1_epi32(w_gt ? -1 : 0);
-  const __m128i ref16 = _mm_set1_epi8(static_cast<char>(ref));
-  const __m128i next16 = _mm_set1_epi8(static_cast<char>(eq_next));
+  const __m128i d_lt = mask32(s.depth_cmp.lt);
+  const __m128i d_eq = mask32(s.depth_cmp.eq);
+  const __m128i d_gt = mask32(s.depth_cmp.gt);
+  const __m128i bmin = _mm_xor_si128(
+      _mm_set1_epi32(static_cast<int>(rs.depth_bounds_min)), bias);
+  const __m128i bmax = _mm_xor_si128(
+      _mm_set1_epi32(static_cast<int>(rs.depth_bounds_max)), bias);
+  const __m128i flip8 = set8(0x80);
+  const __m128i ref = set8(rs.stencil_ref & rs.stencil_value_mask);
+  const __m128i ref_b = _mm_xor_si128(ref, flip8);
+  const __m128i raw_ref = set8(rs.stencil_ref);
+  const __m128i vmask = set8(rs.stencil_value_mask);
+  const __m128i wmask = set8(rs.stencil_write_mask);
+  const __m128i s_lt = mask8(s.stencil_cmp.lt);
+  const __m128i s_eq = mask8(s.stencil_cmp.eq);
+  const __m128i s_gt = mask8(s.stencil_cmp.gt);
+  const __m128i one8 = set8(1);
+  const __m128i ones = _mm_set1_epi32(-1);
+  const auto select = [](__m128i m, __m128i a, __m128i b) {
+    return _mm_or_si128(_mm_and_si128(m, a), _mm_andnot_si128(m, b));
+  };
+  // ApplyStencilOp on sixteen bytes, merged under the write mask.
+  const auto apply = [&](StencilOp op, __m128i stored) {
+    __m128i r = stored;
+    switch (op) {
+      case StencilOp::kKeep:
+        return stored;
+      case StencilOp::kZero:
+        r = _mm_setzero_si128();
+        break;
+      case StencilOp::kReplace:
+        r = raw_ref;
+        break;
+      case StencilOp::kIncr:
+        r = _mm_adds_epu8(stored, one8);
+        break;
+      case StencilOp::kDecr:
+        r = _mm_subs_epu8(stored, one8);
+        break;
+      case StencilOp::kInvert:
+        r = _mm_xor_si128(stored, ones);
+        break;
+    }
+    return select(wmask, r, stored);
+  };
+  const auto keeps = [&](StencilOp op) {
+    return op == StencilOp::kKeep || rs.stencil_write_mask == 0;
+  };
+  const bool fail_keeps = keeps(fail_op);
+  const bool zfail_keeps = keeps(zfail_op);
+  // Saturating packs map 0 / -1 lanes onto 0 / -1 bytes exactly.
+  const auto pack = [](const __m128i* m) {
+    return _mm_packs_epi16(_mm_packs_epi32(m[0], m[1]),
+                           _mm_packs_epi32(m[2], m[3]));
+  };
+  // Byte-mask counts accumulate as two 64-bit lane sums (psadbw), which
+  // baseline x86-64 does without a popcount instruction.
+  const auto count = [one8](__m128i* acc, __m128i m) {
+    *acc = _mm_add_epi64(
+        *acc, _mm_sad_epu8(_mm_and_si128(m, one8), _mm_setzero_si128()));
+  };
+  __m128i alive_n = _mm_setzero_si128();
+  __m128i stencil_ok = _mm_setzero_si128();
+  __m128i passed = _mm_setzero_si128();
+  __m128i unchanged = _mm_setzero_si128();  // stencil bytes left as they were
+  uint64_t stencil_bytes = 0;
 
-  uint64_t fragments = 0;
-  uint64_t passed = 0;
-  uint64_t stencil_updates = 0;
-  uint64_t stencil_ok = 0;  // -> stencil_killed when profiling
   for (uint32_t y = y_begin; y < y_end; ++y) {
     uint64_t i = uint64_t{y} * w + rect.x0;
-    uint32_t x = rect.x0;
-    for (; x + 16 <= rect.x1; x += 16, i += 16) {
-      // Pack four 32-lane depth verdicts into one 16-byte mask. The packs
-      // are saturating, which maps 0 / -1 lanes onto 0 / -1 bytes exactly.
+    for (uint32_t x = rect.x0; x < rect.x1; x += 16, i += 16) {
+      __m128i alive32[4];
+      __m128i q32[4] = {};
       __m128i dp32[4];
+#pragma GCC unroll 4
       for (int g = 0; g < 4; ++g) {
+        alive32[g] = alpha_of.Lanes(i + 4 * g);
+        dp32[g] = ones;
+        if (!depth_stage) continue;
+        q32[g] = depth_q_of.Lanes(i + 4 * g);
         const __m128i d = _mm_loadu_si128(
             reinterpret_cast<const __m128i*>(depth + i) + g);
         const __m128i db = _mm_xor_si128(d, bias);
-        const __m128i lt = _mm_cmpgt_epi32(db, qb);  // q < d
-        const __m128i eq = _mm_cmpeq_epi32(qv, d);
-        const __m128i gt = _mm_cmpgt_epi32(qb, db);  // q > d
+        const __m128i qb = _mm_xor_si128(q32[g], bias);
         dp32[g] = _mm_or_si128(
-            _mm_or_si128(_mm_and_si128(lt, m_lt), _mm_and_si128(eq, m_eq)),
-            _mm_and_si128(gt, m_gt));
+            _mm_or_si128(_mm_and_si128(_mm_cmpgt_epi32(db, qb), d_lt),
+                         _mm_and_si128(_mm_cmpeq_epi32(q32[g], d), d_eq)),
+            _mm_and_si128(_mm_cmpgt_epi32(qb, db), d_gt));
+        if (bounds_test) {
+          dp32[g] = _mm_andnot_si128(
+              _mm_or_si128(_mm_cmpgt_epi32(bmin, db), _mm_cmpgt_epi32(db, bmax)),
+              dp32[g]);
+        }
       }
-      const __m128i dp16 = _mm_packs_epi16(_mm_packs_epi32(dp32[0], dp32[1]),
-                                           _mm_packs_epi32(dp32[2], dp32[3]));
-      if (exact_equal) {
-        const __m128i stored = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(stencil + i));
-        const __m128i sok = _mm_cmpeq_epi8(stored, ref16);
-        stencil_ok += __builtin_popcount(
-            static_cast<unsigned>(_mm_movemask_epi8(sok)));
-        const __m128i pass = _mm_and_si128(dp16, sok);
-        const __m128i next = _mm_or_si128(_mm_and_si128(pass, next16),
-                                          _mm_andnot_si128(pass, stored));
+      const __m128i alive = pack(alive32);
+      const __m128i dp = pack(dp32);
+      __m128i pass = _mm_and_si128(alive, dp);
+      if (profile) count(&alive_n, alive);
+      if (stencil_test) {
+        const __m128i stored =
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(stencil + i));
+        const __m128i val = _mm_and_si128(stored, vmask);
+        const __m128i val_b = _mm_xor_si128(val, flip8);
+        const __m128i sok = _mm_or_si128(
+            _mm_or_si128(_mm_and_si128(_mm_cmpgt_epi8(val_b, ref_b), s_lt),
+                         _mm_and_si128(_mm_cmpeq_epi8(ref, val), s_eq)),
+            _mm_and_si128(_mm_cmpgt_epi8(ref_b, val_b), s_gt));
+        const __m128i reached = _mm_and_si128(alive, sok);
+        if (profile) count(&stencil_ok, reached);
+        pass = _mm_and_si128(pass, sok);
+        __m128i next = select(pass, apply(zpass_op, stored), stored);
+        if (!fail_keeps) {
+          next = select(_mm_andnot_si128(sok, alive), apply(fail_op, stored),
+                        next);
+        }
+        if (!zfail_keeps) {
+          next = select(_mm_andnot_si128(dp, reached),
+                        apply(zfail_op, stored), next);
+        }
         _mm_storeu_si128(reinterpret_cast<__m128i*>(stencil + i), next);
-        passed += __builtin_popcount(
-            static_cast<unsigned>(_mm_movemask_epi8(pass)));
-        stencil_updates += __builtin_popcount(
-            static_cast<unsigned>(_mm_movemask_epi8(_mm_cmpeq_epi8(
-                next, stored))) ^
-            0xffffu);
-      } else {
-        passed += __builtin_popcount(
-            static_cast<unsigned>(_mm_movemask_epi8(dp16)));
+        count(&unchanged, _mm_cmpeq_epi8(next, stored));
+        stencil_bytes += 16;
+      }
+      count(&passed, pass);
+      const int pass_bits = _mm_movemask_epi8(pass);
+      if (pass_bits == 0) continue;
+      if (write_depth) {
+        // Widen the byte verdicts back to 32-bit lanes; store q where the
+        // fragment passed.
+        const __m128i lo = _mm_unpacklo_epi8(pass, pass);
+        const __m128i hi = _mm_unpackhi_epi8(pass, pass);
+        const __m128i wide[4] = {
+            _mm_unpacklo_epi16(lo, lo), _mm_unpackhi_epi16(lo, lo),
+            _mm_unpacklo_epi16(hi, hi), _mm_unpackhi_epi16(hi, hi)};
+#pragma GCC unroll 4
+        for (int g = 0; g < 4; ++g) {
+          __m128i* const p = reinterpret_cast<__m128i*>(depth + i) + g;
+          _mm_storeu_si128(p, select(wide[g], q32[g], _mm_loadu_si128(p)));
+        }
+      }
+      for (int j = 0; write_color && j < 16; ++j) {
+        if (((pass_bits >> j) & 1) == 0) continue;
+        const float rgba[4] = {0.0f, 0.0f, 0.0f, alpha_of(i + j).alpha};
+        std::copy(rgba, rgba + 4, color + (i + j) * 4);
       }
     }
-    for (; x < rect.x1; ++x, ++i) {
-      const uint32_t d = depth[i];
-      const bool dp = (w_lt && q < d) || (w_eq && q == d) || (w_gt && q > d);
-      if (exact_equal) {
-        const uint8_t stored = stencil[i];
-        const bool sok = stored == ref;
-        stencil_ok += sok ? 1 : 0;
-        const bool pass = dp && sok;
-        const uint8_t next = pass ? eq_next : stored;
-        stencil[i] = next;
-        stencil_updates += next != stored ? 1 : 0;
-        passed += pass ? 1 : 0;
-      } else {
-        passed += dp ? 1 : 0;
-      }
-    }
-    fragments += rect.x1 - rect.x0;
   }
-  result->fragments = fragments;
-  result->passed = passed;
-  result->stencil_updates = stencil_updates;
-  result->occlusion = count_occlusion ? passed : 0;
-  if (profile && exact_equal) result->stencil_killed = fragments - stencil_ok;
-  return true;
+  const auto total = [](__m128i acc) {
+    return static_cast<uint64_t>(_mm_cvtsi128_si64(acc)) +
+           static_cast<uint64_t>(
+               _mm_cvtsi128_si64(_mm_unpackhi_epi64(acc, acc)));
+  };
+  out->fragments += uint64_t{y_end - y_begin} * (rect.x1 - rect.x0);
+  out->alive += total(alive_n);
+  out->stencil_ok += total(stencil_ok);
+  out->passed += total(passed);
+  if (write_depth) out->depth_writes += total(passed);
+  out->stencil_updates += stencil_bytes - total(unchanged);
 }
 #endif  // defined(__SSE2__)
 
-void ReduceQuadKernel(const QuadKernelOut& out, PassRecord* pass,
-                      uint64_t* occlusion) {
-  pass->fragments += out.fragments;
-  pass->fragments_passed += out.passed;
-  pass->depth_writes += out.depth_writes;
-  pass->stencil_updates += out.stencil_updates;
-  pass->prof.alpha_killed += out.alpha_killed;
-  pass->prof.stencil_killed += out.stencil_killed;
-  if (occlusion != nullptr) *occlusion += out.occlusion;
+/// Runs rows [y_begin, y_end) of `rect` over one source pair: the row
+/// kernel over the sixteen-aligned columns, then `test(i, q, verdict)` --
+/// the interpreter's test stages -- one fragment at a time over the rest.
+template <typename DepthFn, typename AlphaFn, typename TestFn>
+void RunSourceRows(const PassShape& s, FrameBuffer* fb, ScissorRect rect,
+                   uint32_t y_begin, uint32_t y_end, DepthFn depth_q_of,
+                   AlphaFn alpha_of, KernelOut* out, TestFn test) {
+#if defined(__SSE2__)
+  const uint32_t split = rect.x0 + (rect.x1 - rect.x0) / 16 * 16;
+  if (split > rect.x0) {
+    ShapeRowKernel(s, fb, {rect.x0, rect.y0, split, rect.y1}, y_begin, y_end,
+                   depth_q_of, alpha_of, out);
+  }
+  rect.x0 = split;
+#else
+  (void)s;
+  (void)out;
+#endif
+  for (uint32_t y = y_begin; y < y_end; ++y) {
+    for (uint32_t x = rect.x0; x < rect.x1; ++x) {
+      const uint64_t i = uint64_t{y} * fb->width() + x;
+      test(i, depth_q_of(i), alpha_of(i));
+    }
+  }
+}
+
+/// Runs rows [y_begin, y_end) of `rect` for a resolved pass shape.
+template <typename TestFn>
+void RunShapeRows(const PassShape& s, FrameBuffer* fb, const ScissorRect& rect,
+                  uint32_t y_begin, uint32_t y_end, KernelOut* out,
+                  TestFn test) {
+  const ConstDepth quad_depth{s.quad_depth_q};
+  const ConstAlpha const_alpha{s.const_alive};
+  switch (s.form.kind) {
+    case BatchedForm::Kind::kNone:
+      RunSourceRows(s, fb, rect, y_begin, y_end, quad_depth, const_alpha, out,
+                    test);
+      break;
+    case BatchedForm::Kind::kDepthCopy:
+      RunSourceRows(s, fb, rect, y_begin, y_end,
+                    TexelDepth{s.texels, s.texel_stride, s.form.scale,
+                               s.form.offset, s.depth_max},
+                    const_alpha, out, test);
+      break;
+    case BatchedForm::Kind::kTestBit:
+      // TestBitProgram::Execute divides by exp2f(bit + 1), an exact power
+      // of two; multiplying by its exact reciprocal rounds the same real
+      // quotient the same way, for every float input.
+      RunSourceRows(
+          s, fb, rect, y_begin, y_end, quad_depth,
+          TestBitAlpha{s.texels, s.texel_stride,
+                       1.0f / std::exp2f(static_cast<float>(s.form.bit + 1)),
+                       s.form.kill,
+                       s.rs.alpha_test_enabled ? s.rs.alpha_func
+                                               : CompareOp::kAlways,
+                       s.rs.alpha_ref, s.alpha_cmp},
+          out, test);
+      break;
+  }
 }
 
 }  // namespace
-
-void Device::RunFixedRows(const ScissorRect& rect, uint32_t y_begin,
-                          uint32_t y_end, PassContext* ctx) {
-  const uint32_t q = ctx->flat_depth_q;
-  const auto depth_q_of = [q](uint64_t) { return q; };
-  QuadKernelOut out;
-  if (EligibleForTestCount(state_, ctx->alpha_fail)) {
-#if defined(__SSE2__)
-    if (!TestCountRowsFlatSimd(state_, &fb_, rect, y_begin, y_end,
-                               ctx->occlusion != nullptr, ctx->profile, q,
-                               &out))
-#endif
-      TestCountRowKernel(state_, &fb_, rect, y_begin, y_end,
-                         ctx->occlusion != nullptr, ctx->profile, depth_q_of,
-                         &out);
-  } else if (ctx->profile) {
-    QuadRowKernel<true>(state_, &fb_, rect, y_begin, y_end, ctx->alpha_fail,
-                        ctx->occlusion != nullptr, depth_q_of, &out);
-  } else {
-    QuadRowKernel<false>(state_, &fb_, rect, y_begin, y_end, ctx->alpha_fail,
-                         ctx->occlusion != nullptr, depth_q_of, &out);
-  }
-  ReduceQuadKernel(out, ctx->pass, ctx->occlusion);
-}
-
-void Device::RunDepthCopyRows(const ScissorRect& rect, uint32_t y_begin,
-                              uint32_t y_end, const CopyToDepthProgram& prog,
-                              const Texture& tex, PassContext* ctx) {
-  // Per-fragment depth exactly as CopyToDepthProgram::Execute +
-  // FrameBuffer::Quantize compute it: fetch, normalize in double, round
-  // once to float32, then quantize (depth_max hoisted -- a uint32 depth
-  // store could alias the member copy).
-  const float* const texels = tex.data().data();
-  const auto channels = static_cast<uint64_t>(tex.channels());
-  const auto channel = static_cast<uint64_t>(prog.channel());
-  const double scale = prog.scale();
-  const double offset = prog.offset();
-  const uint32_t depth_max = fb_.depth_max();
-  const auto depth_q_of = [=](uint64_t i) -> uint32_t {
-    const float v = texels[i * channels + channel];
-    const auto d = static_cast<float>((static_cast<double>(v) - offset) *
-                                      scale);
-    if (d <= 0.0f) return 0;
-    if (d >= 1.0f) return depth_max;
-    return static_cast<uint32_t>(static_cast<double>(d) * depth_max + 0.5);
-  };
-  QuadKernelOut out;
-  if (EligibleForTestCount(state_, ctx->alpha_fail)) {
-    // Fused compare programs (depth writes off) take the branchless path
-    // with the texel fetch inlined as the fragment depth.
-    TestCountRowKernel(state_, &fb_, rect, y_begin, y_end,
-                       ctx->occlusion != nullptr, ctx->profile, depth_q_of,
-                       &out);
-  } else if (ctx->profile) {
-    QuadRowKernel<true>(state_, &fb_, rect, y_begin, y_end, ctx->alpha_fail,
-                        ctx->occlusion != nullptr, depth_q_of, &out);
-  } else {
-    QuadRowKernel<false>(state_, &fb_, rect, y_begin, y_end, ctx->alpha_fail,
-                         ctx->occlusion != nullptr, depth_q_of, &out);
-  }
-  ReduceQuadKernel(out, ctx->pass, ctx->occlusion);
-}
 
 void Device::ApplyPlaneTrafficModel(PassRecord* pass) const {
   // Bandwidth model for a tested pass (DESIGN.md §13): the stencil unit
@@ -1267,19 +1257,16 @@ Status Device::RenderInternal(float quad_depth, bool textured) {
       std::max(1, std::min(worker_threads_, static_cast<int>(total_rows)));
   std::vector<Tile> tiles(static_cast<size_t>(bands));
 
-  // Per-pass constants for the fixed-function fast path: every fragment of
-  // an untextured quad has the same depth (quantize once) and the constant
-  // alpha 1.0 (resolve the alpha test once).
-  const uint32_t flat_depth_q = fb_.Quantize(quad_depth);
-  const bool alpha_fail =
-      state_.alpha_test_enabled &&
-      !EvalCompare(state_.alpha_func, 1.0f, state_.alpha_ref);
-  // Depth-copy programs leave the output color at its default, so the same
-  // hoisted alpha outcome applies and the batched kernel below is exact.
-  const CopyToDepthProgram* depth_copy =
-      program != nullptr ? program->AsDepthCopy() : nullptr;
-
+  // Resolve the pass once into its shape for the row kernel; a program
+  // with no batched form runs on the per-fragment interpreter instead.
+  const BatchedForm form =
+      program != nullptr ? program->batched_form() : BatchedForm{};
+  const bool interpret = program != nullptr &&
+                         (form.kind == BatchedForm::Kind::kNone ||
+                          units[0] == nullptr);
   const bool profiled = pass.profiled;
+  const PassShape shape(state_, fb_, interpret ? BatchedForm{} : form,
+                        units[0], quad_depth, profiled);
   const auto run_band = [&](int band) {
     // Per-band cooperative cancellation: a band that starts after the
     // interrupt fired does no work. Bands already in their fragment loop
@@ -1296,10 +1283,8 @@ Status Device::RenderInternal(float quad_depth, bool textured) {
     ctx.program = program;
     ctx.pass = &tile.pass;
     ctx.occlusion = occlusion_active_ ? &tile.occlusion : nullptr;
-    ctx.flat_depth = program == nullptr;
-    ctx.flat_depth_q = flat_depth_q;
-    ctx.alpha_fail = alpha_fail;
     ctx.profile = profiled;
+    KernelOut kernel_out;
     // Rows [row_begin, row_end) of the concatenated row sequence.
     const auto nrows = uint64_t{total_rows};
     const auto row_begin =
@@ -1316,21 +1301,22 @@ Status Device::RenderInternal(float quad_depth, bool textured) {
       if (lo < hi) {
         const uint32_t yb = rect.y0 + (lo - skipped);
         const uint32_t ye = rect.y0 + (hi - skipped);
-        if (program == nullptr) {
-          // Fixed-function quad: dedicated kernel with hoisted state.
-          RunFixedRows(rect, yb, ye, &ctx);
-        } else if (depth_copy != nullptr && units[0] != nullptr) {
-          // Depth-copy program: batched fetch/normalize/quantize kernel.
-          RunDepthCopyRows(rect, yb, ye, *depth_copy, *units[0], &ctx);
-        } else {
+        if (interpret) {
           RasterizeRectRows(rect, quad_depth, yb, ye,
                             [this, &ctx](const RasterFragment& frag) {
                               ProcessFragment(frag, &ctx);
                             });
+        } else {
+          RunShapeRows(shape, &fb_, rect, yb, ye, &kernel_out,
+                       [this, &ctx](uint64_t i, uint32_t q, AlphaVerdict a) {
+                         TestFragment(i, q, a.alive, {0, 0, 0, a.alpha}, &ctx);
+                       });
         }
       }
       skipped += height;
     }
+    kernel_out.FoldInto(state_.stencil_test_enabled, profiled, &tile.pass,
+                        ctx.occlusion);
     if (profiled) {
       tile.band_ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - band_start)

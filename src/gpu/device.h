@@ -344,17 +344,9 @@ class Device {
     /// Tile-local pixel pass counter; null when no occlusion query is
     /// active.
     uint64_t* occlusion = nullptr;
-    /// Per-pass-constant results hoisted out of the fragment loop for
-    /// fixed-function quads (program == nullptr, constant depth): the
-    /// quantized quad depth and the alpha-test outcome for the constant
-    /// fixed-function alpha of 1.0. Only valid when flat_depth is set
-    /// (RenderInternal); DrawTriangles interpolates depth per fragment.
-    bool flat_depth = false;
-    uint32_t flat_depth_q = 0;
-    bool alpha_fail = false;
     /// Deep profiling on for this pass (one Profiler::enabled() load per
     /// pass, taken where the PassRecord is created): gates the per-fragment
-    /// kill counters and selects the profiled kernel instantiation.
+    /// kill counters.
     bool profile = false;
   };
 
@@ -367,35 +359,20 @@ class Device {
   /// fragment program runs with the bound texture.
   [[nodiscard]] Status RenderInternal(float quad_depth, bool textured);
 
-  /// Runs one rasterized fragment through the program + alpha/stencil/
-  /// depth-bounds/depth chain and the buffer writes. Safe to call from
-  /// worker threads as long as no two concurrent calls share a pixel or a
-  /// PassContext (RenderInternal's row bands guarantee both).
+  /// The per-fragment interpreter: runs one rasterized fragment through
+  /// the program, then TestFragment. Serves DrawTriangles and quad passes
+  /// whose program has no batched form; it is the oracle for the row
+  /// kernel every other quad pass runs. Safe to call from worker threads
+  /// as long as no two concurrent calls share a pixel or a PassContext
+  /// (RenderInternal's row bands guarantee both).
   void ProcessFragment(const RasterFragment& frag, PassContext* ctx);
 
-  /// The stencil/depth-bounds/depth chain and buffer writes for a fragment
-  /// that survived the program and alpha stages (shared by the general and
-  /// fixed-function fast paths).
-  void ProcessTestedFragment(uint64_t i, uint32_t frag_depth_q,
-                             const std::array<float, 4>& color,
-                             PassContext* ctx);
-
-  /// Specialized kernel for fixed-function quad rows [y_begin, y_end) of
-  /// `rect`: semantically identical to emitting every fragment through
-  /// ProcessFragment, but with the RenderState, plane pointers, and
-  /// counters hoisted into locals so the per-fragment loop stays in
-  /// registers. Same threading contract as ProcessFragment.
-  void RunFixedRows(const ScissorRect& rect, uint32_t y_begin, uint32_t y_end,
-                    PassContext* ctx);
-
-  /// Specialized kernel for quads textured with a depth-copy program
-  /// (FragmentProgram::AsDepthCopy): the texel fetch + normalization +
-  /// quantization run batched per row with bit-identical results to the
-  /// virtual per-fragment Execute path. Same threading contract as
-  /// ProcessFragment.
-  void RunDepthCopyRows(const ScissorRect& rect, uint32_t y_begin,
-                        uint32_t y_end, const CopyToDepthProgram& prog,
-                        const Texture& tex, PassContext* ctx);
+  /// Counts a shaded fragment, then runs it -- unless KILLed or failed by
+  /// the alpha test (`alive` false) -- through the stencil/depth-bounds/
+  /// depth chain and the buffer writes. Shared by the interpreter and the
+  /// row kernel's leftover columns. Same threading contract.
+  void TestFragment(uint64_t i, uint32_t frag_depth_q, bool alive,
+                    const std::array<float, 4>& color, PassContext* ctx);
 
   /// The worker pool, created on first parallel pass.
   ThreadPool* EnsurePool();

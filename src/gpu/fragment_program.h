@@ -2,6 +2,7 @@
 #define GPUDB_GPU_FRAGMENT_PROGRAM_H_
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <string_view>
 
@@ -35,6 +36,25 @@ struct FragmentOutput {
   bool discarded = false;      ///< True if the program executed KILL.
 };
 
+/// \brief A fragment program's batched form: what the device's row kernels
+/// need to run it over a whole pass without calling Execute per fragment (a
+/// driver recognizing a common shader pattern). Purely an execution
+/// strategy with bit-identical results; the cost model still charges the
+/// program's instruction count per fragment.
+struct BatchedForm {
+  enum class Kind : uint8_t {
+    kNone,       ///< No batched form: the device interprets Execute.
+    kDepthCopy,  ///< depth = (tex0[channel] - offset) * scale, in double.
+    kTestBit,    ///< alpha = frac(tex0[channel] / 2^(bit+1)), in float32.
+  };
+  Kind kind = Kind::kNone;
+  int channel = 0;
+  double scale = 1.0;   ///< kDepthCopy
+  double offset = 0.0;  ///< kDepthCopy
+  int bit = 0;          ///< kTestBit
+  bool kill = false;    ///< kTestBit: KILL fragments whose alpha is < 0.5.
+};
+
 /// \brief A programmable pixel-processing-engine program (Section 3.1).
 ///
 /// 2004-era fragment programs (NV_fragment_program / ARB_fragment_program)
@@ -44,8 +64,6 @@ struct FragmentOutput {
 /// their static instruction count so the performance model can charge
 /// `fragments x instructions / (pipes x clock)` per pass exactly as the
 /// paper's utilization analysis does (Section 6.2.2).
-class CopyToDepthProgram;
-
 class FragmentProgram {
  public:
   virtual ~FragmentProgram() = default;
@@ -58,13 +76,10 @@ class FragmentProgram {
 
   virtual std::string_view name() const = 0;
 
-  /// Self-identification hook for the device's specialized span kernels (a
-  /// driver recognizing a common shader pattern): non-null when this
-  /// program is a CopyToDepth, whose per-fragment work the device can then
-  /// run batched -- with bit-identical results -- instead of through the
-  /// virtual Execute. Purely an execution strategy; the cost model still
-  /// charges the program's instruction count per fragment.
-  virtual const CopyToDepthProgram* AsDepthCopy() const { return nullptr; }
+  /// The program's batched form; kNone (the default) keeps the program on
+  /// the per-fragment interpreter. A program declaring a form must leave
+  /// the output color at its default apart from the TestBit alpha.
+  virtual BatchedForm batched_form() const { return {}; }
 };
 
 /// \brief CopyToDepth (Routine 4.1): fetch the texel channel, normalize it to
@@ -90,11 +105,9 @@ class CopyToDepthProgram : public FragmentProgram {
   void Execute(const FragmentInput& in, FragmentOutput* out) const override;
   int instruction_count() const override { return 3; }
   std::string_view name() const override { return "CopyToDepthFP"; }
-  const CopyToDepthProgram* AsDepthCopy() const override { return this; }
-
-  int channel() const { return channel_; }
-  double scale() const { return scale_; }
-  double offset() const { return offset_; }
+  BatchedForm batched_form() const override {
+    return {BatchedForm::Kind::kDepthCopy, channel_, scale_, offset_};
+  }
 
  private:
   int channel_;
@@ -149,11 +162,30 @@ class TestBitProgram final : public FragmentProgram {
   // instructions to test if the i-th bit of a texel is 1".
   int instruction_count() const override { return 5; }
   std::string_view name() const override { return "TestBitFP"; }
+  BatchedForm batched_form() const override {
+    return {BatchedForm::Kind::kTestBit, channel_, 1.0, 0.0, bit_};
+  }
 
  private:
   int channel_;
   int bit_;
 };
+
+/// std::floor for float32 without libm, bit-identical to it on every input
+/// an arithmetic operation can produce (every float but the signaling
+/// NaNs, which std::floor quiets): |x| >= 2^23 is already integral, as are
+/// the infinities, and NaN passes through; zeros keep their sign; anything
+/// else truncates through int32 and steps down once where truncation
+/// rounded up. The row kernel's TestBit alpha source runs it (and a
+/// four-lane copy of it). tests/gpu_kernel_oracle_test.cc sweeps all 2^32
+/// inputs.
+inline float FloorF32(float x) {
+  const bool small = std::fabs(x) < 8388608.0f;  // 2^23; false for NaN
+  const float xs = small ? x : 0.0f;
+  const auto t = static_cast<float>(static_cast<int32_t>(xs));
+  const float f = t > xs ? t - 1.0f : t;
+  return small && x != 0.0f ? f : x;
+}
 
 /// \brief Ablation variant of TestBit that rejects failing fragments with
 /// KILL inside the program instead of relying on the alpha test. The paper
@@ -167,6 +199,9 @@ class TestBitKillProgram final : public FragmentProgram {
   // TestBit's 5 instructions plus an in-program compare and KILL.
   int instruction_count() const override { return 7; }
   std::string_view name() const override { return "TestBitKillFP"; }
+  BatchedForm batched_form() const override {
+    return {BatchedForm::Kind::kTestBit, channel_, 1.0, 0.0, bit_, true};
+  }
 
  private:
   int channel_;

@@ -23,7 +23,7 @@ inline constexpr uint32_t kDepthMax = (1u << kDepthBits) - 1;
 /// float32 value nearest to v/(2^24-1) quantizes back to exactly v (error
 /// bound v * 2^-25 < 0.5), which is what keeps integer comparisons exact.
 inline uint32_t QuantizeDepth(float d) {
-  if (d <= 0.0f) return 0;
+  if (!(d > 0.0f)) return 0;  // NaN included: no float-to-int of a NaN
   if (d >= 1.0f) return kDepthMax;
   // round-to-nearest, as GL implementations do when converting to fixed point
   return static_cast<uint32_t>(static_cast<double>(d) * kDepthMax + 0.5);
@@ -65,7 +65,7 @@ class FrameBuffer {
 
   /// Quantizes a normalized depth to this buffer's precision.
   uint32_t Quantize(float d) const {
-    if (d <= 0.0f) return 0;
+    if (!(d > 0.0f)) return 0;  // NaN included, as in QuantizeDepth
     if (d >= 1.0f) return depth_max_;
     return static_cast<uint32_t>(static_cast<double>(d) * depth_max_ + 0.5);
   }

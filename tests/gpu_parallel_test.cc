@@ -50,8 +50,9 @@ struct Snapshot {
 };
 
 /// Runs the full scenario -- CompareSelect, EvalCnf, RangeSelect,
-/// KthLargest, Accumulate -- on a fresh 100x100 device with `threads`
-/// pixel-engine workers and captures everything it produced.
+/// KthLargest, Accumulate (plain, and over a selection with the alpha test
+/// and with KILL) -- on a fresh 100x100 device with `threads` pixel-engine
+/// workers and captures everything it produced.
 Snapshot RunScenario(int threads, const std::vector<uint32_t>& ints,
                      int bit_width) {
   Snapshot snap;
@@ -98,6 +99,29 @@ Snapshot RunScenario(int threads, const std::vector<uint32_t>& ints,
   auto sum = Accumulate(&device, attr.texture, attr.channel, bit_width);
   EXPECT_OK(sum.status());
   if (sum.ok()) snap.results.push_back(sum.ValueOrDie());
+
+  // The same sum over a stencil selection (the records CompareSelect
+  // marked 1), with the alpha test and with the in-program KILL.
+  auto marked = CompareSelect(&device, attr, CompareOp::kLess, domain * 0.6);
+  EXPECT_OK(marked.status());
+  if (marked.ok()) {
+    std::vector<uint64_t> selected_sums;
+    for (const bool alpha_test : {true, false}) {
+      AccumulatorOptions options;
+      options.selection = StencilSelection{1, marked.ValueOrDie()};
+      options.use_alpha_test = alpha_test;
+      auto selected_sum = Accumulate(&device, attr.texture, attr.channel,
+                                     bit_width, options);
+      EXPECT_OK(selected_sum.status());
+      if (selected_sum.ok()) selected_sums.push_back(selected_sum.ValueOrDie());
+    }
+    // Both variants count the same bits of the same records.
+    if (selected_sums.size() == 2) {
+      EXPECT_EQ(selected_sums[0], selected_sums[1]);
+    }
+    snap.results.insert(snap.results.end(), selected_sums.begin(),
+                        selected_sums.end());
+  }
 
   const gpu::FrameBuffer& fb = device.framebuffer();
   snap.depth = fb.depth_plane();
@@ -222,6 +246,8 @@ TEST(ParallelDeterminismTest, ProfiledCountersBitIdenticalAcrossThreadCounts) {
 
   // The scenario must have exercised the deep counters for the equality
   // above to mean anything.
+  EXPECT_GT(serial.counters.prof.alpha_killed, 0u);
+  EXPECT_GT(serial.counters.prof.stencil_killed, 0u);
   EXPECT_GT(serial.counters.prof.depth_tested, 0u);
   EXPECT_GT(serial.counters.prof.depth_killed, 0u);
   EXPECT_GT(serial.counters.prof.occlusion_samples, 0u);

@@ -711,6 +711,36 @@ TEST(GpulintR9, QuadRowKernelBodiesAreScanned) {
   EXPECT_NE(diags[0].message.find("QuadRowKernel"), std::string::npos);
 }
 
+TEST(GpulintR9, EveryRowKernelAndRowsFunctionIsScanned) {
+  Corpus c;
+  c.Add("src/gpu/thread_pool.h",
+        "class ThreadPool {\n"
+        "  Mutex mu_;\n"
+        "  int job_size_ GUARDED_BY(mu_);\n"
+        "};\n");
+  c.Add("src/gpu/device.cc",
+        "void TestCountRowKernel(FrameBuffer* fb) {\n"
+        "  fb->Write(job_size_);\n"
+        "}\n"
+        "void RunFixedRows(FrameBuffer* fb) {\n"
+        "  fb->Write(job_size_);\n"
+        "}\n"
+        "void RowHelper(FrameBuffer* fb) {\n"
+        "  fb->Write(job_size_);\n"
+        "}\n");
+  // Outside the pixel engine a *Rows name is no band kernel.
+  c.Add("src/db/table.cc",
+        "void GatherRows(Table* t) {\n"
+        "  t->Write(job_size_);\n"
+        "}\n");
+  const auto diags = RunR9(c.Finalize());
+  ASSERT_EQ(diags.size(), 2u);
+  EXPECT_EQ(diags[0].line, 1);
+  EXPECT_NE(diags[0].message.find("TestCountRowKernel"), std::string::npos);
+  EXPECT_EQ(diags[1].line, 4);
+  EXPECT_NE(diags[1].message.find("RunFixedRows"), std::string::npos);
+}
+
 TEST(GpulintR9, SameNameUnguardedFieldInTheFilePairShadows) {
   Corpus c;
   // Tracer::counters_ is guarded; Device::counters_ is the device's own

@@ -569,9 +569,14 @@ std::vector<Diagnostic> RunR9(const Program& program) {
                          &out);
       }
     }
+    // The pixel engine's band kernels, named by convention: every
+    // *RowKernel / *Rows function under src/gpu runs inside a band.
+    if (file->path().find("src/gpu/") == std::string::npos) continue;
     for (const FunctionDef& f : file->functions()) {
-      if (f.name != "QuadRowKernel") continue;
-      CheckKernelRange(program, *file, shadowed, f.line, "QuadRowKernel",
+      if (!EndsWith(f.name, "RowKernel") && !EndsWith(f.name, "Rows")) {
+        continue;
+      }
+      CheckKernelRange(program, *file, shadowed, f.line, f.name,
                        f.body_begin + 1, f.body_end, &out);
     }
   }
@@ -619,7 +624,8 @@ const std::map<std::string, std::string>& RuleDescriptions() {
        "never nest same-subsystem locks, and never invoke listeners or "
        "callbacks under a lock"},
       {"R9",
-       "band-parallel kernels (QuadRowKernel, ParallelFor bodies) never "
+       "band-parallel kernels (src/gpu *RowKernel/*Rows functions, "
+       "ParallelFor bodies) never "
        "touch GUARDED_BY fields; workers synchronize only through the "
        "pool protocol"},
   };

@@ -154,7 +154,8 @@ std::vector<Diagnostic> RunR7(const Program& program);
 /// acquisition in the same file, and must not invoke listeners/callbacks.
 std::vector<Diagnostic> RunR8(const Program& program);
 
-/// R9: band-parallel kernels (QuadRowKernel, ParallelFor bodies) must not
+/// R9: band-parallel kernels (src/gpu functions named *RowKernel or *Rows,
+/// ParallelFor bodies) must not
 /// touch any GUARDED_BY field — workers synchronize through the pool's own
 /// protocol, never through engine locks.
 std::vector<Diagnostic> RunR9(const Program& program);
