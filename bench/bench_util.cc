@@ -88,8 +88,10 @@ void WriteFigureJson(const FigureRecording& rec, const std::string& note) {
                                ? row.cpu_model_ms / row.gpu_model_total_ms
                                : 0.0;
     out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"label\": " << json::Quote(row.label)
-        << ", \"gpu_model_total_ms\": " << json::Number(row.gpu_model_total_ms)
+    out << "    {\"label\": " << json::Quote(row.label);
+    // Only sub-swept figures carry the key, keeping the others byte-stable.
+    if (!row.series.empty()) out << ", \"series\": " << json::Quote(row.series);
+    out << ", \"gpu_model_total_ms\": " << json::Number(row.gpu_model_total_ms)
         << ", \"gpu_model_compute_ms\": "
         << json::Number(row.gpu_model_compute_ms)
         << ", \"cpu_model_ms\": " << json::Number(row.cpu_model_ms)

@@ -89,6 +89,10 @@ void PrintHeader(const std::string& figure, const std::string& description,
 /// and the real CPU baseline, reported for transparency.
 struct ResultRow {
   std::string label;           ///< e.g. record count or k.
+  /// The sub-sweep a row belongs to when one figure repeats its labels
+  /// (fig05's "attrs=1".."attrs=4"); empty otherwise. (label, series) is
+  /// the row's key in scripts/bench_diff.py.
+  std::string series;
   double gpu_model_total_ms = 0;
   double gpu_model_compute_ms = 0;
   double cpu_model_ms = 0;

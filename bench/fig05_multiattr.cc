@@ -67,6 +67,7 @@ int Run() {
 
       ResultRow row;
       row.label = std::to_string(n);
+      row.series = "attrs=" + std::to_string(attrs);
       row.gpu_model_total_ms = b.TotalMs();
       // Compute-only: exclude the per-attribute copy passes.
       gpu::DeviceCounters copies;

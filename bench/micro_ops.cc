@@ -12,6 +12,7 @@
 #include "src/core/bitonic_sort.h"
 #include "src/core/compare.h"
 #include "src/core/count.h"
+#include "src/core/executor.h"
 #include "src/core/kth_largest.h"
 #include "src/core/range.h"
 #include "src/core/semilinear.h"
@@ -22,6 +23,7 @@
 #include "src/db/datagen.h"
 #include "src/gpu/device.h"
 #include "src/gpu/fragment_program.h"
+#include "src/predicate/expr.h"
 
 namespace gpudb {
 namespace {
@@ -303,6 +305,29 @@ void BM_Pass_CompareIncrement(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * p.pixels);
 }
 BENCHMARK(BM_Pass_CompareIncrement)->Apply(PassRows);
+
+// --- A small viewport on a large framebuffer --------------------------------
+//
+// The same one-predicate COUNT over 65,536 rows, through the Executor, on a
+// 256x256 framebuffer it fills and on a 1000x1000 one, as a pool shard
+// would run it. Clears stop at the viewport like passes do, so the two rows
+// should read within about 1.2x of each other.
+void BM_ViewportCount(benchmark::State& state) {
+  static const db::Table* table =
+      new db::Table(db::MakeTcpIpTable(65'536).ValueOrDie());
+  const auto side = static_cast<uint32_t>(state.range(0));
+  gpu::Device device(side, side);
+  (void)device.SetWorkerThreads(1);
+  auto exec = core::Executor::Make(&device, table).ValueOrDie();
+  const predicate::ExprPtr where =
+      predicate::Expr::Pred(0, gpu::CompareOp::kGreater, 10000.0f);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(exec->Count(where).ValueOrDie());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(table->num_rows()));
+}
+BENCHMARK(BM_ViewportCount)->Arg(256)->Arg(1000)->Unit(benchmark::kMicrosecond);
 
 void BM_CpuStdSort(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));

@@ -6,14 +6,18 @@ Usage:
 
 Both directories hold the JSON files the figure binaries emit when
 $GPUDB_BENCH_JSON_DIR is set (see bench/bench_util.h). Rows are matched by
-(figure, label); the gate compares the *model* columns
+(figure, label, series) -- `series` names the sub-sweep of a figure that
+repeats its labels, e.g. fig05's attrs=1..4, and is empty when absent; a
+file whose rows repeat a key is an error, since one of them would never be
+compared. The gate compares the *model* columns
 (gpu_model_total_ms, cpu_model_ms), which are deterministic functions of the
 pass structure -- wall-clock columns vary with the host and are reported but
 never gated.
 
 Exit status: 0 when every matched row is within the threshold, 1 when any
-model time regressed by more than --threshold percent (default 20) or a
-baseline file/row is missing from the candidate.
+model time regressed by more than --threshold percent (default 20), a
+baseline file/row is missing from the candidate, or a file repeats a row
+key.
 """
 
 import argparse
@@ -49,8 +53,24 @@ def load_dir(path):
     return out
 
 
-def rows_by_label(doc):
-    return {row.get("label"): row for row in doc.get("rows", [])}
+def row_key(row):
+    return (row.get("label"), row.get("series", ""))
+
+
+def key_name(key):
+    label, series = key
+    return f"{label} {series}" if series else f"{label}"
+
+
+def rows_by_key(name, doc, failures):
+    """Maps (label, series) -> row; a repeated key is recorded as a failure."""
+    out = {}
+    for row in doc.get("rows", []):
+        key = row_key(row)
+        if key in out:
+            failures.append(f"{name} [{key_name(key)}]: duplicate row key")
+        out[key] = row
+    return out
 
 
 def main():
@@ -75,9 +95,10 @@ def main():
         if cand_doc is None:
             failures.append(f"{name}: missing from candidate directory")
             continue
-        cand_rows = rows_by_label(cand_doc)
-        for label, base_row in rows_by_label(base_doc).items():
-            cand_row = cand_rows.get(label)
+        cand_rows = rows_by_key(f"{name} (candidate)", cand_doc, failures)
+        for key, base_row in rows_by_key(name, base_doc, failures).items():
+            label = key_name(key)
+            cand_row = cand_rows.get(key)
             if cand_row is None:
                 failures.append(f"{name} [{label}]: row missing from candidate")
                 continue

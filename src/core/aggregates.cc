@@ -1,5 +1,7 @@
 #include "src/core/aggregates.h"
 
+#include <algorithm>
+
 #include "src/core/accumulator.h"
 #include "src/core/count.h"
 #include "src/core/kth_largest.h"
@@ -65,6 +67,42 @@ Result<double> AggregateAttribute(
           uint32_t v, MedianValue(device, attr, bit_width, kth_options));
       return static_cast<double>(v);
     }
+  }
+  return Status::InvalidArgument("unknown aggregate kind");
+}
+
+void MergeAggregate(AggregateKind kind, const PartialAggregate& part,
+                    PartialAggregate* total) {
+  if (part.count == 0) return;
+  const bool first = total->count == 0;
+  total->count += part.count;
+  if (kind == AggregateKind::kMin) {
+    total->value = first ? part.value : std::min(total->value, part.value);
+  } else if (kind == AggregateKind::kMax) {
+    total->value = first ? part.value : std::max(total->value, part.value);
+  } else {
+    total->value += part.value;
+  }
+}
+
+Result<double> FinishAggregate(AggregateKind kind,
+                               const PartialAggregate& partial) {
+  switch (kind) {
+    case AggregateKind::kMin:
+    case AggregateKind::kMax:
+      if (partial.count == 0) {
+        return Status::OutOfRange("k=1 out of range for 0 records");
+      }
+      return partial.value;
+    case AggregateKind::kAvg:
+      if (partial.count == 0) {
+        return Status::InvalidArgument("AVG over empty selection");
+      }
+      return partial.value / static_cast<double>(partial.count);
+    case AggregateKind::kCount:
+    case AggregateKind::kSum:
+    case AggregateKind::kMedian:
+      return partial.value;
   }
   return Status::InvalidArgument("unknown aggregate kind");
 }

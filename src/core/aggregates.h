@@ -39,6 +39,28 @@ std::string_view ToString(AggregateKind kind);
     int bit_width,
     const std::optional<StencilSelection>& selection = std::nullopt);
 
+/// \brief An aggregate over one selection, short of its final step: the
+/// selection's row count beside the aggregate's value. AVG carries the SUM,
+/// and MIN/MAX over an empty selection carry no value. Partials over
+/// disjoint row ranges merge exactly (MergeAggregate), which is how the
+/// shard pool recombines them; FinishAggregate turns one into the answer.
+struct PartialAggregate {
+  uint64_t count = 0;  ///< Selected rows.
+  double value = 0.0;  ///< COUNT, SUM (also for AVG), MIN, MAX or MEDIAN.
+};
+
+/// Folds `part` into `total`: counts and values add, and MIN/MAX keep the
+/// better value of the non-empty partials. MEDIAN does not merge.
+void MergeAggregate(AggregateKind kind, const PartialAggregate& part,
+                    PartialAggregate* total);
+
+/// The aggregate's answer: AVG divides once over the exact totals, and
+/// MIN/MAX/AVG over an empty selection fail with the statuses of the
+/// single-device operators (OutOfRange from KthSmallest/KthLargest(k=1),
+/// InvalidArgument from Average).
+[[nodiscard]] Result<double> FinishAggregate(AggregateKind kind,
+                                             const PartialAggregate& partial);
+
 }  // namespace core
 }  // namespace gpudb
 

@@ -55,9 +55,10 @@ Result<std::vector<uint32_t>> RowIds(const db::Table& table,
   return rows;
 }
 
-Result<double> Aggregate(const db::Table& table, AggregateKind kind,
-                         std::string_view column,
-                         const predicate::ExprPtr& where) {
+Result<PartialAggregate> AggregatePartial(const db::Table& table,
+                                          AggregateKind kind,
+                                          std::string_view column,
+                                          const predicate::ExprPtr& where) {
   GPUDB_ASSIGN_OR_RETURN(size_t col, table.ColumnIndex(column));
   const db::Column& c = table.column(col);
   if (kind != AggregateKind::kCount && c.type() != db::ColumnType::kInt24) {
@@ -68,49 +69,44 @@ Result<double> Aggregate(const db::Table& table, AggregateKind kind,
   }
   GPUDB_ASSIGN_OR_RETURN(std::vector<uint8_t> mask,
                          SelectionMask(table, where));
-  const uint64_t count = cpu::CountMask(mask);
+  PartialAggregate partial;
+  partial.count = cpu::CountMask(mask);
   switch (kind) {
     case AggregateKind::kCount:
-      return static_cast<double>(count);
+      partial.value = static_cast<double>(partial.count);
+      return partial;
     case AggregateKind::kSum:
-      return static_cast<double>(cpu::MaskedSumInt(c.values(), mask));
     case AggregateKind::kAvg:
-      if (count == 0) {
-        return Status::InvalidArgument("AVG over empty selection");
-      }
-      return static_cast<double>(cpu::MaskedSumInt(c.values(), mask)) /
-             static_cast<double>(count);
+      partial.value = static_cast<double>(cpu::MaskedSumInt(c.values(), mask));
+      return partial;
     case AggregateKind::kMin:
     case AggregateKind::kMax: {
-      if (count == 0) {
-        // Same status Min/MaxValue produce via KthSmallest/Largest(k=1).
-        return Status::OutOfRange("k=1 out of range for 0 records");
-      }
-      uint32_t best = 0;
       bool first = true;
       for (size_t i = 0; i < mask.size(); ++i) {
         if (!mask[i]) continue;
-        const uint32_t v = c.int_value(i);
-        if (first || (kind == AggregateKind::kMin ? v < best : v > best)) {
-          best = v;
+        const auto v = static_cast<double>(c.int_value(i));
+        if (first || (kind == AggregateKind::kMin ? v < partial.value
+                                                  : v > partial.value)) {
+          partial.value = v;
           first = false;
         }
       }
-      return static_cast<double>(best);
+      return partial;
     }
     case AggregateKind::kMedian: {
-      if (count == 0) {
+      if (partial.count == 0) {
         return Status::InvalidArgument("median over empty selection");
       }
       std::vector<uint32_t> vals;
-      vals.reserve(count);
+      vals.reserve(partial.count);
       for (size_t i = 0; i < mask.size(); ++i) {
         if (mask[i]) vals.push_back(c.int_value(i));
       }
       // GPU MedianValue = KthSmallest((count + 1) / 2).
-      const size_t idx = (count + 1) / 2 - 1;
+      const size_t idx = (partial.count + 1) / 2 - 1;
       std::nth_element(vals.begin(), vals.begin() + idx, vals.end());
-      return static_cast<double>(vals[idx]);
+      partial.value = static_cast<double>(vals[idx]);
+      return partial;
     }
   }
   return Status::Internal("unknown aggregate kind");

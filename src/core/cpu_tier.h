@@ -35,11 +35,12 @@ namespace cpu_tier {
 [[nodiscard]] Result<std::vector<uint32_t>> RowIds(
     const db::Table& table, const predicate::ExprPtr& where);
 
-/// SELECT <agg>(column) WHERE `where`.
-[[nodiscard]] Result<double> Aggregate(const db::Table& table,
-                                       AggregateKind kind,
-                                       std::string_view column,
-                                       const predicate::ExprPtr& where);
+/// SELECT <agg>(column) WHERE `where`, short of FinishAggregate: the
+/// selection count beside the value (the SUM for AVG; none for an empty
+/// MIN/MAX).
+[[nodiscard]] Result<PartialAggregate> AggregatePartial(
+    const db::Table& table, AggregateKind kind, std::string_view column,
+    const predicate::ExprPtr& where);
 
 /// The k-th largest value of `column` among rows matching `where`.
 [[nodiscard]] Result<uint32_t> KthLargest(const db::Table& table,

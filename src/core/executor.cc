@@ -355,7 +355,15 @@ Result<std::vector<std::pair<uint32_t, uint32_t>>> Executor::TopK(
 
 Result<double> Executor::Aggregate(AggregateKind kind, std::string_view column,
                                    const predicate::ExprPtr& where) {
-  return RunResilient<double>(
+  GPUDB_ASSIGN_OR_RETURN(PartialAggregate partial,
+                         AggregatePartial(kind, column, where));
+  return FinishAggregate(kind, partial);
+}
+
+Result<PartialAggregate> Executor::AggregatePartial(
+    AggregateKind kind, std::string_view column,
+    const predicate::ExprPtr& where) {
+  return RunResilient<PartialAggregate>(
       "aggregate", [&] { return AggregateGpu(kind, column, where); },
       [&] { return CpuAggregate(kind, column, where); });
 }
@@ -478,9 +486,9 @@ Result<std::vector<std::pair<uint32_t, uint32_t>>> Executor::TopKGpu(
   return result;
 }
 
-Result<double> Executor::AggregateGpu(AggregateKind kind,
-                                      std::string_view column,
-                                      const predicate::ExprPtr& where) {
+Result<PartialAggregate> Executor::AggregateGpu(
+    AggregateKind kind, std::string_view column,
+    const predicate::ExprPtr& where) {
   OpCounter("aggregate").Increment();
   GpuOpSpan op("Aggregate", device_);
   op.AddTag("kind", ToString(kind));
@@ -500,7 +508,23 @@ Result<double> Executor::AggregateGpu(AggregateKind kind,
     selection = sel;
   }
   GPUDB_ASSIGN_OR_RETURN(AttributeBinding binding, BindingFor(col));
-  return AggregateAttribute(device_, kind, binding, c.bit_width(), selection);
+  PartialAggregate partial;
+  partial.count = selection.has_value() ? selection->count
+                                        : device_->viewport_pixels();
+  // MIN/MAX/AVG of nothing: FinishAggregate reports it, and a shard merge
+  // skips it, without a pass beyond the WHERE.
+  if (partial.count == 0 && (kind == AggregateKind::kMin ||
+                             kind == AggregateKind::kMax ||
+                             kind == AggregateKind::kAvg)) {
+    return partial;
+  }
+  GPUDB_ASSIGN_OR_RETURN(
+      partial.value,
+      AggregateAttribute(device_,
+                         kind == AggregateKind::kAvg ? AggregateKind::kSum
+                                                     : kind,
+                         binding, c.bit_width(), selection));
+  return partial;
 }
 
 Result<uint32_t> Executor::KthLargestGpu(std::string_view column, uint64_t k,
@@ -660,10 +684,10 @@ Result<std::vector<uint32_t>> Executor::CpuRowIds(
   return cpu_tier::RowIds(*table_, where);
 }
 
-Result<double> Executor::CpuAggregate(AggregateKind kind,
-                                      std::string_view column,
-                                      const predicate::ExprPtr& where) {
-  return cpu_tier::Aggregate(*table_, kind, column, where);
+Result<PartialAggregate> Executor::CpuAggregate(
+    AggregateKind kind, std::string_view column,
+    const predicate::ExprPtr& where) {
+  return cpu_tier::AggregatePartial(*table_, kind, column, where);
 }
 
 Result<uint32_t> Executor::CpuKthLargest(std::string_view column, uint64_t k,

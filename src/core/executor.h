@@ -83,9 +83,17 @@ class Executor {
   [[nodiscard]] Result<std::vector<std::pair<uint32_t, uint32_t>>> TopK(
       std::string_view column, uint64_t k);
 
-  /// SELECT <agg>(column) FROM t WHERE expr (null = no WHERE).
+  /// SELECT <agg>(column) FROM t WHERE expr (null = no WHERE): the
+  /// FinishAggregate of AggregatePartial.
   [[nodiscard]] Result<double> Aggregate(AggregateKind kind, std::string_view column,
                            const predicate::ExprPtr& where = nullptr);
+
+  /// The same statement short of its final step: the selection count
+  /// beside the value, from one WHERE. AVG runs the SUM; MIN/MAX/AVG over
+  /// an empty selection stop after the WHERE. The shard pool merges these.
+  [[nodiscard]] Result<PartialAggregate> AggregatePartial(
+      AggregateKind kind, std::string_view column,
+      const predicate::ExprPtr& where = nullptr);
 
   /// SELECT the k-th largest value of `column` among rows matching `where`.
   [[nodiscard]] Result<uint32_t> KthLargest(std::string_view column, uint64_t k,
@@ -216,8 +224,9 @@ class Executor {
       const predicate::ExprPtr& where);
   [[nodiscard]] Result<std::vector<std::pair<uint32_t, uint32_t>>> TopKGpu(
       std::string_view column, uint64_t k);
-  [[nodiscard]] Result<double> AggregateGpu(AggregateKind kind, std::string_view column,
-                              const predicate::ExprPtr& where);
+  [[nodiscard]] Result<PartialAggregate> AggregateGpu(
+      AggregateKind kind, std::string_view column,
+      const predicate::ExprPtr& where);
   [[nodiscard]] Result<uint32_t> KthLargestGpu(std::string_view column, uint64_t k,
                                  const predicate::ExprPtr& where);
   [[nodiscard]] Result<std::vector<uint32_t>> OrderByRowIdsGpu(std::string_view column,
@@ -239,8 +248,9 @@ class Executor {
   [[nodiscard]] Result<std::vector<uint8_t>> CpuSelectionMask(const predicate::ExprPtr& where);
   [[nodiscard]] Result<uint64_t> CpuCount(const predicate::ExprPtr& where);
   [[nodiscard]] Result<std::vector<uint32_t>> CpuRowIds(const predicate::ExprPtr& where);
-  [[nodiscard]] Result<double> CpuAggregate(AggregateKind kind, std::string_view column,
-                              const predicate::ExprPtr& where);
+  [[nodiscard]] Result<PartialAggregate> CpuAggregate(
+      AggregateKind kind, std::string_view column,
+      const predicate::ExprPtr& where);
   [[nodiscard]] Result<uint32_t> CpuKthLargest(std::string_view column, uint64_t k,
                                  const predicate::ExprPtr& where);
   [[nodiscard]] Result<uint64_t> CpuRangeCount(std::string_view column, double low,

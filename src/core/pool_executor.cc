@@ -268,75 +268,33 @@ Result<double> PoolExecutor::Aggregate(AggregateKind kind,
     (void)col;
   }
   last_stats_ = PoolQueryStats();
-  auto shard_aggregate = [&](size_t i, AggregateKind agg) {
-    return RunShard<double>(
-        i, "Aggregate",
-        [&](Executor& exec) { return exec.Aggregate(agg, column, where); },
-        [&](const db::Table& table) {
-          return cpu_tier::Aggregate(table, agg, column, where);
-        });
-  };
-  switch (kind) {
-    case AggregateKind::kCount: {
-      uint64_t total = 0;
-      for (size_t i = 0; i < sharded_->num_shards(); ++i) {
-        GPUDB_ASSIGN_OR_RETURN(uint64_t count, ShardCount(i, where));
-        total += count;
-      }
-      return static_cast<double>(total);
+  if (kind == AggregateKind::kCount) {
+    uint64_t total = 0;
+    for (size_t i = 0; i < sharded_->num_shards(); ++i) {
+      GPUDB_ASSIGN_OR_RETURN(uint64_t count, ShardCount(i, where));
+      total += count;
     }
-    case AggregateKind::kSum: {
-      // Per-shard GPU sums are exact integer accumulations (<= 2^24 values
-      // of <= 24 bits each fits a double exactly), so the total is too.
-      double total = 0.0;
-      for (size_t i = 0; i < sharded_->num_shards(); ++i) {
-        GPUDB_ASSIGN_OR_RETURN(double sum, shard_aggregate(i, kind));
-        total += sum;
-      }
-      return total;
-    }
-    case AggregateKind::kMin:
-    case AggregateKind::kMax: {
-      bool any = false;
-      double best = 0.0;
-      for (size_t i = 0; i < sharded_->num_shards(); ++i) {
-        GPUDB_ASSIGN_OR_RETURN(uint64_t count, ShardCount(i, where));
-        if (count == 0) continue;  // empty shards contribute nothing
-        GPUDB_ASSIGN_OR_RETURN(double value, shard_aggregate(i, kind));
-        if (!any || (kind == AggregateKind::kMin ? value < best
-                                                 : value > best)) {
-          best = value;
-        }
-        any = true;
-      }
-      if (!any) {
-        // The status Min/MaxValue produce via KthSmallest/Largest(k=1).
-        return Status::OutOfRange("k=1 out of range for 0 records");
-      }
-      return best;
-    }
-    case AggregateKind::kAvg: {
-      uint64_t total_count = 0;
-      double total_sum = 0.0;
-      for (size_t i = 0; i < sharded_->num_shards(); ++i) {
-        GPUDB_ASSIGN_OR_RETURN(uint64_t count, ShardCount(i, where));
-        if (count == 0) continue;
-        GPUDB_ASSIGN_OR_RETURN(double sum,
-                               shard_aggregate(i, AggregateKind::kSum));
-        total_count += count;
-        total_sum += sum;
-      }
-      if (total_count == 0) {
-        return Status::InvalidArgument("AVG over empty selection");
-      }
-      // One division over exact totals: identical to the single-device
-      // double(sum) / double(count).
-      return total_sum / static_cast<double>(total_count);
-    }
-    case AggregateKind::kMedian:
-      break;  // unreachable: rejected above
+    return static_cast<double>(total);
   }
-  return Status::Internal("unknown aggregate kind");
+  // One dispatch per shard returns the shard's selection count beside its
+  // partial aggregate. Counts and integer sums add exactly (<= 2^24 values
+  // of <= 24 bits each fits a double), MIN/MAX skip empty shards, and AVG
+  // divides once over the totals: identical to the single-device answer.
+  PartialAggregate total;
+  for (size_t i = 0; i < sharded_->num_shards(); ++i) {
+    GPUDB_ASSIGN_OR_RETURN(
+        PartialAggregate part,
+        RunShard<PartialAggregate>(
+            i, "Aggregate",
+            [&](Executor& exec) {
+              return exec.AggregatePartial(kind, column, where);
+            },
+            [&](const db::Table& table) {
+              return cpu_tier::AggregatePartial(table, kind, column, where);
+            }));
+    MergeAggregate(kind, part, &total);
+  }
+  return FinishAggregate(kind, total);
 }
 
 }  // namespace core

@@ -44,9 +44,10 @@ struct PoolQueryStats {
 ///   Count / RangeCount : sum of per-shard counts
 ///   SelectRowIds       : per-shard ids + row_begin, concatenated in order
 ///   SelectBitmap       : per-shard bitmaps concatenated
-///   SUM                : sum of exact per-shard integer sums
-///   MIN / MAX          : min/max over non-empty shards
-///   AVG                : (sum of shard sums) / (sum of shard counts)
+///   SUM / MIN / MAX / AVG : per-shard PartialAggregates (selection count
+///                        and value from one WHERE), merged: sums of exact
+///                        integer sums, min/max over non-empty shards, one
+///                        AVG division over the totals
 ///
 /// All of these are bit-exact against single-device execution: integer
 /// columns use the data-independent exact depth encoding, sums are exact
@@ -117,7 +118,7 @@ class PoolExecutor {
       const std::function<Result<T>(Executor&)>& gpu_op,
       const std::function<Result<T>(const db::Table&)>& cpu_op);
 
-  /// Per-shard COUNT(*) for the aggregates that must skip empty shards.
+  /// One shard's COUNT(*) dispatch.
   [[nodiscard]] Result<uint64_t> ShardCount(size_t shard_index,
                                             const predicate::ExprPtr& where);
 

@@ -16,9 +16,13 @@ Result<StencilSelection> SelectAll(gpu::Device* device) {
 Result<std::vector<uint8_t>> SelectionToBitmap(gpu::Device* device,
                                                const StencilSelection& sel,
                                                uint64_t num_records) {
-  if (num_records > device->framebuffer().pixel_count()) {
+  // Clears and passes stop at the viewport, so stencil bytes past it are
+  // stale: a bitmap may not reach beyond it.
+  if (num_records > device->viewport_pixels()) {
     return Status::OutOfRange("num_records " + std::to_string(num_records) +
-                              " exceeds framebuffer capacity");
+                              " exceeds the viewport of " +
+                              std::to_string(device->viewport_pixels()) +
+                              " pixels");
   }
   GPUDB_ASSIGN_OR_RETURN(const std::vector<uint8_t> stencil,
                          device->ReadStencil());

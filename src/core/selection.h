@@ -16,7 +16,8 @@ namespace core {
 [[nodiscard]] Result<StencilSelection> SelectAll(gpu::Device* device);
 
 /// \brief Materializes the selection held in the stencil buffer as a 0/1
-/// bitmap over the first `num_records` records.
+/// bitmap over the first `num_records` records. Fails with OutOfRange when
+/// `num_records` exceeds the viewport: no clear or pass reaches past it.
 ///
 /// The paper's algorithms deliberately never read results back (counts come
 /// from occlusion queries); materialization is what a downstream SELECT

@@ -91,6 +91,12 @@ gpu::ScissorRect ClipToPixels(const Box& box, const gpu::Device& device) {
 Result<bool> OverlapTest(gpu::Device* device, const Polygon2D& a,
                          const Polygon2D& b, const gpu::ScissorRect& scissor) {
   StateGuard guard(device);
+  // Passes and clears stop at the viewport, and polygons may lie anywhere
+  // in the window: open the viewport to the whole framebuffer (the scissor
+  // below bounds the work).
+  ViewportGuard viewport(device);
+  GPUDB_RETURN_NOT_OK(
+      device->SetViewport(device->framebuffer().pixel_count()));
   device->UseProgram(nullptr);
   // Polygons are given in window coordinates; the join owns the vertex
   // stage for its two passes (the guard restores any user transform).

@@ -1,6 +1,9 @@
 #ifndef GPUDB_CORE_STATE_GUARD_H_
 #define GPUDB_CORE_STATE_GUARD_H_
 
+#include <cstdint>
+
+#include "src/common/status.h"
 #include "src/gpu/device.h"
 
 namespace gpudb {
@@ -37,6 +40,27 @@ class StateGuard {
   const gpu::FragmentProgram* saved_program_;
   gpu::Mat4 saved_transform_;
   bool saved_window_space_;
+};
+
+/// \brief RAII save/restore of the device viewport, which RenderState does
+/// not hold: for operators that draw over a different pixel range than the
+/// records they were called for.
+class ViewportGuard {
+ public:
+  explicit ViewportGuard(gpu::Device* device)
+      : device_(device), saved_(device->viewport_pixels()) {}
+
+  ViewportGuard(const ViewportGuard&) = delete;
+  ViewportGuard& operator=(const ViewportGuard&) = delete;
+
+  // The saved viewport was valid on this device, so restoring cannot fail.
+  ~ViewportGuard() {
+    DropStatus(device_->SetViewport(saved_), "ViewportGuard restore");
+  }
+
+ private:
+  gpu::Device* device_;
+  uint64_t saved_;
 };
 
 }  // namespace core

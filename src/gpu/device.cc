@@ -72,6 +72,60 @@ struct DeviceMetrics {
   }
 };
 
+/// The pixels a screen-filling quad covers, which is also what every clear
+/// and every triangle is clipped to: the viewport's first n pixels as at
+/// most two rectangles (the full rows, then the partial final row), each
+/// clipped to the scissor when the scissor test is on. Surviving rects keep
+/// disjoint, increasing row ranges, which is what makes RenderInternal's
+/// band split race-free.
+struct Coverage {
+  std::array<ScissorRect, 2> rects;
+  int count = 0;
+  uint32_t rows = 0;  ///< Rows summed over the rects.
+  uint32_t width;     ///< The framebuffer's.
+
+  Coverage(uint64_t viewport_pixels, uint32_t fb_width,
+           const RenderState& state)
+      : width(fb_width) {
+    const auto full_rows = static_cast<uint32_t>(viewport_pixels / width);
+    const auto remainder = static_cast<uint32_t>(viewport_pixels % width);
+    if (full_rows > 0) Add({0, 0, width, full_rows}, state);
+    if (remainder > 0) Add({0, full_rows, remainder, full_rows + 1}, state);
+  }
+
+  const ScissorRect* begin() const { return rects.data(); }
+  const ScissorRect* end() const { return rects.data() + count; }
+
+  /// Calls fill(begin, end) once per run of consecutive covered pixel
+  /// indices: a full-width rect is one run, any other rect one per row.
+  template <typename Fill>
+  void ForEachRun(Fill&& fill) const {
+    for (const ScissorRect& r : *this) {
+      if (r.x0 == 0 && r.x1 == width) {
+        fill(uint64_t{r.y0} * width, uint64_t{r.y1} * width);
+        continue;
+      }
+      for (uint64_t y = r.y0; y < r.y1; ++y) {
+        fill(y * width + r.x0, y * width + r.x1);
+      }
+    }
+  }
+
+ private:
+  void Add(ScissorRect rect, const RenderState& state) {
+    if (state.scissor_test_enabled) {
+      const ScissorRect& s = state.scissor;
+      rect.x0 = std::max(rect.x0, s.x0);
+      rect.y0 = std::max(rect.y0, s.y0);
+      rect.x1 = std::min(rect.x1, s.x1);
+      rect.y1 = std::min(rect.y1, s.y1);
+      if (rect.x0 >= rect.x1 || rect.y0 >= rect.y1) return;
+    }
+    rows += rect.y1 - rect.y0;
+    rects[static_cast<size_t>(count++)] = rect;
+  }
+};
+
 }  // namespace
 
 Device::Device(uint32_t width, uint32_t height, int depth_bits)
@@ -442,12 +496,25 @@ Status Device::SetViewport(uint64_t pixels) {
 }
 
 void Device::ClearColor(float r, float g, float b, float a) {
-  fb_.ClearColor(r, g, b, a);
+  Coverage(viewport_pixels_, fb_.width(), state_)
+      .ForEachRun([&](uint64_t begin, uint64_t end) {
+        fb_.ClearColor(r, g, b, a, begin, end);
+      });
 }
 
-void Device::ClearDepth(float d) { fb_.ClearDepth(d); }
+void Device::ClearDepth(float d) {
+  Coverage(viewport_pixels_, fb_.width(), state_)
+      .ForEachRun([&](uint64_t begin, uint64_t end) {
+        fb_.ClearDepth(d, begin, end);
+      });
+}
 
-void Device::ClearStencil(uint8_t s) { fb_.ClearStencil(s); }
+void Device::ClearStencil(uint8_t s) {
+  Coverage(viewport_pixels_, fb_.width(), state_)
+      .ForEachRun([&](uint64_t begin, uint64_t end) {
+        fb_.ClearStencil(s, begin, end);
+      });
+}
 
 Status Device::RenderQuad(float depth) {
   return RenderInternal(depth, /*textured=*/false);
@@ -1207,35 +1274,13 @@ Status Device::RenderInternal(float quad_depth, bool textured) {
   // which PassRecords carry deep counters; a mid-pass toggle cannot tear.
   pass.profiled = Profiler::Global().enabled();
 
-  // The viewport's first n pixels form up to two rectangles: the full rows
-  // and a partial final row. Each is a screen-aligned quad at constant
-  // depth, so rasterization takes the span fast path (RasterizeRectRows):
-  // the two triangles of such a quad cover exactly the rectangle's pixels,
-  // once each, with the quad depth passed through bit-exactly, and emitting
-  // the runs directly skips three edge-function evaluations per fragment.
-  const uint32_t w = fb_.width();
-  const uint32_t full_rows = static_cast<uint32_t>(viewport_pixels_ / w);
-  const uint32_t remainder = static_cast<uint32_t>(viewport_pixels_ % w);
-  std::vector<ScissorRect> rects;
-  if (full_rows > 0) rects.push_back({0, 0, w, full_rows});
-  if (remainder > 0) rects.push_back({0, full_rows, remainder, full_rows + 1});
-
-  // Clip to the user scissor; surviving rects keep disjoint, increasing row
-  // ranges, which is what makes the band split below race-free.
-  std::vector<ScissorRect> clipped;
-  uint32_t total_rows = 0;
-  for (ScissorRect rect : rects) {
-    if (state_.scissor_test_enabled) {
-      const ScissorRect& s = state_.scissor;
-      rect.x0 = std::max(rect.x0, s.x0);
-      rect.y0 = std::max(rect.y0, s.y0);
-      rect.x1 = std::min(rect.x1, s.x1);
-      rect.y1 = std::min(rect.y1, s.y1);
-      if (rect.x0 >= rect.x1 || rect.y0 >= rect.y1) continue;
-    }
-    total_rows += rect.y1 - rect.y0;
-    clipped.push_back(rect);
-  }
+  // Each coverage rect is a screen-aligned quad at constant depth, so
+  // rasterization takes the span fast path (RasterizeRectRows): the two
+  // triangles of such a quad cover exactly the rectangle's pixels, once
+  // each, with the quad depth passed through bit-exactly, and emitting the
+  // runs directly skips three edge-function evaluations per fragment.
+  const Coverage coverage(viewport_pixels_, fb_.width(), state_);
+  const uint32_t total_rows = coverage.rows;
 
   // Tile decomposition: the pass's rows, concatenated across rects, are
   // split into `bands` contiguous, disjoint horizontal slices. Every pixel
@@ -1294,7 +1339,7 @@ Status Device::RenderInternal(float quad_depth, bool textured) {
         static_cast<uint32_t>(nrows * (static_cast<uint64_t>(band) + 1) /
                               static_cast<uint64_t>(bands));
     uint32_t skipped = 0;
-    for (const ScissorRect& rect : clipped) {
+    for (const ScissorRect& rect : coverage) {
       const uint32_t height = rect.y1 - rect.y0;
       const uint32_t lo = std::max(row_begin, skipped);
       const uint32_t hi = std::min(row_end, skipped + height);
@@ -1390,22 +1435,17 @@ Status Device::DrawTriangles(const std::vector<Vertex>& vertices) {
     ProcessFragment(frag, &ctx);
   };
 
-  ScissorRect clip{0, 0, fb_.width(), fb_.height()};
-  if (state_.scissor_test_enabled) {
-    const ScissorRect& s = state_.scissor;
-    clip.x0 = std::max(clip.x0, s.x0);
-    clip.y0 = std::max(clip.y0, s.y0);
-    clip.x1 = std::min(clip.x1, s.x1);
-    clip.y1 = std::min(clip.y1, s.y1);
-    if (clip.x0 >= clip.x1 || clip.y0 >= clip.y1) {
-      return FinishPass(std::move(pass));
-    }
-  }
+  // Primitives are clipped to the quad coverage, so a triangle never writes
+  // a pixel a clear would not reach. Each triangle is finished (both rects,
+  // in row order) before the next one starts.
+  const Coverage coverage(viewport_pixels_, fb_.width(), state_);
   for (size_t t = 0; t + 2 < vertices.size(); t += 3) {
     const ScreenVertex a = ApplyVertexStage(vertices[t]);
     const ScreenVertex b = ApplyVertexStage(vertices[t + 1]);
     const ScreenVertex c = ApplyVertexStage(vertices[t + 2]);
-    RasterizeTriangle(a, b, c, clip, emit);
+    for (const ScissorRect& rect : coverage) {
+      RasterizeTriangle(a, b, c, rect, emit);
+    }
   }
   if (pass.profiled) ApplyPlaneTrafficModel(&pass);
   return FinishPass(std::move(pass));

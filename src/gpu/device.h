@@ -47,6 +47,14 @@ using TextureId = int;
 /// same coverage with a scissor rectangle or a pair of quads, so this is a
 /// simulation-level shortcut with identical semantics.
 ///
+/// Coverage rule: that region, clipped to the scissor when the scissor test
+/// is on, is all any call reaches. A clear writes exactly the pixels a
+/// screen-filling quad covers (a scissored glClear), and DrawTriangles clips
+/// every triangle to them (GL clips primitives to the viewport), so a pass
+/// and its clears cost what its records cover, whatever the framebuffer
+/// size. Pixels past the viewport keep whatever they held; readbacks still
+/// return, and charge, the whole plane.
+///
 /// The class is a facade: all mutating calls also maintain DeviceCounters so
 /// that PerfModel can reconstruct what the operations would have cost on the
 /// paper's GeForce FX 5900 Ultra.
@@ -181,12 +189,15 @@ class Device {
 
   // --- Viewport ----------------------------------------------------------
 
-  /// Limits quads to the first `pixels` pixels (<= framebuffer size).
-  /// Database operations set this to the record count.
+  /// Limits quads, clears and triangles to the first `pixels` pixels
+  /// (<= framebuffer size). Database operations set this to the record
+  /// count, before clearing.
   [[nodiscard]] Status SetViewport(uint64_t pixels);
   uint64_t viewport_pixels() const { return viewport_pixels_; }
 
   // --- Clears ------------------------------------------------------------
+  // Each writes exactly the pixels RenderQuad would cover (see the class
+  // comment); not counted in DeviceCounters.
 
   void ClearColor(float r, float g, float b, float a);
   void ClearDepth(float d = 1.0f);
@@ -222,8 +233,8 @@ class Device {
 
   /// Draws triangles (consecutive vertex triples) through the full pipeline:
   /// vertex transform, triangle setup/rasterization with the top-left fill
-  /// rule, then the per-fragment test chain. The fragment count of the call
-  /// is whatever the rasterizer emits.
+  /// rule, clipped to the quad coverage, then the per-fragment test chain.
+  /// The fragment count of the call is whatever the rasterizer emits.
   [[nodiscard]] Status DrawTriangles(const std::vector<Vertex>& vertices);
 
   // --- Occlusion queries (GL_NV_occlusion_query) -------------------------

@@ -1,12 +1,14 @@
 #include "src/gpu/framebuffer.h"
 
 #include <algorithm>
+#include <cstddef>
 
 namespace gpudb {
 namespace gpu {
 
-void FrameBuffer::ClearColor(float r, float g, float b, float a) {
-  for (uint64_t i = 0; i < pixel_count(); ++i) {
+void FrameBuffer::ClearColor(float r, float g, float b, float a,
+                             uint64_t begin, uint64_t end) {
+  for (uint64_t i = begin; i < end; ++i) {
     color_[i * 4 + 0] = r;
     color_[i * 4 + 1] = g;
     color_[i * 4 + 2] = b;
@@ -14,12 +16,14 @@ void FrameBuffer::ClearColor(float r, float g, float b, float a) {
   }
 }
 
-void FrameBuffer::ClearDepth(float d) {
-  std::fill(depth_.begin(), depth_.end(), Quantize(d));
+void FrameBuffer::ClearDepth(float d, uint64_t begin, uint64_t end) {
+  std::fill(depth_.begin() + static_cast<std::ptrdiff_t>(begin),
+            depth_.begin() + static_cast<std::ptrdiff_t>(end), Quantize(d));
 }
 
-void FrameBuffer::ClearStencil(uint8_t s) {
-  std::fill(stencil_.begin(), stencil_.end(), s);
+void FrameBuffer::ClearStencil(uint8_t s, uint64_t begin, uint64_t end) {
+  std::fill(stencil_.begin() + static_cast<std::ptrdiff_t>(begin),
+            stencil_.begin() + static_cast<std::ptrdiff_t>(end), s);
 }
 
 }  // namespace gpu

@@ -70,10 +70,13 @@ class FrameBuffer {
     return static_cast<uint32_t>(static_cast<double>(d) * depth_max_ + 0.5);
   }
 
-  void ClearColor(float r, float g, float b, float a);
-  /// Clears depth to a normalized value (default 1.0, the far plane).
-  void ClearDepth(float d);
-  void ClearStencil(uint8_t s);
+  // Clears of the linear pixel range [begin, end); Device decides which
+  // ranges a clear covers.
+  void ClearColor(float r, float g, float b, float a, uint64_t begin,
+                  uint64_t end);
+  /// Clears depth to a normalized value (1.0 is the far plane).
+  void ClearDepth(float d, uint64_t begin, uint64_t end);
+  void ClearStencil(uint8_t s, uint64_t begin, uint64_t end);
 
   // --- per-pixel access by linear index -------------------------------
   uint32_t depth(uint64_t i) const { return depth_[i]; }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/executor.h"
+#include "src/core/selection.h"
 #include "src/cpu/aggregate.h"
 #include "src/cpu/quickselect.h"
 #include "src/cpu/scan.h"
@@ -106,6 +107,23 @@ TEST_F(ExecutorTest, SelectRowIdsSortedAndCorrect) {
     first = false;
   }
   EXPECT_EQ(rows.size(), CpuCount(e));
+}
+
+TEST_F(ExecutorTest, SelectionToBitmapStopsAtTheViewport) {
+  // The executor sized the viewport to the table; stencil pixels past it
+  // are never cleared, so reading them back is refused.
+  ASSERT_OK_AND_ASSIGN(StencilSelection sel, executor_->Where(nullptr));
+  ASSERT_OK_AND_ASSIGN(
+      std::vector<uint8_t> bitmap,
+      SelectionToBitmap(&device_, sel, device_.viewport_pixels()));
+  EXPECT_EQ(bitmap.size(), table_.num_rows());
+  const uint64_t past = device_.viewport_pixels() + 1;
+  ASSERT_LT(past, device_.framebuffer().pixel_count());
+  auto r = SelectionToBitmap(&device_, sel, past);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(SelectionToRowIds(&device_, sel, past).status().code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST_F(ExecutorTest, AggregatesWithoutWhere) {

@@ -142,6 +142,18 @@ TEST_F(SpatialJoinTest, ScissorLimitsWorkToOverlapRegion) {
   EXPECT_LE(device_.counters().fragments_generated, 2u * 8u * 8u);
 }
 
+TEST_F(SpatialJoinTest, OpensTheViewportAndRestoresIt) {
+  // Triangles are clipped to the viewport. A viewport left at 10 rows by an
+  // earlier operator must neither hide an overlap at row 100 nor be lost.
+  ASSERT_OK(device_.SetViewport(10 * 128));
+  ASSERT_OK_AND_ASSIGN(bool hit,
+                       PolygonsOverlapScreenSpace(&device_,
+                                                  Rect(90, 90, 110, 110),
+                                                  Rect(100, 100, 120, 120)));
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(device_.viewport_pixels(), 10u * 128u);
+}
+
 }  // namespace
 }  // namespace core
 }  // namespace gpudb

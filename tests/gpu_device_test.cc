@@ -1,3 +1,6 @@
+#include <algorithm>
+#include <cstddef>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -218,6 +221,106 @@ TEST(DeviceTest, ViewportLimitsFragmentGeneration) {
   EXPECT_EQ(count, 37u);
   EXPECT_FALSE(dev.SetViewport(0).ok());
   EXPECT_FALSE(dev.SetViewport(101).ok());
+}
+
+// --- The coverage rule: clears and triangles reach exactly the pixels a
+// screen-filling quad covers. A 37-pixel row is longer than one 16-lane
+// kernel step, and the viewport ends mid-row.
+constexpr uint32_t kCoverW = 37;
+constexpr uint32_t kCoverH = 9;
+constexpr uint64_t kCoverViewport = uint64_t{kCoverW} * 5 + 20;
+
+struct ScissorCase {
+  bool enabled = false;
+  ScissorRect rect;
+};
+
+std::vector<ScissorCase> CoverageScissors() {
+  return {
+      {false, {}},
+      {true, {3, 2, 30, 7}},       // full rows and the partial row, clipped
+      {true, {0, 5, kCoverW, 9}},  // the partial row alone
+      {true, {25, 0, kCoverW, 9}}, // right of the partial row's end
+      {true, {0, 6, kCoverW, 9}},  // below the viewport: nothing
+  };
+}
+
+/// Fills every plane with a sentinel across the whole framebuffer (a fresh
+/// device's viewport is all of it), then narrows viewport and scissor.
+void PrepareCoverage(Device* dev, const ScissorCase& sc) {
+  dev->ClearStencil(7);
+  dev->ClearDepth(0.25f);
+  dev->ClearColor(0.5f, 0.5f, 0.5f, 0.5f);
+  ASSERT_OK(dev->SetViewport(kCoverViewport));
+  dev->state().scissor_test_enabled = sc.enabled;
+  dev->state().scissor = sc.rect;
+}
+
+/// The pixels RenderQuad visits under `sc`, marked by a REPLACE-on-pass
+/// stencil op.
+std::vector<bool> QuadVisits(const ScissorCase& sc) {
+  Device dev(kCoverW, kCoverH);
+  PrepareCoverage(&dev, sc);
+  dev.SetStencilTest(true, CompareOp::kAlways, 1);
+  dev.SetStencilOp(StencilOp::kKeep, StencilOp::kKeep, StencilOp::kReplace);
+  EXPECT_OK(dev.RenderQuad(0.5f));
+  std::vector<bool> visits(dev.framebuffer().pixel_count());
+  for (uint64_t i = 0; i < visits.size(); ++i) {
+    visits[i] = dev.framebuffer().stencil(i) == 1;
+  }
+  return visits;
+}
+
+TEST(CoverageTest, ClearsWriteExactlyTheQuadCoverage) {
+  for (const ScissorCase& sc : CoverageScissors()) {
+    SCOPED_TRACE(sc.enabled ? "scissor on" : "scissor off");
+    const std::vector<bool> visits = QuadVisits(sc);
+    if (!sc.enabled) {
+      EXPECT_EQ(std::count(visits.begin(), visits.end(), true),
+                static_cast<std::ptrdiff_t>(kCoverViewport));
+    }
+    Device dev(kCoverW, kCoverH);
+    PrepareCoverage(&dev, sc);
+    dev.ClearStencil(1);
+    dev.ClearDepth(0.75f);
+    dev.ClearColor(1.0f, 2.0f, 3.0f, 4.0f);
+    const FrameBuffer& fb = dev.framebuffer();
+    for (uint64_t i = 0; i < fb.pixel_count(); ++i) {
+      SCOPED_TRACE("pixel " + std::to_string(i));
+      const bool v = visits[i];
+      EXPECT_EQ(fb.stencil(i), v ? 1 : 7);
+      EXPECT_EQ(fb.depth(i), QuantizeDepth(v ? 0.75f : 0.25f));
+      for (int c = 0; c < 4; ++c) {
+        EXPECT_EQ(fb.color(i)[c], v ? static_cast<float>(c + 1) : 0.5f);
+      }
+    }
+  }
+}
+
+TEST(CoverageTest, TrianglesNeverLeaveTheQuadCoverage) {
+  for (const ScissorCase& sc : CoverageScissors()) {
+    SCOPED_TRACE(sc.enabled ? "scissor on" : "scissor off");
+    const std::vector<bool> visits = QuadVisits(sc);
+    Device dev(kCoverW, kCoverH);
+    PrepareCoverage(&dev, sc);
+    dev.SetStencilTest(true, CompareOp::kAlways, 1);
+    dev.SetStencilOp(StencilOp::kKeep, StencilOp::kKeep, StencilOp::kReplace);
+    // Two triangles over the whole window, past the viewport's last pixel.
+    const auto w = static_cast<float>(kCoverW);
+    const auto h = static_cast<float>(kCoverH);
+    const Vertex a{{0, 0, 0.5f, 1}, 0, 0};
+    const Vertex b{{w, 0, 0.5f, 1}, 0, 0};
+    const Vertex c{{w, h, 0.5f, 1}, 0, 0};
+    const Vertex d{{0, h, 0.5f, 1}, 0, 0};
+    ASSERT_OK(dev.BeginOcclusionQuery());
+    ASSERT_OK(dev.DrawTriangles({a, b, c, a, c, d}));
+    ASSERT_OK_AND_ASSIGN(uint64_t drawn, dev.EndOcclusionQuery());
+    EXPECT_EQ(drawn, static_cast<uint64_t>(
+                         std::count(visits.begin(), visits.end(), true)));
+    for (uint64_t i = 0; i < visits.size(); ++i) {
+      EXPECT_EQ(dev.framebuffer().stencil(i), visits[i] ? 1 : 7) << i;
+    }
+  }
 }
 
 TEST(DeviceTest, OcclusionQueryErrors) {

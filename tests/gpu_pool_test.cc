@@ -306,6 +306,79 @@ TEST_F(PoolExecutorTest, MedianStaysSingleDevice) {
   EXPECT_TRUE(result.status().IsNotImplemented());
 }
 
+TEST_F(PoolExecutorTest, AggregateDispatchRunsOneWherePerShard) {
+  // One shard per device, so each device's pass log holds exactly one shard
+  // dispatch. It must run the passes of the same statement on a device that
+  // holds only that shard: one WHERE, then the aggregate (none at all for
+  // MIN/MAX/AVG of an empty selection).
+  auto pool = MakePool(4);
+  ASSERT_OK_AND_ASSIGN(
+      db::ShardedTable sharded,
+      db::ShardedTable::Make(table_, /*num_shards=*/4, pool->size()));
+  ASSERT_OK_AND_ASSIGN(auto exec,
+                       core::PoolExecutor::Make(pool.get(), &sharded));
+  const ExprPtr some = Expr::And(Expr::Pred(0, CompareOp::kGreater, 20000.0f),
+                                 Expr::Pred(2, CompareOp::kLess, 250000.0f));
+  const ExprPtr none = Expr::Pred(0, CompareOp::kLess, 0.0f);
+  for (const ExprPtr& where : {some, none}) {
+    for (const AggregateKind kind :
+         {AggregateKind::kMin, AggregateKind::kMax, AggregateKind::kAvg}) {
+      SCOPED_TRACE(std::string(core::ToString(kind)) +
+                   (where == some ? " WHERE some" : " WHERE none"));
+      std::vector<std::unique_ptr<gpu::PassLogScope>> logs;
+      for (int d = 0; d < pool->size(); ++d) {
+        logs.push_back(std::make_unique<gpu::PassLogScope>(&pool->device(d)));
+      }
+      const auto pooled = exec->Aggregate(kind, "data_count", where);
+      EXPECT_EQ(pooled.ok(), where == some);
+      for (size_t i = 0; i < sharded.num_shards(); ++i) {
+        const db::Shard& shard = sharded.shard(i);
+        gpu::Device solo(100, 100);
+        ASSERT_OK_AND_ASSIGN(auto solo_exec,
+                             core::Executor::Make(&solo, &shard.table));
+        gpu::PassLogScope solo_log(&solo);
+        const auto alone = solo_exec->Aggregate(kind, "data_count", where);
+        EXPECT_EQ(alone.ok(), where == some);
+        ASSERT_GT(solo_log.records().size(), 0u);
+        EXPECT_EQ(logs[static_cast<size_t>(shard.placement.primary)]
+                      ->records()
+                      .size(),
+                  solo_log.records().size())
+            << "shard " << i;
+      }
+    }
+  }
+}
+
+TEST_F(PoolExecutorTest, EmptySelectionStatusesOnEveryRung) {
+  auto pool = MakePool(2);
+  ASSERT_OK_AND_ASSIGN(
+      db::ShardedTable sharded,
+      db::ShardedTable::Make(table_, /*num_shards=*/4, pool->size()));
+  ASSERT_OK_AND_ASSIGN(auto exec,
+                       core::PoolExecutor::Make(pool.get(), &sharded));
+  const ExprPtr none = Expr::Pred(0, CompareOp::kLess, 0.0f);
+  for (const bool cpu_rung : {false, true}) {
+    SCOPED_TRACE(cpu_rung ? "CPU rung" : "GPU rung");
+    if (cpu_rung) {
+      pool->ForceDeviceLost(0);
+      pool->ForceDeviceLost(1);
+    }
+    for (const AggregateKind kind : {AggregateKind::kMin, AggregateKind::kMax,
+                                     AggregateKind::kAvg}) {
+      const auto got = exec->Aggregate(kind, "data_count", none);
+      const auto want = reference_->Aggregate(kind, "data_count", none);
+      ASSERT_FALSE(got.ok()) << core::ToString(kind);
+      ASSERT_FALSE(want.ok()) << core::ToString(kind);
+      EXPECT_EQ(got.status().code(), kind == AggregateKind::kAvg
+                                         ? StatusCode::kInvalidArgument
+                                         : StatusCode::kOutOfRange);
+      EXPECT_EQ(got.status().ToString(), want.status().ToString());
+      EXPECT_EQ(exec->last_stats().cpu_fallback, cpu_rung);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Admission control: every rejection path is synchronous and deterministic.
 

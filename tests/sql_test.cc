@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -315,6 +317,74 @@ TEST_F(SqlEndToEndTest, ScriptRunsStatementsInOrder) {
                              "SELECT COUNT(*) FROM t; SELECT NOPE(u0) FROM t")
                    .ok());
   EXPECT_FALSE(ExecuteScript(executor_.get(), " ;; ").ok());
+}
+
+TEST(SqlSizeInvarianceTest, FramebufferSizeChangesNoAnswerAndNoCounter) {
+  // A device sized to the table and one with 4x the pixels run the nine
+  // session-benchmark statement shapes. Work is sized to the viewport, so
+  // answers and counter deltas must be identical -- except the row-id
+  // SELECT's stencil readback, which still ships the whole framebuffer.
+  ASSERT_OK_AND_ASSIGN(db::Table table, db::MakeTcpIpTable(4096, /*seed=*/5));
+  const auto quantile = [&](const char* column, double q) {
+    std::vector<float> v = table.column(table.ColumnIndex(column).ValueOrDie())
+                               .values();
+    std::sort(v.begin(), v.end());
+    return std::to_string(static_cast<uint32_t>(
+        v[static_cast<size_t>(q * static_cast<double>(v.size() - 1))]));
+  };
+  const std::vector<std::string> shapes = {
+      "SELECT COUNT(*) FROM flows WHERE data_count > " +
+          quantile("data_count", 0.5),
+      "SELECT COUNT(*) FROM flows WHERE data_count >= " +
+          quantile("data_count", 0.25) + " AND flow_rate < " +
+          quantile("flow_rate", 0.75),
+      "SELECT COUNT(*) FROM flows WHERE flow_rate BETWEEN " +
+          quantile("flow_rate", 0.2) + " AND " + quantile("flow_rate", 0.6),
+      "SELECT COUNT(*) FROM flows WHERE data_count < flow_rate",
+      "SELECT COUNT(*) FROM flows WHERE NOT (data_count < " +
+          quantile("data_count", 0.3) + " OR flow_rate > " +
+          quantile("flow_rate", 0.8) + ")",
+      "SELECT * FROM flows WHERE data_count > " + quantile("data_count", 0.9),
+      "SELECT MEDIAN(data_count) FROM flows",
+      "SELECT MAX(data_count) FROM flows WHERE flow_rate BETWEEN " +
+          quantile("flow_rate", 0.4) + " AND " + quantile("flow_rate", 0.5),
+      "SELECT SUM(data_count) FROM flows WHERE flow_rate >= " +
+          quantile("flow_rate", 0.2) + " AND flow_rate < " +
+          quantile("flow_rate", 0.8) + " AND data_count BETWEEN " +
+          quantile("data_count", 0.1) + " AND " +
+          quantile("data_count", 0.9) + " AND retransmissions < " +
+          quantile("retransmissions", 0.8),
+  };
+  gpu::Device fitted(64, 64);
+  gpu::Device large(128, 128);
+  ASSERT_OK_AND_ASSIGN(auto fitted_exec, core::Executor::Make(&fitted, &table));
+  ASSERT_OK_AND_ASSIGN(auto large_exec, core::Executor::Make(&large, &table));
+  for (const std::string& sql : shapes) {
+    SCOPED_TRACE(sql);
+    const gpu::DeviceCounters fitted_before = fitted.counters();
+    const gpu::DeviceCounters large_before = large.counters();
+    ASSERT_OK_AND_ASSIGN(QueryResult a, ExecuteSql(fitted_exec.get(), sql));
+    ASSERT_OK_AND_ASSIGN(QueryResult b, ExecuteSql(large_exec.get(), sql));
+    EXPECT_EQ(a.count, b.count);
+    EXPECT_EQ(a.scalar, b.scalar);
+    EXPECT_EQ(a.row_ids, b.row_ids);
+    const gpu::DeviceCounters da =
+        gpu::DeltaSince(fitted_before, fitted.counters());
+    gpu::DeviceCounters db = gpu::DeltaSince(large_before, large.counters());
+    EXPECT_GT(da.passes, 0u);
+    const uint64_t readback_gap =
+        a.kind == Query::Kind::kSelectRows
+            ? large.framebuffer().pixel_count() -
+                  fitted.framebuffer().pixel_count()
+            : 0;
+    EXPECT_EQ(db.bytes_read_back, da.bytes_read_back + readback_gap);
+    db.bytes_read_back = da.bytes_read_back;
+    int differing = 0;
+    db.ZipWith(da, [&](uint64_t& mine, uint64_t theirs) {
+      differing += mine != theirs ? 1 : 0;
+    });
+    EXPECT_EQ(differing, 0);
+  }
 }
 
 TEST_F(SqlEndToEndTest, NullExecutorRejected) {
