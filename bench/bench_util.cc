@@ -286,7 +286,7 @@ float ThresholdForSelectivity(const db::Column& column, size_t n,
 void PrintHeader(const std::string& figure, const std::string& description,
                  const std::string& paper_claim) {
   Recording() = {true, figure, description, paper_claim, {}};
-  if (Profiler::Global().enabled()) LastProfTotalsSlot() = CurrentProfTotals();
+  DropProfileSinceLastRow();
   std::printf("================================================================================\n");
   std::printf("%s: %s\n", figure.c_str(), description.c_str());
   std::printf("paper: %s\n", paper_claim.c_str());
@@ -299,6 +299,10 @@ void PrintRowHeader() {
   std::printf("%-14s %14s %16s %14s %10s %12s %12s %7s\n", "label",
               "gpu_model_ms", "gpu_compute_ms", "cpu_model_ms", "speedup",
               "gpu_wall_ms", "cpu_wall_ms", "check");
+}
+
+void DropProfileSinceLastRow() {
+  if (Profiler::Global().enabled()) LastProfTotalsSlot() = CurrentProfTotals();
 }
 
 void PrintRow(const ResultRow& row) {

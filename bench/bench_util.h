@@ -111,6 +111,10 @@ struct ResultRow {
 void PrintRowHeader();
 void PrintRow(const ResultRow& row);
 
+/// Leaves the Profiler counters gathered since the last PrintHeader/PrintRow
+/// out of the next row: for untimed warm-up work the row must not report.
+void DropProfileSinceLastRow();
+
 /// Footer: summarizes the shape vs the paper's claim, and writes every row
 /// recorded since the last PrintHeader to BENCH_<figure>.json (figure name
 /// lowercased, non-alphanumerics folded to '_') in the directory named by

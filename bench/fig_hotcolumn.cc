@@ -41,14 +41,15 @@ int Run() {
     bool ok = true;
     for (int q = 0; q < kRepeats; ++q) {
       core::SelectionExecOptions opts;
-      opts.plan = core::PlanSelectionPasses(clauses, /*fusion_enabled=*/true,
+      opts.plan = core::PlanSelectionPasses(clauses, core::NormalForm::kCnf,
+                                            /*fusion_enabled=*/true,
                                             /*cache_enabled=*/true);
       opts.use_cache = true;
       opts.table = "tcpip";
       opts.table_version = 1;
       device->ResetCounters();
       Timer timer;
-      auto sel = core::EvalCnfPlanned(device.get(), clauses, &opts);
+      auto sel = core::EvalCnf(device.get(), clauses, &opts);
       const double wall = timer.ElapsedMs();
       if (!sel.ok()) return 1;
       const double ms = model.EstimateMs(device->counters());

@@ -48,41 +48,12 @@ struct StencilSelection {
   uint64_t count = 0;
 };
 
-/// \brief Routine 4.3 (EvalCNF): evaluates A_1 AND ... AND A_k where each
-/// A_i is a disjunction of simple predicates, using the three stencil values
-/// {0, 1, 2} exactly as the paper describes: the stencil is cleared to 1;
-/// clause i alternates the valid value between 1 and 2 via INCR/DECR, with a
-/// cleanup pass zeroing records that failed the clause.
-///
-/// On return the stencil buffer holds the selection mask and the result
-/// reports the valid stencil value (2 if the clause count is odd, 1 if
-/// even) plus the selected-record count (one extra counting pass).
-[[nodiscard]] Result<StencilSelection> EvalCnf(gpu::Device* device,
-                                 const std::vector<GpuClause>& clauses);
-
-/// One DNF term: conjunction of simple predicates.
-using GpuTerm = std::vector<GpuPredicate>;
-
-/// \brief DNF evaluation -- the paper's claimed easy modification of
-/// Routine 4.3 ("We can easily modify our algorithm for handling a boolean
-/// expression represented as a DNF", Section 4.2). Evaluates
-/// T_1 OR T_2 OR ... OR T_k where each T_i is a conjunction.
-///
-/// Stencil scheme: candidates hold 1, records selected by some term hold 0
-/// (ZERO is the only reference-free "stamp" operation, which makes 0 the
-/// natural selected marker). Each term runs an EvalConjunction-style chain
-/// 1 -> m+1 over the candidates, stamps the survivors to 0, and decrements
-/// partial chains back to 1 for the next term.
-///
-/// On return the stencil marks selected records with value 0 (the returned
-/// StencilSelection's valid_value).
-[[nodiscard]] Result<StencilSelection> EvalDnf(gpu::Device* device,
-                                 const std::vector<GpuTerm>& terms);
-
-/// \brief How a planned selection should execute, plus what actually
-/// happened (DESIGN.md §14). The caller fills the plan and cache identity;
-/// the planned evaluators fill the outcome counters, which the executor
-/// surfaces as EXPLAIN annotations and query-log columns.
+/// \brief How a selection should execute, plus what actually happened
+/// (DESIGN.md §14). The caller fills the plan and cache identity; EvalCnf
+/// and EvalDnf fill the outcome counters, which the executor surfaces as
+/// EXPLAIN annotations and query-log columns. A default-constructed value
+/// (every rewrite off, no cache) runs the paper's reference pass sequence,
+/// which is also what a null `opts` means.
 struct SelectionExecOptions {
   PassPlan plan;
   /// Depth-plane caching for kDepthCompare predicates. Requires `table`
@@ -98,30 +69,60 @@ struct SelectionExecOptions {
   int cache_misses = 0;
 };
 
-/// \brief EvalCnf with the planner's pass rewrite applied (DESIGN.md §14):
-/// chain-collapsed when the plan says so, depth-compare predicates run
-/// fused or through the depth-plane cache. Bit-exact with EvalCnf on the
-/// same clauses -- same stencil mask, same valid value, same count -- at
-/// any thread count; only the pass sequence (and the depth plane's final
-/// contents) differ. `opts` must be non-null.
-[[nodiscard]] Result<StencilSelection> EvalCnfPlanned(
+/// \brief Routine 4.3 (EvalCNF): evaluates A_1 AND ... AND A_k where each
+/// A_i is a disjunction of simple predicates, using the three stencil values
+/// {0, 1, 2} exactly as the paper describes: the stencil is cleared to 1;
+/// clause i alternates the valid value between 1 and 2 via INCR/DECR, with a
+/// cleanup pass zeroing records that failed the clause.
+///
+/// On return the stencil buffer holds the selection mask and the result
+/// reports the valid stencil value (2 if the clause count is odd, 1 if
+/// even) plus the selected-record count (one extra counting pass).
+///
+/// `opts` applies the planner's rewrites (DESIGN.md §14); null, or a plan
+/// with every rewrite off, runs exactly the sequence above.
+///   - `plan.chain` is Section 5.7's conjunction chain: every clause must be
+///     a single predicate, and predicate i passes records from stencil value
+///     i to i+1, so no cleanup passes are needed and k+1 is the valid value.
+///     The 8-bit stencil bounds it at 254 clauses (ResourceExhausted
+///     beyond); a multi-predicate clause is InvalidArgument.
+///   - `plan.fused_count` lets the chain's last comparison carry the
+///     occlusion query, dropping the counting pass. Without `plan.chain`
+///     it is InvalidArgument.
+///   - `plan.fused_compares` and `opts->use_cache` route depth-compare
+///     predicates through the fused copy+compare pass or the depth-plane
+///     cache.
+/// Every rewrite is bit-exact with the reference on the selected set and
+/// count, at any thread count; only the pass sequence, the chain's valid
+/// value and the depth plane's final contents differ.
+[[nodiscard]] Result<StencilSelection> EvalCnf(
     gpu::Device* device, const std::vector<GpuClause>& clauses,
-    SelectionExecOptions* opts);
+    SelectionExecOptions* opts = nullptr);
 
-/// \brief EvalDnf with per-predicate fusion/caching applied (the DNF
-/// skeleton itself -- term chains, stamps, walk-downs -- is already
-/// minimal). Bit-exact with EvalDnf. `opts` must be non-null.
-[[nodiscard]] Result<StencilSelection> EvalDnfPlanned(
+/// One DNF term: conjunction of simple predicates.
+using GpuTerm = std::vector<GpuPredicate>;
+
+/// \brief DNF evaluation -- the paper's claimed easy modification of
+/// Routine 4.3 ("We can easily modify our algorithm for handling a boolean
+/// expression represented as a DNF", Section 4.2). Evaluates
+/// T_1 OR T_2 OR ... OR T_k where each T_i is a conjunction.
+///
+/// Stencil scheme: candidates hold 1, records selected by some term hold 0
+/// (ZERO is the only reference-free "stamp" operation, which makes 0 the
+/// natural selected marker). Each term runs a conjunction chain 1 -> m+1
+/// over the candidates, stamps the survivors to 0, and decrements partial
+/// chains back to 1 for the next term.
+///
+/// On return the stencil marks selected records with value 0 (the returned
+/// StencilSelection's valid_value).
+///
+/// `opts` applies per-predicate fusion and plane caching as in EvalCnf. The
+/// DNF skeleton (term chains, stamps, walk-downs) admits no chain rewrite:
+/// `plan.chain` and `plan.fused_count` do not apply, and
+/// PlanSelectionPasses never sets them for DNF terms.
+[[nodiscard]] Result<StencilSelection> EvalDnf(
     gpu::Device* device, const std::vector<GpuTerm>& terms,
-    SelectionExecOptions* opts);
-
-/// \brief Optimized variant for pure conjunctions (every clause a single
-/// predicate), used by the multi-attribute query experiment (Section 5.7)
-/// and the ablation benchmark: predicate j passes records from stencil
-/// value j to j+1, so no cleanup passes are needed. Supports up to 254
-/// conjuncts (8-bit stencil).
-[[nodiscard]] Result<StencilSelection> EvalConjunction(
-    gpu::Device* device, const std::vector<GpuPredicate>& conjuncts);
+    SelectionExecOptions* opts = nullptr);
 
 }  // namespace core
 }  // namespace gpudb

@@ -284,20 +284,17 @@ Result<StencilSelection> Executor::Where(const predicate::ExprPtr& expr) {
                            Lower(cnf.ValueOrDie().clauses));
     op.AddTag("normal_form", "cnf");
     op.AddTag("clauses", clauses.size());
-    exec.plan =
-        PlanSelectionPasses(clauses, plan_options_.fusion, use_cache);
-    GPUDB_ASSIGN_OR_RETURN(sel, EvalCnfPlanned(device_, clauses, &exec));
+    exec.plan = PlanSelectionPasses(clauses, NormalForm::kCnf,
+                                    plan_options_.fusion, use_cache);
+    GPUDB_ASSIGN_OR_RETURN(sel, EvalCnf(device_, clauses, &exec));
   } else {
     GPUDB_ASSIGN_OR_RETURN(std::vector<GpuTerm> terms,
                            Lower(dnf.ValueOrDie().terms));
     op.AddTag("normal_form", "dnf");
     op.AddTag("terms", terms.size());
-    // The DNF skeleton (term chains, stamps, walk-downs) admits no chain
-    // rewrite; only the per-predicate copy+compare fusion / caching apply.
-    exec.plan = PlanSelectionPasses(terms, plan_options_.fusion, use_cache);
-    exec.plan.chain = false;
-    exec.plan.fused_count = false;
-    GPUDB_ASSIGN_OR_RETURN(sel, EvalDnfPlanned(device_, terms, &exec));
+    exec.plan = PlanSelectionPasses(terms, NormalForm::kDnf,
+                                    plan_options_.fusion, use_cache);
+    GPUDB_ASSIGN_OR_RETURN(sel, EvalDnf(device_, terms, &exec));
   }
   if (exec.plan.Rewritten()) {
     MetricsRegistry::Global().counter("planner.fused_plans").Increment();

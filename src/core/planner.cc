@@ -10,51 +10,32 @@
 namespace gpudb {
 namespace core {
 
-PassPlan PlanSelectionPasses(const std::vector<GpuClause>& clauses,
-                             bool fusion_enabled, bool cache_enabled) {
+PassPlan PlanSelectionPasses(const std::vector<GpuClause>& groups,
+                             NormalForm form, bool fusion_enabled,
+                             bool cache_enabled) {
   PassPlan plan;
+  if (!fusion_enabled) return plan;
 
-  // Reference pass budget: EvalCnf issues, per predicate, a CopyToDepth +
-  // CompareQuad pair (depth compares) or one semilinear pass, plus one
-  // cleanup pass per clause and one final counting pass.
   int depth_compares = 0;
-  int semilinears = 0;
   bool all_singletons = true;
-  for (const GpuClause& clause : clauses) {
-    if (clause.size() != 1) all_singletons = false;
-    for (const GpuPredicate& pred : clause) {
-      if (pred.kind == GpuPredicate::Kind::kDepthCompare) {
-        ++depth_compares;
-      } else {
-        ++semilinears;
-      }
+  for (const GpuClause& group : groups) {
+    if (group.size() != 1) all_singletons = false;
+    for (const GpuPredicate& pred : group) {
+      if (pred.kind == GpuPredicate::Kind::kDepthCompare) ++depth_compares;
     }
   }
-  const int k = static_cast<int>(clauses.size());
-  plan.unfused_passes = 2 * depth_compares + semilinears + k + 1;
 
-  if (!fusion_enabled) {
-    plan.planned_passes = plan.unfused_passes;
-    return plan;
-  }
-
-  // Chain rewrite: all-singleton CNFs collapse to the EvalConjunction
-  // stencil chain (no cleanup passes), capped by the 8-bit stencil, and the
-  // final predicate pass carries the count itself.
-  plan.chain = all_singletons && k >= 1 && k <= 254;
+  // Chain rewrite: all-singleton CNFs collapse to the conjunction stencil
+  // chain (no cleanup passes), capped by the 8-bit stencil, and the final
+  // predicate pass carries the count itself.
+  plan.chain = form == NormalForm::kCnf && all_singletons &&
+               !groups.empty() && groups.size() <= 254;
   plan.fused_count = plan.chain;
 
   // Copy+compare fusion applies per depth-compare predicate -- unless the
   // plane cache is on, which needs the attribute copy kept separate so its
   // depth plane can be snapshotted and restored (see PassPlan docs).
   plan.fused_compares = cache_enabled ? 0 : depth_compares;
-
-  int passes = plan.fused_compares > 0
-                   ? depth_compares + semilinears  // one pass per predicate
-                   : 2 * depth_compares + semilinears;
-  if (!plan.chain) passes += k;       // per-clause cleanup passes
-  if (!plan.fused_count) passes += 1;  // separate counting pass
-  plan.planned_passes = passes;
   return plan;
 }
 

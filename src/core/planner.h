@@ -33,20 +33,20 @@ enum class Backend { kGpu, kCpu };
 std::string_view ToString(Backend backend);
 
 /// \brief The planner's rewrite of a selection's pass sequence (DESIGN.md
-/// §14): which fusion rules apply and what the pass budget looks like on
-/// each side. The rewrite never changes results -- every rule is proven
-/// fragment-set-equivalent to the reference sequence -- only how many
-/// passes the device renders to get them.
+/// §14): which fusion rules apply. The rewrite never changes results --
+/// every rule is proven fragment-set-equivalent to the reference sequence
+/// -- only how many passes the device renders to get them. A
+/// default-constructed plan is the reference sequence itself.
 struct PassPlan {
   /// All clauses are single-predicate, so the CNF INCR/DECR bookkeeping
-  /// (per-clause parity flips + cleanup passes) collapses into one
-  /// EvalConjunction-style stencil chain: predicate i runs with stencil
-  /// EQUAL i+1 / INCR, no cleanup passes at all. Requires <= 254 predicates
-  /// (8-bit stencil, values 1..255).
+  /// (per-clause parity flips + cleanup passes) collapses into Section
+  /// 5.7's conjunction chain: predicate i runs with stencil EQUAL i+1 /
+  /// INCR, no cleanup passes at all. Requires <= 254 predicates (8-bit
+  /// stencil, values 1..255). CNF only.
   bool chain = false;
   /// The chain's final predicate pass carries the occlusion query itself:
   /// its survivors are exactly the selected records, so the separate
-  /// CountSelected pass is dropped.
+  /// CountSelected pass is dropped. Requires `chain`.
   bool fused_count = false;
   /// Depth-compare predicates that run as single fused copy+compare passes
   /// (core::FusedComparePass) instead of CopyToDepth + CompareQuad pairs.
@@ -54,20 +54,22 @@ struct PassPlan {
   /// attribute copy separate so its depth plane can be snapshotted and
   /// restored across queries.
   int fused_compares = 0;
-  /// Device passes the rewritten plan issues for a COUNT-style selection
-  /// (cache synthetic passes excluded), and what the unrewritten reference
-  /// sequence would have issued. EXPLAIN surfaces the pair.
-  int planned_passes = 0;
-  int unfused_passes = 0;
 
   bool Rewritten() const { return chain || fused_count || fused_compares > 0; }
 };
 
-/// Plans the pass sequence for a CNF selection. `fusion_enabled` gates
-/// every rewrite; `cache_enabled` disables per-predicate copy+compare
-/// fusion (see PassPlan::fused_compares) but keeps the chain rules.
-PassPlan PlanSelectionPasses(const std::vector<GpuClause>& clauses,
-                             bool fusion_enabled, bool cache_enabled);
+/// Which normal form a selection's predicate groups are in: CNF clauses
+/// (core::EvalCnf) or DNF terms (core::EvalDnf).
+enum class NormalForm { kCnf, kDnf };
+
+/// Plans the pass sequence for a CNF or DNF selection. `fusion_enabled`
+/// gates every rewrite; `cache_enabled` disables per-predicate copy+compare
+/// fusion (see PassPlan::fused_compares) but keeps the chain rules. The
+/// chain rules apply to CNF only: DNF's term stamps and walk-downs need the
+/// full skeleton.
+PassPlan PlanSelectionPasses(const std::vector<GpuClause>& groups,
+                             NormalForm form, bool fusion_enabled,
+                             bool cache_enabled);
 
 /// \brief A co-processor routing decision with its rationale.
 ///

@@ -1,3 +1,5 @@
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -40,13 +42,15 @@ class EvalCnfTest : public ::testing::Test {
   }
 
   /// Cross-checks an EvalCnf result (count + stencil mask) against the CPU
-  /// reference for the equivalent predicate::Cnf.
+  /// reference for the equivalent predicate::Cnf. A null `opts` runs
+  /// Routine 4.3 as the paper writes it.
   void CheckAgainstCpu(const std::vector<GpuClause>& gpu_clauses,
-                       const predicate::Cnf& cnf) {
+                       const predicate::Cnf& cnf,
+                       SelectionExecOptions* opts = nullptr) {
     std::vector<uint8_t> cpu_mask;
     auto cpu_count = cpu::CnfScan(table_, cnf, &cpu_mask);
     ASSERT_TRUE(cpu_count.ok());
-    auto sel = EvalCnf(&device_, gpu_clauses);
+    auto sel = EvalCnf(&device_, gpu_clauses, opts);
     ASSERT_TRUE(sel.ok()) << sel.status().ToString();
     EXPECT_EQ(sel.ValueOrDie().count, cpu_count.ValueOrDie());
     const std::vector<uint8_t> stencil = device_.ReadStencil().ValueOrDie();
@@ -269,41 +273,166 @@ TEST_F(EvalCnfTest, RejectsEmptyInput) {
   EXPECT_FALSE(EvalCnf(&device_, {GpuClause{}}).ok());
 }
 
+/// Section 5.7's conjunction chain: EvalCnf with only the chain rewrite.
+SelectionExecOptions ChainOnly() {
+  SelectionExecOptions opts;
+  opts.plan.chain = true;
+  return opts;
+}
+
 TEST_F(EvalCnfTest, ConjunctionFastPathMatchesGeneralPath) {
-  std::vector<GpuPredicate> conjuncts = {
-      Depth(0, CompareOp::kGreaterEqual, 64),
-      Depth(1, CompareOp::kLess, 192),
-      Depth(2, CompareOp::kNotEqual, 7)};
-  std::vector<GpuClause> clauses;
-  for (const auto& p : conjuncts) clauses.push_back({p});
+  predicate::Cnf cnf;
+  cnf.clauses = {{Simple(0, CompareOp::kGreaterEqual, 64)},
+                 {Simple(1, CompareOp::kLess, 192)},
+                 {Simple(2, CompareOp::kNotEqual, 7)}};
+  std::vector<GpuClause> clauses = {{Depth(0, CompareOp::kGreaterEqual, 64)},
+                                    {Depth(1, CompareOp::kLess, 192)},
+                                    {Depth(2, CompareOp::kNotEqual, 7)}};
 
   auto general = EvalCnf(&device_, clauses);
   ASSERT_TRUE(general.ok());
-  auto fast = EvalConjunction(&device_, conjuncts);
+  SelectionExecOptions chain = ChainOnly();
+  auto fast = EvalCnf(&device_, clauses, &chain);
   ASSERT_TRUE(fast.ok());
   EXPECT_EQ(fast.ValueOrDie().count, general.ValueOrDie().count);
+  // The chain climbs to k+1 instead of flipping between 1 and 2.
+  EXPECT_EQ(fast.ValueOrDie().valid_value, 4);
+  CheckAgainstCpu(clauses, cnf, &chain);
 }
 
 TEST_F(EvalCnfTest, ConjunctionFastPathUsesFewerPasses) {
-  std::vector<GpuPredicate> conjuncts = {
-      Depth(0, CompareOp::kGreaterEqual, 64),
-      Depth(1, CompareOp::kLess, 192)};
-  std::vector<GpuClause> clauses = {{conjuncts[0]}, {conjuncts[1]}};
+  std::vector<GpuClause> clauses = {{Depth(0, CompareOp::kGreaterEqual, 64)},
+                                    {Depth(1, CompareOp::kLess, 192)}};
 
   device_.ResetCounters();
   ASSERT_TRUE(EvalCnf(&device_, clauses).ok());
   const uint64_t general_passes = device_.counters().passes;
   device_.ResetCounters();
-  ASSERT_TRUE(EvalConjunction(&device_, conjuncts).ok());
+  SelectionExecOptions chain = ChainOnly();
+  ASSERT_TRUE(EvalCnf(&device_, clauses, &chain).ok());
   const uint64_t fast_passes = device_.counters().passes;
   EXPECT_LT(fast_passes, general_passes);
 }
 
-TEST_F(EvalCnfTest, ConjunctionRejectsTooManyConjuncts) {
-  std::vector<GpuPredicate> many(255,
-                                 Depth(0, CompareOp::kGreaterEqual, 0));
-  EXPECT_FALSE(EvalConjunction(&device_, many).ok());
-  EXPECT_FALSE(EvalConjunction(&device_, {}).ok());
+TEST_F(EvalCnfTest, ChainRejectsMultiPredicateClause) {
+  // The chain runs one predicate per clause; silently dropping the second
+  // disjunct would select fewer rows than Routine 4.3.
+  const std::vector<GpuClause> clauses = {
+      {Depth(0, CompareOp::kLess, 10), Depth(1, CompareOp::kLess, 10)}};
+  SelectionExecOptions chain = ChainOnly();
+  auto sel = EvalCnf(&device_, clauses, &chain);
+  ASSERT_FALSE(sel.ok());
+  EXPECT_TRUE(sel.status().IsInvalidArgument()) << sel.status().ToString();
+}
+
+TEST_F(EvalCnfTest, ChainRejectsMoreThan254Clauses) {
+  // Clause 255 would push the 8-bit stencil past 255 and wrap the count.
+  const std::vector<GpuClause> many(
+      255, GpuClause{Depth(0, CompareOp::kGreaterEqual, 0)});
+  SelectionExecOptions chain = ChainOnly();
+  auto sel = EvalCnf(&device_, many, &chain);
+  ASSERT_FALSE(sel.ok());
+  EXPECT_TRUE(sel.status().IsResourceExhausted()) << sel.status().ToString();
+  // 254 is the chain's limit, not an error.
+  const std::vector<GpuClause> most(
+      254, GpuClause{Depth(0, CompareOp::kGreaterEqual, 0)});
+  auto at_limit = EvalCnf(&device_, most, &chain);
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  EXPECT_EQ(at_limit.ValueOrDie().count, table_.num_rows());
+  EXPECT_EQ(at_limit.ValueOrDie().valid_value, 255);
+}
+
+TEST_F(EvalCnfTest, FusedCountWithoutChainIsRejected) {
+  // The count rides on the chain's last comparison; without the chain
+  // there is no such pass to carry it.
+  SelectionExecOptions count_only;
+  count_only.plan.fused_count = true;
+  auto sel = EvalCnf(&device_, {{Depth(0, CompareOp::kGreaterEqual, 64)}},
+                     &count_only);
+  EXPECT_TRUE(sel.status().IsInvalidArgument()) << sel.status().ToString();
+}
+
+/// A pass record reduced to (label, fragments, fragments_passed,
+/// stencil_updates): the part of the pass log the paper's routines fix.
+using PassTuple = std::tuple<std::string, uint64_t, uint64_t, uint64_t>;
+
+std::vector<PassTuple> Tuples(const std::vector<gpu::PassRecord>& log) {
+  std::vector<PassTuple> out;
+  for (const gpu::PassRecord& r : log) {
+    out.emplace_back(r.label, r.fragments, r.fragments_passed,
+                     r.stencil_updates);
+  }
+  return out;
+}
+
+TEST_F(EvalCnfTest, ReferencePassSequencesArePinned) {
+  // Routine 4.3, the Section 4.2 DNF and Section 5.7's chain with no
+  // planner rewrite: the exact pass logs the figure and ablation benches
+  // price, record for record.
+  const std::vector<GpuClause> cnf = {
+      {Depth(0, CompareOp::kGreaterEqual, 32), Depth(1, CompareOp::kLess, 32)},
+      {Depth(1, CompareOp::kLessEqual, 224)}};
+  {
+    gpu::PassLogScope log(&device_);
+    ASSERT_OK_AND_ASSIGN(StencilSelection sel, EvalCnf(&device_, cnf));
+    EXPECT_EQ(sel.count, 1190u);
+    EXPECT_EQ(sel.valid_value, 1);
+    const std::vector<PassTuple> want = {
+        {"CopyToDepthFP", 1500, 1500, 0},
+        {"fixed-function", 1500, 1324, 1324},
+        {"CopyToDepthFP", 1500, 1500, 0},
+        {"fixed-function", 1500, 16, 16},
+        {"fixed-function", 1500, 160, 160},  // clause 1 cleanup
+        {"CopyToDepthFP", 1500, 1500, 0},
+        {"fixed-function", 1500, 1190, 1190},
+        {"fixed-function", 1500, 150, 150},  // clause 2 cleanup
+        {"fixed-function", 1500, 1190, 0}};  // CountSelected
+    EXPECT_EQ(Tuples(log.records()), want);
+  }
+
+  const std::vector<GpuTerm> dnf = {
+      {Depth(0, CompareOp::kGreaterEqual, 200), Depth(1, CompareOp::kLess, 64)},
+      {Depth(1, CompareOp::kEqual, 7)}};
+  {
+    gpu::PassLogScope log(&device_);
+    ASSERT_OK_AND_ASSIGN(StencilSelection sel, EvalDnf(&device_, dnf));
+    EXPECT_EQ(sel.count, 83u);
+    EXPECT_EQ(sel.valid_value, 0);
+    const std::vector<PassTuple> want = {
+        {"CopyToDepthFP", 1500, 1500, 0},
+        {"fixed-function", 1500, 341, 341},
+        {"CopyToDepthFP", 1500, 1500, 0},
+        {"fixed-function", 1500, 80, 80},
+        {"fixed-function", 1500, 80, 80},    // term 1 stamp
+        {"fixed-function", 1500, 261, 261},  // term 1 walk-down
+        {"CopyToDepthFP", 1500, 1500, 0},
+        {"fixed-function", 1500, 3, 3},
+        {"fixed-function", 1500, 3, 3},      // term 2 stamp
+        {"fixed-function", 1500, 83, 0}};    // CountSelected
+    EXPECT_EQ(Tuples(log.records()), want);
+  }
+
+  const std::vector<GpuClause> conjunction = {
+      {Depth(0, CompareOp::kGreaterEqual, 64)},
+      {Depth(1, CompareOp::kLess, 192)},
+      {Depth(2, CompareOp::kNotEqual, 7)}};
+  {
+    SelectionExecOptions chain = ChainOnly();
+    gpu::PassLogScope log(&device_);
+    ASSERT_OK_AND_ASSIGN(StencilSelection sel,
+                         EvalCnf(&device_, conjunction, &chain));
+    EXPECT_EQ(sel.count, 849u);
+    EXPECT_EQ(sel.valid_value, 4);
+    const std::vector<PassTuple> want = {
+        {"CopyToDepthFP", 1500, 1500, 0},
+        {"fixed-function", 1500, 1130, 1130},
+        {"CopyToDepthFP", 1500, 1500, 0},
+        {"fixed-function", 1500, 853, 853},
+        {"CopyToDepthFP", 1500, 1500, 0},
+        {"fixed-function", 1500, 849, 849},
+        {"fixed-function", 1500, 849, 0}};  // CountSelected
+    EXPECT_EQ(Tuples(log.records()), want);
+  }
 }
 
 }  // namespace

@@ -44,62 +44,116 @@ std::vector<bool> SelectionMask(gpu::Device* device, uint8_t valid,
 }
 
 // ---------------------------------------------------------------------------
-// PlanSelectionPasses units.
+// PlanSelectionPasses units: the rewrites each shape is planned, and the
+// device passes EvalCnf/EvalDnf issue with that plan and without one.
 
-TEST(PlanSelectionPassesTest, SingletonCnfCollapsesToCountedChain) {
-  AttributeBinding attr;
+class PlanSelectionPassesTest : public ::testing::Test {
+ protected:
+  PlanSelectionPassesTest() : device_(64, 64) {
+    attr_ = UploadIntAttribute(&device_, RandomInts(kRecords, kBitWidth, 5),
+                               64);
+  }
+
+  /// Device passes one EvalCnf issues under `opts` (null: rewrites off).
+  uint64_t CnfPasses(const std::vector<GpuClause>& clauses,
+                     SelectionExecOptions* opts) {
+    const uint64_t before = device_.counters().passes;
+    EXPECT_OK(EvalCnf(&device_, clauses, opts).status());
+    return device_.counters().passes - before;
+  }
+
+  /// Device passes one EvalDnf issues under `opts` (null: rewrites off).
+  uint64_t DnfPasses(const std::vector<GpuTerm>& terms,
+                     SelectionExecOptions* opts) {
+    const uint64_t before = device_.counters().passes;
+    EXPECT_OK(EvalDnf(&device_, terms, opts).status());
+    return device_.counters().passes - before;
+  }
+
+  gpu::Device device_;
+  AttributeBinding attr_;
+};
+
+TEST_F(PlanSelectionPassesTest, SingletonCnfCollapsesToCountedChain) {
   const std::vector<GpuClause> clauses = {
-      {Depth(attr, CompareOp::kGreater, 10)},
-      {Depth(attr, CompareOp::kLess, 90)},
-      {Depth(attr, CompareOp::kNotEqual, 50)}};
-  const PassPlan plan = PlanSelectionPasses(clauses, /*fusion_enabled=*/true,
-                                            /*cache_enabled=*/false);
-  EXPECT_TRUE(plan.chain);
-  EXPECT_TRUE(plan.fused_count);
-  EXPECT_EQ(plan.fused_compares, 3);
-  EXPECT_TRUE(plan.Rewritten());
+      {Depth(attr_, CompareOp::kGreater, 10)},
+      {Depth(attr_, CompareOp::kLess, 90)},
+      {Depth(attr_, CompareOp::kNotEqual, 50)}};
+  SelectionExecOptions opts;
+  opts.plan = PlanSelectionPasses(clauses, NormalForm::kCnf,
+                                  /*fusion_enabled=*/true,
+                                  /*cache_enabled=*/false);
+  EXPECT_TRUE(opts.plan.chain);
+  EXPECT_TRUE(opts.plan.fused_count);
+  EXPECT_EQ(opts.plan.fused_compares, 3);
+  EXPECT_TRUE(opts.plan.Rewritten());
   // Reference: 3 copies + 3 compares + 3 cleanups + 1 count = 10.
-  EXPECT_EQ(plan.unfused_passes, 10);
+  EXPECT_EQ(CnfPasses(clauses, nullptr), 10u);
   // Rewritten: 3 fused compare passes, count carried by the last one.
-  EXPECT_EQ(plan.planned_passes, 3);
+  EXPECT_EQ(CnfPasses(clauses, &opts), 3u);
 }
 
-TEST(PlanSelectionPassesTest, MultiPredicateClauseKeepsTheCnfSkeleton) {
-  AttributeBinding attr;
+TEST_F(PlanSelectionPassesTest, MultiPredicateClauseKeepsTheCnfSkeleton) {
   const std::vector<GpuClause> clauses = {
-      {Depth(attr, CompareOp::kLess, 10), Depth(attr, CompareOp::kGreater, 90)},
-      {Depth(attr, CompareOp::kNotEqual, 0)}};
-  const PassPlan plan = PlanSelectionPasses(clauses, true, false);
-  EXPECT_FALSE(plan.chain);
-  EXPECT_FALSE(plan.fused_count);
-  EXPECT_EQ(plan.fused_compares, 3);
+      {Depth(attr_, CompareOp::kLess, 10),
+       Depth(attr_, CompareOp::kGreater, 90)},
+      {Depth(attr_, CompareOp::kNotEqual, 0)}};
+  SelectionExecOptions opts;
+  opts.plan = PlanSelectionPasses(clauses, NormalForm::kCnf, true, false);
+  EXPECT_FALSE(opts.plan.chain);
+  EXPECT_FALSE(opts.plan.fused_count);
+  EXPECT_EQ(opts.plan.fused_compares, 3);
   // Reference: 3 copies + 3 compares + 2 cleanups + 1 count = 9.
-  EXPECT_EQ(plan.unfused_passes, 9);
+  EXPECT_EQ(CnfPasses(clauses, nullptr), 9u);
   // Rewritten: 3 fused + 2 cleanups + 1 count = 6.
-  EXPECT_EQ(plan.planned_passes, 6);
+  EXPECT_EQ(CnfPasses(clauses, &opts), 6u);
 }
 
-TEST(PlanSelectionPassesTest, FusionDisabledPlansTheReferenceSequence) {
-  AttributeBinding attr;
-  const std::vector<GpuClause> clauses = {{Depth(attr, CompareOp::kLess, 5)}};
-  const PassPlan plan = PlanSelectionPasses(clauses, false, false);
-  EXPECT_FALSE(plan.Rewritten());
-  EXPECT_EQ(plan.planned_passes, plan.unfused_passes);
-}
-
-TEST(PlanSelectionPassesTest, CacheDisablesCompareFusionButKeepsTheChain) {
-  AttributeBinding attr;
+TEST_F(PlanSelectionPassesTest, FusionDisabledPlansTheReferenceSequence) {
   const std::vector<GpuClause> clauses = {
-      {Depth(attr, CompareOp::kGreater, 10)},
-      {Depth(attr, CompareOp::kLess, 90)}};
-  const PassPlan plan = PlanSelectionPasses(clauses, true, true);
+      {Depth(attr_, CompareOp::kLess, 5)}};
+  SelectionExecOptions opts;
+  opts.plan = PlanSelectionPasses(clauses, NormalForm::kCnf, false, false);
+  EXPECT_FALSE(opts.plan.Rewritten());
+  // 1 copy + 1 compare + 1 cleanup + 1 count, with the plan or without.
+  EXPECT_EQ(CnfPasses(clauses, &opts), 4u);
+  EXPECT_EQ(CnfPasses(clauses, nullptr), 4u);
+}
+
+TEST_F(PlanSelectionPassesTest, CacheDisablesCompareFusionButKeepsTheChain) {
+  const std::vector<GpuClause> clauses = {
+      {Depth(attr_, CompareOp::kGreater, 10)},
+      {Depth(attr_, CompareOp::kLess, 90)}};
+  const PassPlan plan =
+      PlanSelectionPasses(clauses, NormalForm::kCnf, true, true);
   EXPECT_TRUE(plan.chain);
   EXPECT_TRUE(plan.fused_count);
   // Cacheable predicates keep the copy separate so the depth plane can be
   // snapshotted and restored across queries.
   EXPECT_EQ(plan.fused_compares, 0);
-  // 2 copies + 2 compares, count carried by the final compare.
-  EXPECT_EQ(plan.planned_passes, 4);
+}
+
+TEST_F(PlanSelectionPassesTest, DnfPlanFusesComparesButNeverChains) {
+  const std::vector<GpuTerm> terms = {
+      {Depth(attr_, CompareOp::kLess, 10000),
+       Depth(attr_, CompareOp::kGreater, 2000)},
+      {Depth(attr_, CompareOp::kGreaterEqual, 60000),
+       Depth(attr_, CompareOp::kNotEqual, 61000)}};
+  SelectionExecOptions opts;
+  opts.plan = PlanSelectionPasses(terms, NormalForm::kDnf, true, false);
+  EXPECT_FALSE(opts.plan.chain);
+  EXPECT_FALSE(opts.plan.fused_count);
+  EXPECT_EQ(opts.plan.fused_compares, 4);
+  // Reference, per term: 2 copies + 2 compares + 1 stamp + 1 walk-down;
+  // then 1 count = 13.
+  EXPECT_EQ(DnfPasses(terms, nullptr), 13u);
+  // Rewritten: per term 2 fused + 1 stamp + 1 walk-down; 1 count = 9.
+  EXPECT_EQ(DnfPasses(terms, &opts), 9u);
+  // Singleton terms are exactly what the CNF chain takes; as DNF terms they
+  // still plan no chain.
+  const std::vector<GpuTerm> singletons = {{terms[0][0]}, {terms[1][0]}};
+  EXPECT_FALSE(
+      PlanSelectionPasses(singletons, NormalForm::kDnf, true, false).chain);
 }
 
 // ---------------------------------------------------------------------------
@@ -122,9 +176,9 @@ TEST(FusedCompareTest, MatchesUnfusedForEveryOperatorAndConstant) {
           SelectionMask(&device, ref.ValueOrDie().valid_value, kRecords);
 
       SelectionExecOptions opts;
-      opts.plan = PlanSelectionPasses(clauses, true, false);
+      opts.plan = PlanSelectionPasses(clauses, NormalForm::kCnf, true, false);
       const uint64_t passes_before = device.counters().passes;
-      auto fused = EvalCnfPlanned(&device, clauses, &opts);
+      auto fused = EvalCnf(&device, clauses, &opts);
       ASSERT_TRUE(fused.ok()) << fused.status().ToString();
       const std::string what = std::string(gpu::ToString(op)) + " " +
                                std::to_string(constant);
@@ -141,7 +195,7 @@ TEST(FusedCompareTest, MatchesUnfusedForEveryOperatorAndConstant) {
 }
 
 // ---------------------------------------------------------------------------
-// Planned evaluators vs. the legacy ones.
+// Planned rewrites vs. the same evaluators with every rewrite off.
 
 class PlannedEvalTest : public ::testing::Test {
  protected:
@@ -155,7 +209,7 @@ class PlannedEvalTest : public ::testing::Test {
   AttributeBinding attr_;
 };
 
-TEST_F(PlannedEvalTest, GeneralCnfMatchesLegacyWithFewerPasses) {
+TEST_F(PlannedEvalTest, GeneralCnfMatchesRewritesOffWithFewerPasses) {
   const std::vector<GpuClause> clauses = {
       {Depth(attr_, CompareOp::kLess, 16000),
        Depth(attr_, CompareOp::kGreaterEqual, 48000)},
@@ -169,9 +223,9 @@ TEST_F(PlannedEvalTest, GeneralCnfMatchesLegacyWithFewerPasses) {
       SelectionMask(&device_, ref.ValueOrDie().valid_value, kRecords);
 
   SelectionExecOptions opts;
-  opts.plan = PlanSelectionPasses(clauses, true, false);
+  opts.plan = PlanSelectionPasses(clauses, NormalForm::kCnf, true, false);
   const uint64_t before = device_.counters().passes;
-  auto planned = EvalCnfPlanned(&device_, clauses, &opts);
+  auto planned = EvalCnf(&device_, clauses, &opts);
   ASSERT_TRUE(planned.ok());
   const uint64_t planned_passes = device_.counters().passes - before;
 
@@ -185,7 +239,7 @@ TEST_F(PlannedEvalTest, GeneralCnfMatchesLegacyWithFewerPasses) {
   EXPECT_EQ(device_.counters().fused_passes, 3u);
 }
 
-TEST_F(PlannedEvalTest, SingletonChainMatchesLegacyCount) {
+TEST_F(PlannedEvalTest, SingletonChainMatchesRewritesOffCount) {
   const std::vector<GpuClause> clauses = {
       {Depth(attr_, CompareOp::kGreater, 8000)},
       {Depth(attr_, CompareOp::kLess, 56000)},
@@ -197,10 +251,10 @@ TEST_F(PlannedEvalTest, SingletonChainMatchesLegacyCount) {
       SelectionMask(&device_, ref.ValueOrDie().valid_value, kRecords);
 
   SelectionExecOptions opts;
-  opts.plan = PlanSelectionPasses(clauses, true, false);
+  opts.plan = PlanSelectionPasses(clauses, NormalForm::kCnf, true, false);
   ASSERT_TRUE(opts.plan.chain);
   const uint64_t before = device_.counters().passes;
-  auto planned = EvalCnfPlanned(&device_, clauses, &opts);
+  auto planned = EvalCnf(&device_, clauses, &opts);
   ASSERT_TRUE(planned.ok());
 
   // Chain + fused count: one pass per predicate, nothing else.
@@ -215,7 +269,7 @@ TEST_F(PlannedEvalTest, SingletonChainMatchesLegacyCount) {
       ref_mask);
 }
 
-TEST_F(PlannedEvalTest, DnfMatchesLegacy) {
+TEST_F(PlannedEvalTest, DnfMatchesRewritesOff) {
   const std::vector<GpuTerm> terms = {
       {Depth(attr_, CompareOp::kLess, 10000),
        Depth(attr_, CompareOp::kGreater, 2000)},
@@ -227,10 +281,8 @@ TEST_F(PlannedEvalTest, DnfMatchesLegacy) {
       SelectionMask(&device_, ref.ValueOrDie().valid_value, kRecords);
 
   SelectionExecOptions opts;
-  opts.plan = PlanSelectionPasses(terms, true, false);
-  opts.plan.chain = false;  // executor clears the chain rules for DNF
-  opts.plan.fused_count = false;
-  auto planned = EvalDnfPlanned(&device_, terms, &opts);
+  opts.plan = PlanSelectionPasses(terms, NormalForm::kDnf, true, false);
+  auto planned = EvalDnf(&device_, terms, &opts);
   ASSERT_TRUE(planned.ok());
 
   EXPECT_EQ(planned.ValueOrDie().count, ref.ValueOrDie().count);
@@ -255,7 +307,7 @@ class PlaneCacheExecTest : public ::testing::Test {
   SelectionExecOptions CachedOpts(const std::vector<GpuClause>& clauses,
                                   uint64_t version = 1) {
     SelectionExecOptions opts;
-    opts.plan = PlanSelectionPasses(clauses, true, true);
+    opts.plan = PlanSelectionPasses(clauses, NormalForm::kCnf, true, true);
     opts.use_cache = true;
     opts.table = "t";
     opts.table_version = version;
@@ -275,7 +327,7 @@ TEST_F(PlaneCacheExecTest, MissThenHitStaysBitExactAndSkipsTheCopy) {
   ASSERT_TRUE(ref.ok());
 
   SelectionExecOptions cold = CachedOpts(clauses);
-  auto first = EvalCnfPlanned(&device_, clauses, &cold);
+  auto first = EvalCnf(&device_, clauses, &cold);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(cold.cache_misses, 1);
   EXPECT_EQ(cold.cache_hits, 0);
@@ -284,7 +336,7 @@ TEST_F(PlaneCacheExecTest, MissThenHitStaysBitExactAndSkipsTheCopy) {
 
   SelectionExecOptions warm = CachedOpts(clauses);
   gpu::PassLogScope warm_log(&device_);
-  auto second = EvalCnfPlanned(&device_, clauses, &warm);
+  auto second = EvalCnf(&device_, clauses, &warm);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(warm.cache_hits, 1);
   EXPECT_EQ(warm.cache_misses, 0);
@@ -308,13 +360,13 @@ TEST_F(PlaneCacheExecTest, RestoredPlaneIsBitExact) {
   const std::vector<GpuClause> clauses = {
       {Depth(attr_, CompareOp::kLessEqual, 20000)}};
   SelectionExecOptions cold = CachedOpts(clauses);
-  ASSERT_TRUE(EvalCnfPlanned(&device_, clauses, &cold).ok());
+  ASSERT_TRUE(EvalCnf(&device_, clauses, &cold).ok());
   auto after_copy = device_.ReadDepth();
   ASSERT_TRUE(after_copy.ok());
 
   device_.ClearDepth(0.0f);  // scribble over the plane
   SelectionExecOptions warm = CachedOpts(clauses);
-  ASSERT_TRUE(EvalCnfPlanned(&device_, clauses, &warm).ok());
+  ASSERT_TRUE(EvalCnf(&device_, clauses, &warm).ok());
   ASSERT_EQ(warm.cache_hits, 1);
   auto after_restore = device_.ReadDepth();
   ASSERT_TRUE(after_restore.ok());
@@ -332,13 +384,13 @@ TEST_F(PlaneCacheExecTest, TableInvalidationAndVersionChangeBothMiss) {
   const std::vector<GpuClause> clauses = {
       {Depth(attr_, CompareOp::kGreater, 100)}};
   SelectionExecOptions cold = CachedOpts(clauses);
-  ASSERT_TRUE(EvalCnfPlanned(&device_, clauses, &cold).ok());
+  ASSERT_TRUE(EvalCnf(&device_, clauses, &cold).ok());
   ASSERT_EQ(cold.cache_misses, 1);
 
   // Version bump: the old plane is still resident but its key no longer
   // matches, so the query misses (and re-caches under the new version).
   SelectionExecOptions v2 = CachedOpts(clauses, /*version=*/2);
-  ASSERT_TRUE(EvalCnfPlanned(&device_, clauses, &v2).ok());
+  ASSERT_TRUE(EvalCnf(&device_, clauses, &v2).ok());
   EXPECT_EQ(v2.cache_misses, 1);
   EXPECT_EQ(v2.cache_hits, 0);
 
@@ -346,7 +398,7 @@ TEST_F(PlaneCacheExecTest, TableInvalidationAndVersionChangeBothMiss) {
   device_.InvalidateCachedPlanes("t");
   EXPECT_EQ(device_.plane_cache().size(), 0u);
   SelectionExecOptions after = CachedOpts(clauses, /*version=*/2);
-  ASSERT_TRUE(EvalCnfPlanned(&device_, clauses, &after).ok());
+  ASSERT_TRUE(EvalCnf(&device_, clauses, &after).ok());
   EXPECT_EQ(after.cache_misses, 1);
 }
 
@@ -356,7 +408,7 @@ TEST_F(PlaneCacheExecTest, PredicateWithoutColumnIdentityIsNotCached) {
   const std::vector<GpuClause> clauses = {
       {Depth(anon, CompareOp::kGreater, 30000)}};
   SelectionExecOptions opts = CachedOpts(clauses);
-  auto sel = EvalCnfPlanned(&device_, clauses, &opts);
+  auto sel = EvalCnf(&device_, clauses, &opts);
   ASSERT_TRUE(sel.ok());
   EXPECT_EQ(opts.cache_hits + opts.cache_misses, 0);
   EXPECT_EQ(device_.plane_cache().size(), 0u);

@@ -281,9 +281,10 @@ Snapshot RunPlannedScenario(int threads, const std::vector<uint32_t>& ints) {
 
   // Fused chain with the count carried by the final pass.
   SelectionExecOptions fused;
-  fused.plan = PlanSelectionPasses(clauses, /*fusion_enabled=*/true,
+  fused.plan = PlanSelectionPasses(clauses, NormalForm::kCnf,
+                                   /*fusion_enabled=*/true,
                                    /*cache_enabled=*/false);
-  auto sel = EvalCnfPlanned(&device, clauses, &fused);
+  auto sel = EvalCnf(&device, clauses, &fused);
   EXPECT_OK(sel.status());
   if (sel.ok()) {
     snap.results.push_back(sel.ValueOrDie().count);
@@ -294,11 +295,12 @@ Snapshot RunPlannedScenario(int threads, const std::vector<uint32_t>& ints) {
   // Cached: cold (snapshot) then warm (restore).
   for (int round = 0; round < 2; ++round) {
     SelectionExecOptions cached;
-    cached.plan = PlanSelectionPasses(clauses, true, /*cache_enabled=*/true);
+    cached.plan = PlanSelectionPasses(clauses, NormalForm::kCnf, true,
+                                      /*cache_enabled=*/true);
     cached.use_cache = true;
     cached.table = "sweep";
     cached.table_version = 1;
-    auto cs = EvalCnfPlanned(&device, clauses, &cached);
+    auto cs = EvalCnf(&device, clauses, &cached);
     EXPECT_OK(cs.status());
     if (cs.ok()) snap.results.push_back(cs.ValueOrDie().count);
     snap.results.push_back(static_cast<uint64_t>(cached.cache_hits));
