@@ -12,12 +12,13 @@ file whose rows repeat a key is an error, since one of them would never be
 compared. The gate compares the *model* columns
 (gpu_model_total_ms, cpu_model_ms), which are deterministic functions of the
 pass structure -- wall-clock columns vary with the host and are reported but
-never gated.
+never gated -- and each candidate row's `check_passed`, the bench's own
+answer check.
 
 Exit status: 0 when every matched row is within the threshold, 1 when any
 model time regressed by more than --threshold percent (default 20), a
-baseline file/row is missing from the candidate, or a file repeats a row
-key.
+candidate row reads `check_passed: false`, a baseline file/row is missing
+from the candidate, or a file repeats a row key.
 """
 
 import argparse
@@ -132,6 +133,16 @@ def main():
                 print(
                     f"{name} [{label}] {col}: {base_v:.4f} -> {cand_v:.4f} ms"
                     f" ({delta_pct:+.1f}%)  [reported, not gated]"
+                )
+
+    # A failed answer check fails the gate whatever the timings say, in
+    # every candidate file, baselined or not.
+    for name, cand_doc in sorted(candidate.items()):
+        for row in cand_doc.get("rows", []):
+            if row.get("check_passed") is False:
+                failures.append(
+                    f"{name} (figure {cand_doc.get('figure')}) "
+                    f"[{key_name(row_key(row))}]: check_passed is false"
                 )
 
     # A candidate file with no baseline is not gated, but silence would make

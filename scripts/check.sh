@@ -14,8 +14,8 @@
 #      scripts/profile_smoke.py asserting the gpuprof counters are nonzero,
 #      the fragment ledger balances, and profiling overhead stays bounded,
 #   3. a fault-injection sweep: the resilience and fuzz suites re-run with
-#      $GPUDB_FAULT_RATE > 0 so every degradation path (retry, breaker,
-#      CPU fallback) executes in the gating build,
+#      $GPUDB_FAULT_RATE > 0 so every rung of the dispatch ladder (retry,
+#      quarantine, replica, CPU fallback) executes in the gating build,
 #   3b. a 1M-statement single-session soak (flat RSS and latency),
 #   3c. the session benchmark (perfbench/) at reduced size, gated on its
 #       run-time invariants by scripts/perfbench_invariants.py,
@@ -116,7 +116,8 @@ GPUDB_FAULT_SEED=20260805 GPUDB_FAULT_RATE=0.05 \
 
 echo "== pool: shard failover + 16-session soak with injection enabled =="
 # The multi-device tier under fault injection: the pool suite covers the
-# health state machine and replica-failover bit-exactness; the soak runs 16
+# health state machine, replica-failover bit-exactness, and the session's
+# one ladder (fallback-off and per-statement deadline); the soak runs 16
 # concurrent sessions over a shared fault-injected pool and admission
 # controller. The gate is zero non-injected failures and zero wrong answers
 # (injected faults must be absorbed by failover and the CPU rung).

@@ -61,7 +61,6 @@ inline constexpr std::string_view kAll[] = {
     "queries.fell_back.*",
     "queries.retried",
     "queries.retry_attempts",
-    "resilience.breaker_opened",
     "sql.exec_ms",
     "sql.queries",
     "sql.query_wall_ms",

@@ -80,13 +80,15 @@ double Estimate(const db::TableStats& stats, const predicate::Expr& expr) {
 
 }  // namespace
 
-Result<db::TableStats> CollectTableStats(Executor* executor, int buckets) {
+Result<db::TableStats> CollectTableStats(PoolExecutor* executor,
+                                         int buckets) {
   if (executor == nullptr) {
     return Status::InvalidArgument("CollectTableStats requires an executor");
   }
   if (buckets < 1 || buckets > 256) {
     return Status::InvalidArgument("histogram buckets must be in [1, 256]");
   }
+  GPUDB_RETURN_NOT_OK(executor->RequireOneShard("ANALYZE"));
   const db::Table& table = executor->table();
   GpuOpSpan op("Analyze", &executor->device());
   op.AddTag("rows", table.num_rows());

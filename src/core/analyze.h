@@ -2,26 +2,28 @@
 #define GPUDB_CORE_ANALYZE_H_
 
 #include "src/common/result.h"
-#include "src/core/executor.h"
+#include "src/core/pool_executor.h"
 #include "src/db/stats.h"
 #include "src/predicate/expr.h"
 
 namespace gpudb {
 namespace core {
 
-/// \brief `ANALYZE <table>`: collects per-column statistics for the
-/// executor's table.
+/// \brief `ANALYZE <table>`: collects per-column statistics for the table
+/// of a one-shard executor.
 ///
 /// Row count, min and max come from the column metadata; the distinct count
 /// is exact (one hash-set pass on the CPU). The equi-depth histogram fences
 /// are the interesting part: integer columns compute them on the GPU with
-/// Executor::Quantiles (Routine 4.5's b_max-pass binary search per fence),
-/// which is exactly the selectivity-estimation machinery paper Section 5.11
-/// points at for join processing. Float columns (which the depth-buffer
-/// quantile routine cannot handle exactly) fall back to a CPU sort with the
-/// same rank semantics, so both paths yield fences[i] = value at rank
-/// ceil((i+1) * n / buckets).
-[[nodiscard]] Result<db::TableStats> CollectTableStats(Executor* executor, int buckets = 16);
+/// PoolExecutor::Quantiles (Routine 4.5's b_max-pass binary search per
+/// fence, one dispatch per column), which is exactly the
+/// selectivity-estimation machinery paper Section 5.11 points at for join
+/// processing. Float columns (which the depth-buffer quantile routine
+/// cannot handle exactly) fall back to a CPU sort with the same rank
+/// semantics, so both paths yield fences[i] = value at rank
+/// ceil((i+1) * n / buckets). kNotImplemented on more than one shard.
+[[nodiscard]] Result<db::TableStats> CollectTableStats(PoolExecutor* executor,
+                                                       int buckets = 16);
 
 /// \brief Estimated selectivity of a WHERE tree in [0, 1] from ANALYZE
 /// statistics, using the textbook independence assumptions:

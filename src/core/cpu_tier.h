@@ -16,9 +16,9 @@ namespace cpu_tier {
 
 /// \brief The CPU fallback tier (DESIGN.md §11), as free functions.
 ///
-/// Exact scalar equivalents of the GPU operators over a db::Table, shared by
-/// Executor::RunResilient (single-device degradation) and PoolExecutor
-/// (per-shard failover, DESIGN.md §15). Each helper mirrors the GPU method's
+/// Exact scalar equivalents of the GPU operators over a db::Table: the last
+/// rung of PoolExecutor's dispatch ladder, for a pool of one as for a
+/// shard of many (DESIGN.md §15). Each helper mirrors the GPU method's
 /// validation order and error messages, so a query answered by either tier
 /// -- or recombined from per-shard CPU answers -- is indistinguishable to
 /// the caller, including which error it gets for bad arguments.

@@ -4,10 +4,8 @@
 #include <string>
 
 #include "src/common/metrics.h"
-#include "src/common/trace.h"
 #include "src/core/analyze.h"
 #include "src/core/bitonic_sort.h"
-#include "src/core/cpu_tier.h"
 #include "src/core/depth_encoding.h"
 #include "src/core/histogram.h"
 #include "src/core/kth_largest.h"
@@ -25,128 +23,7 @@ MetricCounter& OpCounter(std::string_view op) {
   return MetricsRegistry::Global().counter("executor." + std::string(op));
 }
 
-/// Resilience outcome counters (cached references; see DeviceMetrics).
-struct ResilienceMetrics {
-  MetricCounter& retried =
-      MetricsRegistry::Global().counter("queries.retried");
-  MetricCounter& retry_attempts =
-      MetricsRegistry::Global().counter("queries.retry_attempts");
-  MetricCounter& fell_back =
-      MetricsRegistry::Global().counter("queries.fell_back");
-  MetricCounter& deadline_exceeded =
-      MetricsRegistry::Global().counter("queries.deadline_exceeded");
-
-  static ResilienceMetrics& Get() {
-    static ResilienceMetrics metrics;
-    return metrics;
-  }
-};
-
-/// Stamps a resilience event into the active trace (zero-duration span
-/// nested under the operator that hit it), so EXPLAIN ANALYZE and the
-/// Chrome trace show *where* a query degraded, not just that it did.
-void TraceResilienceEvent(const char* event, const char* op_name,
-                          int attempt = -1) {
-  if (!Tracer::Global().enabled()) return;
-  TraceSpan span(event);
-  span.AddTag("op", op_name);
-  if (attempt >= 0) span.AddTag("attempt", attempt);
-}
-
-/// Arms the device deadline for one top-level operator when the policy sets
-/// one and no outer scope armed it already (SelectTable nests SelectRowIds).
-/// Disarms on destruction so an expired deadline never leaks into the next
-/// query.
-class DeadlineScope {
- public:
-  DeadlineScope(gpu::Device* device, double deadline_ms)
-      : device_(device),
-        armed_(deadline_ms > 0.0 && !device->deadline_armed()) {
-    if (armed_) device_->ArmDeadline(deadline_ms);
-  }
-  ~DeadlineScope() {
-    if (armed_) device_->DisarmDeadline();
-  }
-  DeadlineScope(const DeadlineScope&) = delete;
-  DeadlineScope& operator=(const DeadlineScope&) = delete;
-
- private:
-  gpu::Device* device_;
-  bool armed_;
-};
-
 }  // namespace
-
-template <typename T>
-Result<T> Executor::RunResilient(const char* op_name,
-                                 const std::function<Result<T>()>& gpu,
-                                 const std::function<Result<T>()>& cpu) {
-  if (!resilience_.enabled) return gpu();
-  ResilienceMetrics& metrics = ResilienceMetrics::Get();
-  DeadlineScope deadline(device_, resilience_.deadline_ms);
-  const bool can_fall_back = resilience_.allow_cpu_fallback && cpu != nullptr;
-
-  // Open breaker: answer from the CPU tier without touching the device,
-  // except for the periodic probe call that tests whether it recovered.
-  if (breaker_.open() && can_fall_back) {
-    if (!breaker_.AllowProbe()) {
-      ++tally_.fallbacks;
-      metrics.fell_back.Increment();
-      MetricsRegistry::Global()
-          .counter("queries.fell_back." + std::string(op_name))
-          .Increment();
-      TraceResilienceEvent("resilience.breaker_open", op_name);
-      return cpu();
-    }
-    TraceResilienceEvent("resilience.breaker_probe", op_name);
-  }
-
-  Result<T> result = gpu();
-  // Bounded in-place retry of transient faults (kDeviceLost category).
-  for (int retry = 0;
-       !result.ok() && IsTransientFault(result.status()) &&
-       retry < resilience_.retry.max_attempts - 1;
-       ++retry) {
-    if (retry == 0) metrics.retried.Increment();
-    ++tally_.retries;
-    metrics.retry_attempts.Increment();
-    TraceResilienceEvent("resilience.retry", op_name, retry + 1);
-    BackoffSleep(resilience_.retry.DelayMs(retry), resilience_.retry.sleep);
-    device_->ResetQueryState();
-    const Status interrupt = device_->CheckInterrupt();
-    if (!interrupt.ok()) {
-      result = interrupt;
-      break;
-    }
-    result = gpu();
-  }
-  if (result.ok()) {
-    breaker_.RecordSuccess();
-    return result;
-  }
-  const Status& status = result.status();
-  if (status.IsDeadlineExceeded()) {
-    metrics.deadline_exceeded.Increment();
-    return result;
-  }
-  // Cancellation and user errors (bad column, k out of range, ...) are not
-  // the device's fault: propagate untouched, no breaker, no fallback.
-  if (!IsDeviceFault(status)) return result;
-
-  breaker_.RecordFailure();
-  device_->ResetQueryState();
-  if (!can_fall_back) return result;
-  // The deadline may have fired while the device was faulting; the CPU
-  // tier honours it too.
-  GPUDB_RETURN_NOT_OK(device_->CheckInterrupt());
-  ++tally_.fallbacks;
-  metrics.fell_back.Increment();
-  MetricsRegistry::Global()
-      .counter("queries.fell_back." + std::string(op_name))
-      .Increment();
-  TraceResilienceEvent("resilience.fallback", op_name);
-  return cpu();
-}
 
 Executor::Executor(gpu::Device* device, const db::Table* table)
     : device_(device),
@@ -322,34 +199,6 @@ Result<StencilSelection> Executor::Where(const predicate::ExprPtr& expr) {
   return sel;
 }
 
-Result<uint64_t> Executor::Count(const predicate::ExprPtr& where) {
-  return RunResilient<uint64_t>(
-      "count", [&] { return CountGpu(where); },
-      [&] { return CpuCount(where); });
-}
-
-Result<std::vector<uint8_t>> Executor::SelectBitmap(
-    const predicate::ExprPtr& where) {
-  return RunResilient<std::vector<uint8_t>>(
-      "select_bitmap", [&] { return SelectBitmapGpu(where); },
-      [&] { return CpuSelectionMask(where); });
-}
-
-Result<std::vector<uint32_t>> Executor::SelectRowIds(
-    const predicate::ExprPtr& where) {
-  return RunResilient<std::vector<uint32_t>>(
-      "select_row_ids", [&] { return SelectRowIdsGpu(where); },
-      [&] { return CpuRowIds(where); });
-}
-
-Result<std::vector<std::pair<uint32_t, uint32_t>>> Executor::TopK(
-    std::string_view column, uint64_t k) {
-  // Retry-only: no CPU equivalent wired up (the candidate sort already
-  // runs on the CPU; a full fallback would duplicate KthLargest + gather).
-  return RunResilient<std::vector<std::pair<uint32_t, uint32_t>>>(
-      "top_k", [&] { return TopKGpu(column, k); }, nullptr);
-}
-
 Result<double> Executor::Aggregate(AggregateKind kind, std::string_view column,
                                    const predicate::ExprPtr& where) {
   GPUDB_ASSIGN_OR_RETURN(PartialAggregate partial,
@@ -357,59 +206,7 @@ Result<double> Executor::Aggregate(AggregateKind kind, std::string_view column,
   return FinishAggregate(kind, partial);
 }
 
-Result<PartialAggregate> Executor::AggregatePartial(
-    AggregateKind kind, std::string_view column,
-    const predicate::ExprPtr& where) {
-  return RunResilient<PartialAggregate>(
-      "aggregate", [&] { return AggregateGpu(kind, column, where); },
-      [&] { return CpuAggregate(kind, column, where); });
-}
-
-Result<uint32_t> Executor::KthLargest(std::string_view column, uint64_t k,
-                                      const predicate::ExprPtr& where) {
-  return RunResilient<uint32_t>(
-      "kth_largest", [&] { return KthLargestGpu(column, k, where); },
-      [&] { return CpuKthLargest(column, k, where); });
-}
-
-Result<std::vector<uint32_t>> Executor::OrderByRowIds(std::string_view column,
-                                                      bool ascending) {
-  return RunResilient<std::vector<uint32_t>>(
-      "order_by", [&] { return OrderByRowIdsGpu(column, ascending); }, nullptr);
-}
-
-Result<uint64_t> Executor::RangeCount(std::string_view column, double low,
-                                      double high) {
-  return RunResilient<uint64_t>(
-      "range_count", [&] { return RangeCountGpu(column, low, high); },
-      [&] { return CpuRangeCount(column, low, high); });
-}
-
-Result<uint64_t> Executor::SemilinearCount(
-    const std::vector<std::pair<std::string, float>>& weighted_columns,
-    gpu::CompareOp op, float b) {
-  return RunResilient<uint64_t>(
-      "semilinear_count",
-      [&] { return SemilinearCountGpu(weighted_columns, op, b); }, nullptr);
-}
-
-Result<std::vector<GroupByRow>> Executor::GroupBy(std::string_view key_column,
-                                                  std::string_view value_column,
-                                                  AggregateKind kind,
-                                                  uint64_t max_groups) {
-  return RunResilient<std::vector<GroupByRow>>(
-      "group_by",
-      [&] { return GroupByGpu(key_column, value_column, kind, max_groups); },
-      nullptr);
-}
-
-Result<std::vector<uint32_t>> Executor::Quantiles(std::string_view column,
-                                                  int q) {
-  return RunResilient<std::vector<uint32_t>>(
-      "quantiles", [&] { return QuantilesGpu(column, q); }, nullptr);
-}
-
-Result<uint64_t> Executor::CountGpu(const predicate::ExprPtr& where) {
+Result<uint64_t> Executor::Count(const predicate::ExprPtr& where) {
   OpCounter("count").Increment();
   GpuOpSpan op("Count", device_);
   op.AddTag("rows", table_->num_rows());
@@ -419,7 +216,7 @@ Result<uint64_t> Executor::CountGpu(const predicate::ExprPtr& where) {
   return sel.count;
 }
 
-Result<std::vector<uint8_t>> Executor::SelectBitmapGpu(
+Result<std::vector<uint8_t>> Executor::SelectBitmap(
     const predicate::ExprPtr& where) {
   OpCounter("select_bitmap").Increment();
   GpuOpSpan op("SelectBitmap", device_);
@@ -427,7 +224,7 @@ Result<std::vector<uint8_t>> Executor::SelectBitmapGpu(
   return SelectionToBitmap(device_, sel, table_->num_rows());
 }
 
-Result<std::vector<uint32_t>> Executor::SelectRowIdsGpu(
+Result<std::vector<uint32_t>> Executor::SelectRowIds(
     const predicate::ExprPtr& where) {
   OpCounter("select_row_ids").Increment();
   GpuOpSpan op("SelectRowIds", device_);
@@ -441,7 +238,7 @@ Result<db::Table> Executor::SelectTable(const predicate::ExprPtr& where) {
   return table_->GatherRows(rows);
 }
 
-Result<std::vector<std::pair<uint32_t, uint32_t>>> Executor::TopKGpu(
+Result<std::vector<std::pair<uint32_t, uint32_t>>> Executor::TopK(
     std::string_view column, uint64_t k) {
   OpCounter("top_k").Increment();
   GpuOpSpan op("TopK", device_);
@@ -483,7 +280,7 @@ Result<std::vector<std::pair<uint32_t, uint32_t>>> Executor::TopKGpu(
   return result;
 }
 
-Result<PartialAggregate> Executor::AggregateGpu(
+Result<PartialAggregate> Executor::AggregatePartial(
     AggregateKind kind, std::string_view column,
     const predicate::ExprPtr& where) {
   OpCounter("aggregate").Increment();
@@ -524,7 +321,7 @@ Result<PartialAggregate> Executor::AggregateGpu(
   return partial;
 }
 
-Result<uint32_t> Executor::KthLargestGpu(std::string_view column, uint64_t k,
+Result<uint32_t> Executor::KthLargest(std::string_view column, uint64_t k,
                                          const predicate::ExprPtr& where) {
   OpCounter("kth_largest").Increment();
   GPUDB_ASSIGN_OR_RETURN(size_t col, table_->ColumnIndex(column));
@@ -543,7 +340,7 @@ Result<uint32_t> Executor::KthLargestGpu(std::string_view column, uint64_t k,
   return core::KthLargest(device_, binding, c.bit_width(), k, options);
 }
 
-Result<std::vector<uint32_t>> Executor::OrderByRowIdsGpu(
+Result<std::vector<uint32_t>> Executor::OrderByRowIds(
     std::string_view column, bool ascending) {
   OpCounter("order_by").Increment();
   GpuOpSpan op("OrderByRowIds", device_);
@@ -562,7 +359,7 @@ Result<std::vector<uint32_t>> Executor::OrderByRowIdsGpu(
   return sorted.payloads;
 }
 
-Result<uint64_t> Executor::RangeCountGpu(std::string_view column, double low,
+Result<uint64_t> Executor::RangeCount(std::string_view column, double low,
                                          double high) {
   OpCounter("range_count").Increment();
   GpuOpSpan op("RangeCount", device_);
@@ -572,7 +369,7 @@ Result<uint64_t> Executor::RangeCountGpu(std::string_view column, double low,
   return RangeSelect(device_, binding, low, high);
 }
 
-Result<uint64_t> Executor::SemilinearCountGpu(
+Result<uint64_t> Executor::SemilinearCount(
     const std::vector<std::pair<std::string, float>>& weighted_columns,
     gpu::CompareOp op, float b) {
   OpCounter("semilinear_count").Increment();
@@ -622,7 +419,7 @@ Result<uint64_t> Executor::SemilinearCountGpu(
   return SemilinearSelectWide(device_, id_a, id_b, weights, op, b);
 }
 
-Result<std::vector<GroupByRow>> Executor::GroupByGpu(
+Result<std::vector<GroupByRow>> Executor::GroupBy(
     std::string_view key_column, std::string_view value_column,
     AggregateKind kind, uint64_t max_groups) {
   OpCounter("group_by").Increment();
@@ -645,7 +442,7 @@ Result<std::vector<GroupByRow>> Executor::GroupByGpu(
                           value.bit_width(), kind, max_groups);
 }
 
-Result<std::vector<uint32_t>> Executor::QuantilesGpu(std::string_view column,
+Result<std::vector<uint32_t>> Executor::Quantiles(std::string_view column,
                                                      int q) {
   OpCounter("quantiles").Increment();
   GpuOpSpan op("Quantiles", device_);
@@ -658,43 +455,6 @@ Result<std::vector<uint32_t>> Executor::QuantilesGpu(std::string_view column,
   }
   GPUDB_ASSIGN_OR_RETURN(AttributeBinding attr, BindingFor(col));
   return GpuQuantiles(device_, attr, c.bit_width(), q);
-}
-
-// --- CPU fallback tier ----------------------------------------------------
-//
-// Thin delegators to core/cpu_tier.h: the exact scalar equivalents of the
-// GPU operators are shared with the shard-pool failover path (DESIGN.md
-// sections 11 and 15), so both the single-device ladder and per-shard
-// recombination answer from one implementation.
-
-Result<std::vector<uint8_t>> Executor::CpuSelectionMask(
-    const predicate::ExprPtr& where) {
-  return cpu_tier::SelectionMask(*table_, where);
-}
-
-Result<uint64_t> Executor::CpuCount(const predicate::ExprPtr& where) {
-  return cpu_tier::Count(*table_, where);
-}
-
-Result<std::vector<uint32_t>> Executor::CpuRowIds(
-    const predicate::ExprPtr& where) {
-  return cpu_tier::RowIds(*table_, where);
-}
-
-Result<PartialAggregate> Executor::CpuAggregate(
-    AggregateKind kind, std::string_view column,
-    const predicate::ExprPtr& where) {
-  return cpu_tier::AggregatePartial(*table_, kind, column, where);
-}
-
-Result<uint32_t> Executor::CpuKthLargest(std::string_view column, uint64_t k,
-                                         const predicate::ExprPtr& where) {
-  return cpu_tier::KthLargest(*table_, column, k, where);
-}
-
-Result<uint64_t> Executor::CpuRangeCount(std::string_view column, double low,
-                                         double high) {
-  return cpu_tier::RangeCount(*table_, column, low, high);
 }
 
 }  // namespace core

@@ -2,7 +2,6 @@
 #define GPUDB_CORE_EXECUTOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -15,7 +14,6 @@
 #include "src/core/compare.h"
 #include "src/core/eval_cnf.h"
 #include "src/core/group_by.h"
-#include "src/core/resilience.h"
 #include "src/core/semilinear.h"
 #include "src/db/stats.h"
 #include "src/db/table.h"
@@ -42,7 +40,9 @@ struct PlanOptions {
 /// The executor owns the table's GPU residency: each referenced column is
 /// uploaded once as a single-channel texture (lazily, cached), and each
 /// attribute pair referenced by an attribute-attribute predicate gets a
-/// two-channel texture for the semi-linear rewrite.
+/// two-channel texture for the semi-linear rewrite. It runs the GPU
+/// operators only: a device fault comes back as a Status. Retry, quarantine
+/// and the CPU tier are core::PoolExecutor's dispatch ladder.
 ///
 ///   gpu::Device device(1000, 1000);
 ///   GPUDB_ASSIGN_OR_RETURN(auto exec, core::Executor::Make(&device, &table));
@@ -136,23 +136,6 @@ class Executor {
   [[nodiscard]] Status SetWorkerThreads(int n) { return device_->SetWorkerThreads(n); }
   int worker_threads() const { return device_->worker_threads(); }
 
-  /// Installs the resilience policy for this executor's public entry
-  /// points: bounded retry of transient device faults, a circuit breaker
-  /// that degrades to the cpu/ baseline tier, and a per-query wall-clock
-  /// deadline armed on the device. See core/resilience.h and DESIGN.md
-  /// section 11.
-  void set_resilience_options(const ResilienceOptions& options) {
-    resilience_ = options;
-    breaker_.set_threshold(options.breaker_threshold);
-  }
-  const ResilienceOptions& resilience_options() const { return resilience_; }
-
-  /// The breaker guarding this executor's GPU path (open = degraded).
-  const CircuitBreaker& breaker() const { return breaker_; }
-
-  /// Retries and CPU-tier answers of this executor's entry points so far.
-  const ResilienceTally& resilience_tally() const { return tally_; }
-
   /// Attaches ANALYZE statistics (owned by the db::Catalog; may be null to
   /// detach). With stats attached, Where() tags each selection span with
   /// `est_rows` -- the histogram-based cardinality estimate -- so EXPLAIN
@@ -204,58 +187,6 @@ class Executor {
   [[nodiscard]] Result<std::vector<GpuClause>> Lower(
       const std::vector<std::vector<predicate::SimplePredicate>>& groups);
 
-  // --- Resilience (core/resilience.h) ------------------------------------
-
-  /// Runs `gpu` under the resilience policy: arms the deadline, retries
-  /// transient faults with backoff, counts device faults toward the
-  /// breaker, and degrades to `cpu` (when non-null and fallback is
-  /// allowed) after unrecoverable device faults or while the breaker is
-  /// open. User errors and deadline/cancel statuses propagate untouched.
-  template <typename T>
-  [[nodiscard]] Result<T> RunResilient(const char* op_name,
-                         const std::function<Result<T>()>& gpu,
-                         const std::function<Result<T>()>& cpu);
-
-  // GPU bodies of the public entry points (the pre-resilience behaviour;
-  // public methods wrap these in RunResilient).
-  [[nodiscard]] Result<uint64_t> CountGpu(const predicate::ExprPtr& where);
-  [[nodiscard]] Result<std::vector<uint8_t>> SelectBitmapGpu(const predicate::ExprPtr& where);
-  [[nodiscard]] Result<std::vector<uint32_t>> SelectRowIdsGpu(
-      const predicate::ExprPtr& where);
-  [[nodiscard]] Result<std::vector<std::pair<uint32_t, uint32_t>>> TopKGpu(
-      std::string_view column, uint64_t k);
-  [[nodiscard]] Result<PartialAggregate> AggregateGpu(
-      AggregateKind kind, std::string_view column,
-      const predicate::ExprPtr& where);
-  [[nodiscard]] Result<uint32_t> KthLargestGpu(std::string_view column, uint64_t k,
-                                 const predicate::ExprPtr& where);
-  [[nodiscard]] Result<std::vector<uint32_t>> OrderByRowIdsGpu(std::string_view column,
-                                                 bool ascending);
-  [[nodiscard]] Result<uint64_t> RangeCountGpu(std::string_view column, double low,
-                                 double high);
-  [[nodiscard]] Result<uint64_t> SemilinearCountGpu(
-      const std::vector<std::pair<std::string, float>>& weighted_columns,
-      gpu::CompareOp op, float b);
-  [[nodiscard]] Result<std::vector<GroupByRow>> GroupByGpu(std::string_view key_column,
-                                             std::string_view value_column,
-                                             AggregateKind kind,
-                                             uint64_t max_groups);
-  [[nodiscard]] Result<std::vector<uint32_t>> QuantilesGpu(std::string_view column, int q);
-
-  // CPU fallback tier (cpu/scan + cpu/quickselect + cpu/aggregate): exact
-  // equivalents of the GPU operators for integer columns, used when the
-  // device is faulting (DESIGN.md section 11 degradation ladder).
-  [[nodiscard]] Result<std::vector<uint8_t>> CpuSelectionMask(const predicate::ExprPtr& where);
-  [[nodiscard]] Result<uint64_t> CpuCount(const predicate::ExprPtr& where);
-  [[nodiscard]] Result<std::vector<uint32_t>> CpuRowIds(const predicate::ExprPtr& where);
-  [[nodiscard]] Result<PartialAggregate> CpuAggregate(
-      AggregateKind kind, std::string_view column,
-      const predicate::ExprPtr& where);
-  [[nodiscard]] Result<uint32_t> CpuKthLargest(std::string_view column, uint64_t k,
-                                 const predicate::ExprPtr& where);
-  [[nodiscard]] Result<uint64_t> CpuRangeCount(std::string_view column, double low,
-                                 double high);
-
   gpu::Device* device_;
   const db::Table* table_;
   const db::TableStats* stats_ = nullptr;  ///< ANALYZE stats; not owned.
@@ -265,10 +196,6 @@ class Executor {
   SelectionExecOptions last_exec_;
   std::vector<gpu::TextureId> column_textures_;  // -1 = not uploaded yet
   std::map<std::pair<size_t, size_t>, gpu::TextureId> pair_textures_;
-
-  ResilienceOptions resilience_;
-  CircuitBreaker breaker_{3};
-  ResilienceTally tally_;
 };
 
 }  // namespace core

@@ -1,11 +1,12 @@
 #ifndef GPUDB_CORE_POOL_EXECUTOR_H_
 #define GPUDB_CORE_POOL_EXECUTOR_H_
 
+#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -20,23 +21,26 @@
 namespace gpudb {
 namespace core {
 
-/// \brief Per-query outcome of the scatter/gather path, for query-log
-/// attribution (which failure domain served / failed, what the shards cost)
-/// and tests.
+/// \brief Per-statement outcome of the dispatch ladder, for query-log
+/// attribution (which failure domain served / failed, what the statement
+/// cost) and tests.
 struct PoolQueryStats {
   uint64_t failovers = 0;        ///< Shard hops off their primary device.
   int first_device = -1;         ///< Primary device of the first shard run.
   int first_failed_device = -1;  ///< First device a shard hopped off, or -1.
   bool cpu_fallback = false;     ///< Some shard was answered by the CPU tier.
-  uint64_t retries = 0;          ///< In-place retries inside shard attempts.
-  /// Device work of every shard dispatch, summed over the pool devices:
-  /// each dispatch's counter delta is taken on its device while the lease
-  /// is held, so other sessions' shards never leak in.
+  uint64_t retries = 0;          ///< In-place retries of device attempts.
+  /// Device work of every dispatch, summed over the devices: each
+  /// dispatch's counter delta is taken on its device while the lease is
+  /// held, so other sessions' work never leaks in.
   gpu::DeviceCounters counters;
 };
 
-/// \brief Scatter/gather executor over a ShardedTable on a DevicePool
-/// (DESIGN.md §15).
+/// \brief The executor behind every sql::Session statement: scatter/gather
+/// over the shards of a table on a DevicePool, each dispatch walking the one
+/// degradation ladder (DESIGN.md §11, §15). A single device is a pool of one
+/// (gpu::DevicePool::Borrow) running a one-shard executor over the whole,
+/// uncopied table.
 ///
 /// Each decomposable operator runs shard by shard on the shard's primary
 /// device and the per-shard answers are recombined:
@@ -44,23 +48,26 @@ struct PoolQueryStats {
 ///   Count / RangeCount : sum of per-shard counts
 ///   SelectRowIds       : per-shard ids + row_begin, concatenated in order
 ///   SelectBitmap       : per-shard bitmaps concatenated
-///   SUM / MIN / MAX / AVG : per-shard PartialAggregates (selection count
-///                        and value from one WHERE), merged: sums of exact
-///                        integer sums, min/max over non-empty shards, one
-///                        AVG division over the totals
+///   COUNT / SUM / MIN / MAX / AVG : per-shard PartialAggregates (selection
+///                        count and value from one WHERE), merged: sums of
+///                        exact integer sums, min/max over non-empty shards,
+///                        one AVG division over the totals
 ///
 /// All of these are bit-exact against single-device execution: integer
 /// columns use the data-independent exact depth encoding, sums are exact
 /// uint64 accumulations, and range sharding preserves row order (see
-/// db/sharding.h). Non-decomposable operators (MEDIAN, KTH_LARGEST,
-/// GROUP BY, ORDER BY) are *single-device* operators per the EXTENDING.md
-/// rule and return kNotImplemented here; callers route them to a plain
-/// Executor.
+/// db/sharding.h). Non-decomposable operators (MEDIAN, KthLargest, GroupBy,
+/// OrderByRowIds, Quantiles) are *single-device* operators per the
+/// EXTENDING.md rule: they run on a one-shard executor and return
+/// kNotImplemented on more than one shard.
 ///
-/// Failure domains: a shard whose device is refused by the pool
-/// (quarantined / force-lost) or faults through its retries fails over to
-/// its replica device, then to the CPU tier -- each hop counted in
-/// `pool.failovers`. User errors propagate immediately without failover.
+/// The ladder, per dispatch: the device's health gate
+/// (DevicePool::AdmitDispatch; quarantine is the open breaker), the lease,
+/// the attempt with in-place retry of transient faults, the health record,
+/// then the shard's replica, then the CPU tier (core/cpu_tier). Every hop
+/// off a device counts in `pool.failovers`. User errors, deadline and
+/// cancellation propagate at once: a replica holds an identical copy and
+/// cannot beat the clock.
 ///
 /// Thread model: one PoolExecutor serves one session (its executor cache is
 /// not locked); devices are shared across sessions and every dispatch holds
@@ -72,6 +79,30 @@ class PoolExecutor {
   /// pool's device framebuffers.
   [[nodiscard]] static Result<std::unique_ptr<PoolExecutor>> Make(
       gpu::DevicePool* pool, const db::ShardedTable* sharded);
+
+  /// A one-shard executor over the whole of `table`, placed on device 0
+  /// with no replica. The table is not copied; both pointers must outlive
+  /// the executor.
+  [[nodiscard]] static Result<std::unique_ptr<PoolExecutor>> Make(
+      gpu::DevicePool* pool, const db::Table* table);
+
+  /// \brief Scope of one statement: clears last_stats() and arms the
+  /// statement's deadline (`deadline_ms` from now, as an absolute expiry).
+  /// Every operator opens one; inside an outer scope it is a no-op, so the
+  /// operators of one statement share its stats and its deadline.
+  class Statement {
+   public:
+    explicit Statement(PoolExecutor* exec);
+    ~Statement() {
+      if (outermost_) exec_->in_statement_ = false;
+    }
+    Statement(const Statement&) = delete;
+    Statement& operator=(const Statement&) = delete;
+
+   private:
+    PoolExecutor* exec_;
+    bool outermost_;
+  };
 
   [[nodiscard]] Result<uint64_t> Count(const predicate::ExprPtr& where);
   [[nodiscard]] Result<std::vector<uint8_t>> SelectBitmap(
@@ -85,48 +116,79 @@ class PoolExecutor {
   [[nodiscard]] Result<uint64_t> RangeCount(std::string_view column,
                                             double low, double high);
 
+  // Single-device operators: one shard only.
+  [[nodiscard]] Result<uint32_t> KthLargest(
+      std::string_view column, uint64_t k,
+      const predicate::ExprPtr& where = nullptr);
+  [[nodiscard]] Result<std::vector<uint32_t>> OrderByRowIds(
+      std::string_view column, bool ascending = true);
+  [[nodiscard]] Result<std::vector<GroupByRow>> GroupBy(
+      std::string_view key_column, std::string_view value_column,
+      AggregateKind kind, uint64_t max_groups = 256);
+  [[nodiscard]] Result<std::vector<uint32_t>> Quantiles(
+      std::string_view column, int q);
+
   /// True for aggregates the scatter/gather path can recombine bit-exactly
   /// (COUNT/SUM/AVG/MIN/MAX); MEDIAN is an order statistic and stays
   /// single-device.
   static bool ShardableAggregate(AggregateKind kind);
 
-  /// Resilience applied inside each per-shard attempt (retry/deadline); the
-  /// CPU rung of the ladder is governed by the failover policy, not the
-  /// per-executor flag, so `allow_cpu_fallback` is forced off on shard
-  /// executors -- the pool owns the ladder.
-  void set_resilience_options(const ResilienceOptions& options);
-  void set_failover_policy(const FailoverPolicy& policy) {
-    failover_ = policy;
+  /// kNotImplemented naming `op` when this executor has more than one
+  /// shard: `op` is a single-device operator (EXTENDING.md).
+  [[nodiscard]] Status RequireOneShard(std::string_view op) const;
+
+  void set_resilience_options(const ResilienceOptions& options) {
+    resilience_ = options;
   }
 
+  /// What the last statement (or operator, outside a Statement) caused.
   const PoolQueryStats& last_stats() const { return last_stats_; }
-  const db::ShardedTable& sharded() const { return *sharded_; }
   gpu::DevicePool& pool() { return *pool_; }
 
+  /// The first shard's table and primary device: the whole table and its
+  /// device for a one-shard executor.
+  const db::Table& table() const { return *shards_.front().table; }
+  gpu::Device& device() {
+    return pool_->device(shards_.front().placement.primary);
+  }
+
+  /// The cached executor for (shard, device), created on first use, with
+  /// the device's viewport set to the shard. The caller must hold the
+  /// device's lease, or otherwise own the device (a session's pool of one).
+  [[nodiscard]] Result<Executor*> ShardExecutorFor(size_t shard_index,
+                                                   int device_id);
+
  private:
-  PoolExecutor(gpu::DevicePool* pool, const db::ShardedTable* sharded)
-      : pool_(pool), sharded_(sharded) {}
+  using Clock = std::chrono::steady_clock;
 
-  /// The cached executor for (shard, device); created on first use. Must be
-  /// called with the device's lease held.
-  [[nodiscard]] Result<Executor*> ShardExecutorFor(size_t shard_index, int device_id);
+  /// One shard as the executor sees it: a table it does not own.
+  struct ShardRef {
+    const db::Table* table;
+    uint32_t row_begin;
+    db::ShardPlacement placement;
+  };
 
-  /// Runs one shard through the failover ladder: primary -> replica -> CPU.
-  template <typename T>
-  [[nodiscard]] Result<T> RunShard(
-      size_t shard_index, const char* op_name,
-      const std::function<Result<T>(Executor&)>& gpu_op,
-      const std::function<Result<T>(const db::Table&)>& cpu_op);
+  PoolExecutor(gpu::DevicePool* pool, std::vector<ShardRef> shards)
+      : pool_(pool), shards_(std::move(shards)) {}
 
-  /// One shard's COUNT(*) dispatch.
-  [[nodiscard]] Result<uint64_t> ShardCount(size_t shard_index,
-                                            const predicate::ExprPtr& where);
+  /// Cancellation of `device_id` or the statement's expiry, read without
+  /// the device's lease.
+  [[nodiscard]] Status CheckInterrupt(int device_id) const;
+
+  /// Runs one shard's dispatch through the ladder: `gpu_op(Executor&)` on a
+  /// device, else `cpu_op(const db::Table&)`, the CPU tier's equivalent
+  /// (nullptr for operators that have none). Both return the same Result.
+  template <typename GpuOp, typename CpuOp>
+  [[nodiscard]] std::invoke_result_t<const GpuOp&, Executor&> RunShard(
+      size_t shard_index, const char* op_name, const GpuOp& gpu_op,
+      const CpuOp& cpu_op);
 
   gpu::DevicePool* pool_;
-  const db::ShardedTable* sharded_;
+  std::vector<ShardRef> shards_;
   ResilienceOptions resilience_;
-  FailoverPolicy failover_;
   PoolQueryStats last_stats_;
+  bool in_statement_ = false;
+  Clock::time_point expiry_ = Clock::time_point::max();  ///< max = none
   std::map<std::pair<size_t, int>, std::unique_ptr<Executor>> executors_;
 };
 

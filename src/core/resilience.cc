@@ -4,8 +4,6 @@
 #include <chrono>
 #include <thread>
 
-#include "src/common/metrics.h"
-
 namespace gpudb {
 namespace core {
 
@@ -22,30 +20,6 @@ bool IsTransientFault(const Status& status) {
 bool IsDeviceFault(const Status& status) {
   return status.IsDeviceLost() || status.IsResourceExhausted() ||
          status.IsInternal();
-}
-
-void CircuitBreaker::RecordFailure() {
-  const bool was_open = open();
-  ++consecutive_failures_;
-  if (!was_open && open()) {
-    MetricsRegistry::Global().counter("resilience.breaker_opened").Increment();
-  }
-}
-
-void CircuitBreaker::RecordSuccess() {
-  consecutive_failures_ = 0;
-  skipped_calls_ = 0;
-}
-
-bool CircuitBreaker::AllowProbe() {
-  ++skipped_calls_;
-  if (probe_interval_ <= 0) return false;
-  return skipped_calls_ % probe_interval_ == 0;
-}
-
-void CircuitBreaker::Reset() {
-  consecutive_failures_ = 0;
-  skipped_calls_ = 0;
 }
 
 void BackoffSleep(double ms, bool real) {

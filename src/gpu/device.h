@@ -297,6 +297,13 @@ class Device {
   /// device entry points return kDeadlineExceeded until DisarmDeadline().
   void ArmDeadline(double ms);
 
+  /// Arms the deadline at an absolute expiry: a statement's one deadline,
+  /// shared by every dispatch it makes on every device.
+  void ArmDeadlineAt(std::chrono::steady_clock::time_point expiry) {
+    deadline_ = expiry;
+    deadline_armed_ = true;
+  }
+
   void DisarmDeadline() { deadline_armed_ = false; }
   bool deadline_armed() const { return deadline_armed_; }
 
@@ -305,6 +312,12 @@ class Device {
   /// kCancelled. Sticky until ClearInterrupt().
   void RequestCancel() {
     cancel_requested_.store(true, std::memory_order_relaxed);
+  }
+
+  /// True once RequestCancel was called. Unlike CheckInterrupt it reads no
+  /// deadline state, so it is safe without holding the device's lease.
+  bool cancel_requested() const {
+    return cancel_requested_.load(std::memory_order_relaxed);
   }
 
   /// Clears a pending cancel request (an armed deadline stays armed).

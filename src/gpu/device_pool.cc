@@ -50,7 +50,8 @@ Result<std::unique_ptr<DevicePool>> DevicePool::Make(
   pool->slots_.resize(static_cast<size_t>(options.devices));
   for (int i = 0; i < options.devices; ++i) {
     Slot& slot = pool->slots_[static_cast<size_t>(i)];
-    slot.device = std::make_unique<Device>(options.width, options.height);
+    slot.owned = std::make_unique<Device>(options.width, options.height);
+    slot.device = slot.owned.get();
     slot.exec_mu = std::make_unique<std::mutex>();
     if (options.worker_threads > 0) {
       GPUDB_RETURN_NOT_OK(slot.device->SetWorkerThreads(options.worker_threads));
@@ -71,9 +72,20 @@ Result<std::unique_ptr<DevicePool>> DevicePool::Make(
   return pool;
 }
 
+std::unique_ptr<DevicePool> DevicePool::Borrow(Device* device) {
+  DevicePoolOptions options;
+  options.width = device->framebuffer().width();
+  options.height = device->framebuffer().height();
+  auto pool = std::unique_ptr<DevicePool>(new DevicePool(options));
+  pool->slots_.resize(1);
+  pool->slots_[0].device = device;
+  pool->slots_[0].exec_mu = std::make_unique<std::mutex>();
+  return pool;
+}
+
 DevicePool::Lease DevicePool::Acquire(int id) {
   Slot& slot = slots_[static_cast<size_t>(id)];
-  return Lease(slot.device.get(), id, std::unique_lock<std::mutex>(*slot.exec_mu));
+  return Lease(slot.device, id, std::unique_lock<std::mutex>(*slot.exec_mu));
 }
 
 Result<DevicePool::Lease> DevicePool::TryAcquire(int id) {
@@ -98,6 +110,7 @@ DeviceHealth DevicePool::HealthLocked(const Slot& slot) const {
 }
 
 void DevicePool::UpdateStateGaugeLocked() {
+  if (slots_.front().owned == nullptr) return;  // borrowed: not the gauge's
   double total = 0.0;
   for (const Slot& slot : slots_) {
     total += static_cast<double>(HealthLocked(slot));

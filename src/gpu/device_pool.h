@@ -48,16 +48,19 @@ struct DevicePoolOptions {
 
 /// \brief A pool of N simulated Devices, each its own failure domain.
 ///
-/// The pool owns the devices and two orthogonal pieces of state per device:
+/// The pool owns its devices (Make), or borrows one (Borrow: a session's
+/// own device as a pool of one), and keeps two orthogonal pieces of state
+/// per device:
 ///
 ///  * an **execution mutex** -- devices are single-context (the 2004 driver
 ///    model), so callers take an exclusive Lease per dispatch. Queries on
 ///    different devices run concurrently; dispatches to the same device
 ///    serialize. The health state below is *not* covered by the lease.
 ///  * a **health state machine** (DeviceHealth above) fed by
-///    RecordFailure/RecordSuccess from the scatter/gather executor. A
-///    quarantined or force-lost device is refused by AdmitDispatch, which is
-///    what triggers shard failover to the replica device (core/pool_executor).
+///    RecordFailure/RecordSuccess from the dispatch ladder
+///    (core/pool_executor). A quarantined or force-lost device is refused
+///    by AdmitDispatch, which is what moves a dispatch on to the replica
+///    device or the CPU tier.
 ///
 /// ForceDeviceLost models pulling a card mid-flight: the device refuses all
 /// dispatches (probes included) until Revive. Metrics: the
@@ -68,6 +71,13 @@ class DevicePool {
  public:
   [[nodiscard]] static Result<std::unique_ptr<DevicePool>> Make(
       const DevicePoolOptions& options);
+
+  /// A pool of one over `device`, which stays the caller's and must outlive
+  /// the pool: the health gate and lease of the single-device route. The
+  /// device keeps its own fault configuration and worker threads, and the
+  /// pool leaves the `pool.device_state` gauge to the pools that own their
+  /// devices.
+  [[nodiscard]] static std::unique_ptr<DevicePool> Borrow(Device* device);
 
   DevicePool(const DevicePool&) = delete;
   DevicePool& operator=(const DevicePool&) = delete;
@@ -139,7 +149,8 @@ class DevicePool {
 
  private:
   struct Slot {
-    std::unique_ptr<Device> device;
+    Device* device = nullptr;
+    std::unique_ptr<Device> owned;  ///< null when the device is borrowed
     std::unique_ptr<std::mutex> exec_mu;  ///< The Lease lock.
     // Health fields below are guarded by DevicePool::mu_.
     int consecutive_failures = 0;

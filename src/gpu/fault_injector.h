@@ -45,9 +45,9 @@ struct FaultConfig {
 /// section 11): VRAM allocation failure, per-pass watchdog timeout,
 /// transient occlusion-query failure, and readback corruption. Every
 /// injected fault surfaces as `Status::DeviceLost` with an "injected:"
-/// message prefix -- the transient-fault category that core/resilience.h
-/// retries and, past the circuit-breaker threshold, degrades to the CPU
-/// baseline.
+/// message prefix -- the transient-fault category that the dispatch ladder
+/// (core/pool_executor.h) retries and, past the quarantine threshold,
+/// degrades to the CPU baseline.
 ///
 /// Not thread-safe by design: all fault sites are on Device entry points,
 /// which are called from the query thread only (worker bands never draw).

@@ -4,11 +4,13 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "src/common/profile.h"
 #include "src/core/op_span.h"
+#include "src/core/pool_executor.h"
 #include "src/gpu/counters.h"
 #include "src/gpu/device.h"
 #include "src/gpu/perf_model.h"
@@ -223,9 +225,12 @@ std::string FormatSpanTree(const std::vector<FinishedSpan>& spans) {
   return TreeFormatter(spans).Format();
 }
 
-Result<QueryResult> ExecuteAnalyze(core::Executor* executor,
-                                   const Query& query,
+template <typename Exec>
+Result<QueryResult> ExecuteAnalyze(Exec* executor, const Query& query,
                                    std::string_view input) {
+  if constexpr (std::is_same_v<Exec, core::PoolExecutor>) {
+    GPUDB_RETURN_NOT_OK(executor->RequireOneShard("EXPLAIN ANALYZE"));
+  }
   Tracer& tracer = Tracer::Global();
   const bool was_enabled = tracer.enabled();
   tracer.set_enabled(true);
@@ -288,6 +293,11 @@ Result<QueryResult> ExecuteAnalyze(core::Executor* executor,
   }
   return result;
 }
+
+template Result<QueryResult> ExecuteAnalyze(core::Executor*, const Query&,
+                                            std::string_view);
+template Result<QueryResult> ExecuteAnalyze(core::PoolExecutor*, const Query&,
+                                            std::string_view);
 
 }  // namespace sql
 }  // namespace gpudb

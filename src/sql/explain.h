@@ -39,8 +39,13 @@ std::string FormatSpanTree(const std::vector<FinishedSpan>& spans);
 /// deep-counter groups and their rendered table (QueryResult::profile);
 /// those counters are deterministic, so the table is byte-identical across
 /// worker-thread counts.
-[[nodiscard]] Result<QueryResult> ExecuteAnalyze(core::Executor* executor,
-                                   const Query& query, std::string_view input);
+///
+/// `Exec` is core::Executor or a one-shard core::PoolExecutor (more shards
+/// return kNotImplemented: per-pass attribution needs one device).
+template <typename Exec>
+[[nodiscard]] Result<QueryResult> ExecuteAnalyze(Exec* executor,
+                                                 const Query& query,
+                                                 std::string_view input);
 
 }  // namespace sql
 }  // namespace gpudb

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "src/core/pool_executor.h"
 #include "src/sql/explain.h"
 #include "src/sql/lexer.h"
 
@@ -428,8 +429,8 @@ std::string QueryResult::ToString() const {
   return value;
 }
 
-Status ExecuteParsed(core::Executor* executor, const Query& query,
-                     QueryResult* result) {
+template <typename Exec>
+Status ExecuteParsed(Exec* executor, const Query& query, QueryResult* result) {
   result->kind = query.kind;
   switch (query.kind) {
     case Query::Kind::kCount: {
@@ -480,6 +481,10 @@ Status ExecuteParsed(core::Executor* executor, const Query& query,
   }
   return Status::Internal("unhandled query kind");
 }
+
+template Status ExecuteParsed(core::Executor*, const Query&, QueryResult*);
+template Status ExecuteParsed(core::PoolExecutor*, const Query&,
+                              QueryResult*);
 
 Result<QueryResult> ExecuteSql(core::Executor* executor,
                                std::string_view input) {

@@ -120,10 +120,14 @@ struct QueryResult {
 [[nodiscard]] Result<QueryResult> ExecuteSql(core::Executor* executor,
                                std::string_view input);
 
-/// \brief Executes an already-parsed query, filling the plain result fields.
-/// The EXPLAIN ANALYZE path (sql/explain.h) wraps this in a traced root span.
-[[nodiscard]] Status ExecuteParsed(core::Executor* executor, const Query& query,
-                     QueryResult* result);
+/// \brief Executes an already-parsed query, filling the plain result fields:
+/// the one statement switch, for a bare core::Executor (the GPU operators,
+/// no degradation ladder) and for a core::PoolExecutor (the ladder; what
+/// sql::Session runs). The EXPLAIN ANALYZE path (sql/explain.h) wraps this
+/// in a traced root span.
+template <typename Exec>
+[[nodiscard]] Status ExecuteParsed(Exec* executor, const Query& query,
+                                   QueryResult* result);
 
 /// \brief Runs a semicolon-separated script of queries in order, stopping at
 /// the first error. Returns one result per executed statement.

@@ -28,10 +28,67 @@ uint64_t RowsOut(const QueryResult& result) {
   }
 }
 
+/// True when the statement can be answered by shard recombination
+/// (DESIGN.md §15): COUNT, shardable aggregates, unordered SELECT. EXPLAIN
+/// ANALYZE and ANALYZE need a device of their own (per-pass attribution,
+/// one histogram), so they stay on the session's device.
+bool Decomposes(const Query& query) {
+  if (query.explain_analyze) return false;
+  switch (query.kind) {
+    case Query::Kind::kCount:
+      return true;
+    case Query::Kind::kAggregate:
+      return core::PoolExecutor::ShardableAggregate(query.aggregate);
+    case Query::Kind::kSelectRows:
+      // ORDER BY runs the bitonic network over the whole relation; it is a
+      // single-device operator (EXTENDING.md).
+      return query.order_by_column.empty();
+    default:
+      return false;
+  }
+}
+
+/// `ANALYZE <table>` on the table's one-shard executor: the statistics go
+/// to the catalog, which every later statement attaches to the executor.
+Result<QueryResult> AnalyzeTable(core::PoolExecutor* exec,
+                                 db::Catalog* catalog,
+                                 const std::string& table_name) {
+  GPUDB_ASSIGN_OR_RETURN(db::TableStats stats, core::CollectTableStats(exec));
+  stats.table_name = table_name;
+  const uint64_t columns = stats.columns.size();
+  GPUDB_RETURN_NOT_OK(catalog->SetStats(table_name, std::move(stats)));
+  // ANALYZE re-reads the backing store, so it also refreshes the table's
+  // version: cached depth planes from before the re-read are dropped (lint
+  // rule R6 enforces this pairing on every store writer).
+  GPUDB_RETURN_NOT_OK(catalog->BumpTableVersion(table_name));
+  QueryResult result;
+  result.kind = Query::Kind::kAnalyzeTable;
+  result.count = columns;
+  return result;
+}
+
+/// Runs a parsed statement as one statement of `exec`: one deadline, and
+/// last_stats() covering every operator it calls.
+Result<QueryResult> RunStatement(core::PoolExecutor* exec, const Query& query,
+                                 std::string_view sql, db::Catalog* catalog,
+                                 const std::string& table_name) {
+  const core::PoolExecutor::Statement statement(exec);
+  if (query.kind == Query::Kind::kAnalyzeTable) {
+    return AnalyzeTable(exec, catalog, table_name);
+  }
+  if (query.explain_analyze) return ExecuteAnalyze(exec, query, sql);
+  QueryResult result;
+  GPUDB_RETURN_NOT_OK(ExecuteParsed(exec, query, &result));
+  return result;
+}
+
 }  // namespace
 
 Session::Session(gpu::Device* device, db::Catalog* catalog)
-    : device_(device), catalog_(catalog) {
+    : device_(device),
+      catalog_(catalog),
+      own_pool_(device != nullptr ? gpu::DevicePool::Borrow(device)
+                                  : nullptr) {
   // Plane-cache invalidation (DESIGN.md §14): whenever the catalog bumps a
   // table's version -- reload, ANALYZE, any backing-store mutation (lint
   // rule R6) -- the device drops every cached depth plane for that table.
@@ -47,9 +104,6 @@ Session::Session(gpu::Device* device, db::Catalog* catalog)
 void Session::set_plan_options(const core::PlanOptions& options) {
   MutexLock lock(&execute_mu_);
   plan_options_ = options;
-  for (auto& [name, exec] : executors_) {
-    exec->set_plan_options(options);
-  }
 }
 
 void Session::set_resilience_options(const core::ResilienceOptions& options) {
@@ -114,29 +168,32 @@ Result<core::PoolExecutor*> Session::PoolExecutorForLocked(
 
 Result<core::Executor*> Session::ExecutorFor(std::string_view table_name) {
   MutexLock lock(&execute_mu_);
-  return ExecutorForLocked(table_name);
+  GPUDB_ASSIGN_OR_RETURN(core::PoolExecutor* solo,
+                         SoloExecutorForLocked(table_name));
+  return solo->ShardExecutorFor(0, 0);
 }
 
-Result<core::Executor*> Session::ExecutorForLocked(
+Result<core::PoolExecutor*> Session::SoloExecutorForLocked(
     std::string_view table_name) {
   auto it = executors_.find(table_name);
   if (it == executors_.end()) {
     GPUDB_ASSIGN_OR_RETURN(const db::Table* table,
                            catalog_->Lookup(table_name));
-    GPUDB_ASSIGN_OR_RETURN(std::unique_ptr<core::Executor> exec,
-                           core::Executor::Make(device_, table));
+    GPUDB_ASSIGN_OR_RETURN(std::unique_ptr<core::PoolExecutor> exec,
+                           core::PoolExecutor::Make(own_pool_.get(), table));
     exec->set_resilience_options(resilience_);
-    exec->set_plan_options(plan_options_);
     it = executors_.emplace(std::string(table_name), std::move(exec)).first;
   }
-  // The session multiplexes tables onto one device; restore this table's
-  // viewport before running anything (Executor::Make set it at creation).
-  GPUDB_RETURN_NOT_OK(
-      device_->SetViewport(it->second->table().num_rows()));
-  // Refresh the plane-cache identity each statement: the catalog version
-  // may have been bumped since the executor was cached.
-  it->second->SetTableIdentity(std::string(table_name),
-                               catalog_->version(table_name));
+  // The session multiplexes tables onto its one device; ShardExecutorFor
+  // restores this table's viewport. The plane-cache identity and the
+  // ANALYZE statistics are refreshed every statement: the catalog may have
+  // bumped the version or re-collected the stats since the last one.
+  GPUDB_ASSIGN_OR_RETURN(core::Executor* gpu,
+                         it->second->ShardExecutorFor(0, 0));
+  gpu->set_plan_options(plan_options_);
+  gpu->SetTableIdentity(std::string(table_name),
+                        catalog_->version(table_name));
+  gpu->set_table_stats(catalog_->Stats(table_name));
   return it->second.get();
 }
 
@@ -168,137 +225,39 @@ Result<QueryResult> Session::RunSystemTable(std::string_view sql,
   const uint32_t height = static_cast<uint32_t>(
       std::max<uint64_t>(1, (snap->num_rows() + width - 1) / width));
   gpu::Device device(width, height);
-  GPUDB_ASSIGN_OR_RETURN(std::unique_ptr<core::Executor> exec,
-                         core::Executor::Make(&device, snap.get()));
+  const std::unique_ptr<gpu::DevicePool> pool =
+      gpu::DevicePool::Borrow(&device);
+  GPUDB_ASSIGN_OR_RETURN(std::unique_ptr<core::PoolExecutor> exec,
+                         core::PoolExecutor::Make(pool.get(), snap.get()));
   exec->set_resilience_options(resilience_);
-  Result<QueryResult> result = QueryResult();
-  if (query.explain_analyze) {
-    result = ExecuteAnalyze(exec.get(), query, sql);
-  } else {
-    const Status status =
-        ExecuteParsed(exec.get(), query, &result.ValueOrDie());
-    if (!status.ok()) result = status;
-  }
-  // The ephemeral device and executor saw this statement and nothing else.
-  cost->counters = device.counters();
-  cost->retries = exec->resilience_tally().retries;
-  cost->fell_back = exec->resilience_tally().fallbacks > 0;
+  Result<QueryResult> result =
+      RunStatement(exec.get(), query, sql, catalog_, table_name);
+  cost->stats = exec->last_stats();
   if (result.ok()) result.ValueOrDie().table_view = snap;
-  return result;
-}
-
-bool Session::IsPoolable(const Query& query) {
-  if (query.explain_analyze || query.explain_profile) return false;
-  switch (query.kind) {
-    case Query::Kind::kCount:
-      return true;
-    case Query::Kind::kAggregate:
-      return core::PoolExecutor::ShardableAggregate(query.aggregate);
-    case Query::Kind::kSelectRows:
-      // ORDER BY runs the bitonic network over the whole relation; it is a
-      // single-device operator (EXTENDING.md).
-      return query.order_by_column.empty();
-    default:
-      return false;
-  }
-}
-
-Result<QueryResult> Session::RunPooled(core::PoolExecutor& exec,
-                                       const Query& query) {
-  QueryResult result;
-  result.kind = query.kind;
-  auto run = [&]() -> Status {
-    switch (query.kind) {
-      case Query::Kind::kCount: {
-        GPUDB_ASSIGN_OR_RETURN(result.count, exec.Count(query.where));
-        return Status::OK();
-      }
-      case Query::Kind::kAggregate: {
-        GPUDB_ASSIGN_OR_RETURN(
-            result.scalar,
-            exec.Aggregate(query.aggregate, query.column, query.where));
-        return Status::OK();
-      }
-      case Query::Kind::kSelectRows: {
-        GPUDB_ASSIGN_OR_RETURN(result.row_ids,
-                               exec.SelectRowIds(query.where));
-        // Shards are contiguous ranges recombined in order, so truncation
-        // matches the single-device LIMIT semantics exactly.
-        if (query.limit > 0 && result.row_ids.size() > query.limit) {
-          result.row_ids.resize(query.limit);
-        }
-        return Status::OK();
-      }
-      default:
-        return Status::Internal("non-poolable query routed to the pool");
-    }
-  };
-  const Status status = run();
-  pooled_statement_ = true;
-  pool_stats_ = exec.last_stats();
-  GPUDB_RETURN_NOT_OK(status);
   return result;
 }
 
 Result<QueryResult> Session::RunUserTable(std::string_view sql,
                                           const std::string& table_name,
                                           StatementCost* cost) {
-  GPUDB_ASSIGN_OR_RETURN(core::Executor* exec, ExecutorForLocked(table_name));
-  // Stats may have been (re)collected since the executor was cached.
-  exec->set_table_stats(catalog_->Stats(table_name));
-  const gpu::DeviceCounters before = device_->counters();
-  const core::ResilienceTally tally_before = exec->resilience_tally();
-  Result<QueryResult> result = RunUserStatement(sql, table_name, exec);
-  cost->counters = gpu::DeltaSince(before, device_->counters());
-  cost->retries = exec->resilience_tally().retries - tally_before.retries;
-  cost->fell_back =
-      exec->resilience_tally().fallbacks > tally_before.fallbacks;
-  if (pooled_statement_) {
-    // The shards ran on the pool devices; RunShard measured each dispatch.
-    cost->counters += pool_stats_.counters;
-    cost->retries += pool_stats_.retries;
-    cost->fell_back = cost->fell_back || pool_stats_.cpu_fallback;
-  }
-  return result;
-}
-
-Result<QueryResult> Session::RunUserStatement(std::string_view sql,
-                                              const std::string& table_name,
-                                              core::Executor* exec) {
+  GPUDB_ASSIGN_OR_RETURN(core::PoolExecutor* exec,
+                         SoloExecutorForLocked(table_name));
   GPUDB_ASSIGN_OR_RETURN(Query query, ParseQuery(sql, exec->table()));
-  // Shard-pool routing (DESIGN.md §15): poolable statements against
-  // shardable tables scatter across the device pool. Tables the sharder
-  // refuses fall through to the classic single-device path.
-  if (pool_ != nullptr && IsPoolable(query)) {
+  // Shard-pool routing (DESIGN.md §15): statements that decompose, against
+  // tables the sharder accepts, scatter across the installed pool. The
+  // rest stay on the one-shard executor over the session's device.
+  if (pool_ != nullptr && Decomposes(query)) {
     Result<core::PoolExecutor*> pooled = PoolExecutorForLocked(table_name);
     if (pooled.ok()) {
-      return RunPooled(*pooled.ValueOrDie(), query);
-    }
-    if (!pooled.status().IsFailedPrecondition()) {
+      exec = pooled.ValueOrDie();
+      cost->pooled = true;
+    } else if (!pooled.status().IsFailedPrecondition()) {
       return pooled.status();
     }
   }
-  if (query.kind == Query::Kind::kAnalyzeTable) {
-    GPUDB_ASSIGN_OR_RETURN(db::TableStats stats,
-                           core::CollectTableStats(exec));
-    stats.table_name = table_name;
-    const uint64_t columns = stats.columns.size();
-    GPUDB_RETURN_NOT_OK(catalog_->SetStats(table_name, std::move(stats)));
-    // ANALYZE re-reads the backing store, so it also refreshes the
-    // table's version: cached depth planes from before the re-read are
-    // dropped (lint rule R6 enforces this pairing on every store writer).
-    GPUDB_RETURN_NOT_OK(catalog_->BumpTableVersion(table_name));
-    exec->set_table_stats(catalog_->Stats(table_name));
-    QueryResult result;
-    result.kind = Query::Kind::kAnalyzeTable;
-    result.count = columns;
-    return result;
-  }
-  if (query.explain_analyze) {
-    return ExecuteAnalyze(exec, query, sql);
-  }
-  QueryResult result;
-  GPUDB_RETURN_NOT_OK(ExecuteParsed(exec, query, &result));
+  Result<QueryResult> result =
+      RunStatement(exec, query, sql, catalog_, table_name);
+  cost->stats = exec->last_stats();
   return result;
 }
 
@@ -350,14 +309,10 @@ Result<QueryResult> Session::Execute(std::string_view sql) {
   // extend the device critical section).
   double queue_ms = 0.0;
   double wall_ms = 0.0;
-  bool pooled = false;
-  core::PoolQueryStats pool_stats;
   StatementCost cost;
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
     MutexLock lock(&execute_mu_);
     queue_ms = timer.ElapsedMs();
-    pooled_statement_ = false;
-    pool_stats_ = core::PoolQueryStats();
     // No inner dispatch lambda: a lambda body is analyzed without the
     // enclosing capability, so the REQUIRES(execute_mu_) call to Dispatch
     // must sit lexically inside this MutexLock scope.
@@ -367,8 +322,6 @@ Result<QueryResult> Session::Execute(std::string_view sql) {
             ? Dispatch(sql, table_name.ValueOrDie(), &cost)
             : Result<QueryResult>(table_name.status());
     wall_ms = timer.ElapsedMs();
-    pooled = pooled_statement_;
-    pool_stats = pool_stats_;
     return r;
   }();
 
@@ -379,23 +332,23 @@ Result<QueryResult> Session::Execute(std::string_view sql) {
   entry.queue_ms = queue_ms;
   entry.exec_ms = wall_ms - queue_ms;
   entry.tenant = tenant;
-  if (pooled) {
-    // Attribute the statement to the device that mattered: the first one
-    // that failed it when there were failovers, else the one that served
-    // its first shard.
-    entry.device_id = pool_stats.failovers > 0 &&
-                              pool_stats.first_failed_device >= 0
-                          ? pool_stats.first_failed_device
-                          : pool_stats.first_device;
-    entry.failovers = pool_stats.failovers;
+  const core::PoolQueryStats& stats = cost.stats;
+  if (cost.pooled) {
+    // Attribute the statement to the pool device that mattered: the first
+    // one that failed it when there were failovers, else the one that
+    // served its first shard. The session's own device logs as -1.
+    entry.device_id = stats.failovers > 0 && stats.first_failed_device >= 0
+                          ? stats.first_failed_device
+                          : stats.first_device;
   }
-  entry.retries = cost.retries;
-  entry.fell_back = cost.fell_back;
-  entry.passes = cost.counters.passes;
-  entry.fragments = cost.counters.fragments_generated;
-  entry.fused_passes = cost.counters.fused_passes;
-  entry.cache_hits = cost.counters.plane_cache_hits;
-  entry.simulated_ms = gpu::PerfModel().Estimate(cost.counters).TotalMs();
+  entry.failovers = stats.failovers;
+  entry.retries = stats.retries;
+  entry.fell_back = stats.cpu_fallback;
+  entry.passes = stats.counters.passes;
+  entry.fragments = stats.counters.fragments_generated;
+  entry.fused_passes = stats.counters.fused_passes;
+  entry.cache_hits = stats.counters.plane_cache_hits;
+  entry.simulated_ms = gpu::PerfModel().Estimate(stats.counters).TotalMs();
   if (result.ok()) {
     entry.kind = std::string(ToString(result.ValueOrDie().kind));
     entry.rows_out = RowsOut(result.ValueOrDie());

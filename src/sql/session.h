@@ -29,11 +29,14 @@ namespace sql {
 /// The single-executor ExecuteSql path (parser.h) serves the one-table
 /// benchmarks; Session is the layer above it:
 ///
-///  * `FROM <name>` resolves through the catalog. User tables get one
-///    cached Executor each (textures stay resident across queries); the
-///    gpudb_* system tables are materialized fresh per query from live
-///    telemetry and executed on an ephemeral device, so
-///    `SELECT * FROM gpudb_metrics WHERE value > 0` runs the normal GPU
+///  * `FROM <name>` resolves through the catalog. Every statement runs on a
+///    core::PoolExecutor, so every dispatch walks the one degradation
+///    ladder (DESIGN.md §11): the installed pool's sharded executor when
+///    the table shards and the statement decomposes, otherwise a one-shard
+///    executor over the session's own device, a pool of one (textures stay
+///    resident across queries). The gpudb_* system tables are materialized
+///    fresh per query from live telemetry and run on an ephemeral device,
+///    so `SELECT * FROM gpudb_metrics WHERE value > 0` runs the normal GPU
 ///    selection path over a snapshot of the process's own counters.
 ///  * `ANALYZE <table>` collects column statistics (core/analyze) into the
 ///    catalog and attaches them to the table's executor, enabling
@@ -44,7 +47,8 @@ namespace sql {
 class Session {
  public:
   /// Both pointers must outlive the session. `device` runs user-table
-  /// queries; its viewport is reset whenever the session switches tables.
+  /// queries as the session's pool of one; its viewport is reset whenever
+  /// the session switches tables.
   Session(gpu::Device* device, db::Catalog* catalog);
 
   /// Parses and runs one statement. For SELECT * against a system table,
@@ -60,10 +64,10 @@ class Session {
 
   db::Catalog& catalog() { return *catalog_; }
 
-  /// Installs the resilience policy (retry / circuit breaker / CPU fallback
-  /// / per-query deadline) on every executor this session creates -- cached
-  /// user-table executors, existing and future, and the ephemeral executors
-  /// that run system-table snapshots.
+  /// Installs the resilience policy (retry / CPU fallback / per-statement
+  /// deadline) on every executor this session creates -- cached user-table
+  /// executors, existing and future, and the ephemeral executors that run
+  /// system-table snapshots.
   void set_resilience_options(const core::ResilienceOptions& options)
       EXCLUDES(execute_mu_);
   core::ResilienceOptions resilience_options() const EXCLUDES(execute_mu_) {
@@ -82,14 +86,16 @@ class Session {
     return plan_options_;
   }
 
-  /// The cached executor for a registered user table (created on first use).
+  /// The GPU operators of a registered user table's one-shard executor on
+  /// the session's device (created on first use), with the device's
+  /// viewport set to the table: the textures its statements use.
   [[nodiscard]] Result<core::Executor*> ExecutorFor(std::string_view table_name)
       EXCLUDES(execute_mu_);
 
-  /// Enables shard-parallel execution (DESIGN.md §15): poolable statements
-  /// (COUNT, shardable aggregates, unordered SELECT) against shardable
-  /// tables run range-sharded across the pool's devices with replica
-  /// failover. `pool` must outlive the session; nullptr disables.
+  /// Enables shard-parallel execution (DESIGN.md §15): statements that
+  /// decompose (COUNT, shardable aggregates, unordered SELECT) against
+  /// shardable tables run range-sharded across the pool's devices with
+  /// replica failover. `pool` must outlive the session; nullptr disables.
   /// `num_shards` <= 0 picks the default of 2 shards per device. Tables the
   /// sharder refuses (float columns quantize per shard) transparently stay
   /// on the single-device path.
@@ -122,13 +128,12 @@ class Session {
       std::string_view table_name) EXCLUDES(execute_mu_);
 
  private:
-  /// What one statement cost, for its query-log entry: the device work it
-  /// caused on every device it touched, and the retries and CPU-tier
-  /// answers of its own executors.
+  /// What one statement cost, for its query-log entry: the last_stats() of
+  /// the one executor that ran it, and whether that was the installed
+  /// pool's (else the session's own device, or a system-table snapshot's).
   struct StatementCost {
-    gpu::DeviceCounters counters;
-    uint64_t retries = 0;
-    bool fell_back = false;
+    core::PoolQueryStats stats;
+    bool pooled = false;
   };
 
   /// Dispatches a statement whose target table is already resolved;
@@ -148,34 +153,20 @@ class Session {
                                    StatementCost* cost)
       REQUIRES(execute_mu_);
 
-  /// The statement body of RunUserTable (routing, ANALYZE, EXPLAIN, plain
-  /// execution), split out as a named function rather than a lambda so the
-  /// REQUIRES contract stays visible to the capability analysis.
-  [[nodiscard]] Result<QueryResult> RunUserStatement(std::string_view sql,
-                                       const std::string& table_name,
-                                       core::Executor* exec)
-      REQUIRES(execute_mu_);
-
   /// Lock-held bodies of the public executor accessors: RunUserTable runs
   /// under execute_mu_ and must not re-enter the public locking wrappers.
-  [[nodiscard]] Result<core::Executor*> ExecutorForLocked(
+  /// SoloExecutorForLocked returns the table's one-shard executor with its
+  /// plan options, catalog identity and statistics refreshed.
+  [[nodiscard]] Result<core::PoolExecutor*> SoloExecutorForLocked(
       std::string_view table_name) REQUIRES(execute_mu_);
   [[nodiscard]] Result<core::PoolExecutor*> PoolExecutorForLocked(
       std::string_view table_name) REQUIRES(execute_mu_);
 
-  /// True when the statement can be answered by shard recombination
-  /// (DESIGN.md §15): COUNT, shardable aggregates, unordered SELECT; never
-  /// EXPLAIN (per-pass attribution is a single-device concept).
-  static bool IsPoolable(const Query& query);
-
-  /// Runs an already-parsed poolable statement through the shard pool and
-  /// records its PoolQueryStats for query-log attribution.
-  [[nodiscard]] Result<QueryResult> RunPooled(core::PoolExecutor& exec,
-                                              const Query& query)
-      REQUIRES(execute_mu_);
-
   gpu::Device* const device_;    // lint: lock-free (set at construction)
   db::Catalog* const catalog_;   // lint: lock-free (set at construction)
+  /// The session's device as a pool of one: its health gate and lease.
+  // lint: lock-free (set at construction)
+  const std::unique_ptr<gpu::DevicePool> own_pool_;
   /// Statements serialize here (one device, one executor cache). The time a
   /// statement spends waiting for this lock is its QueryLogEntry::queue_ms.
   /// Lock-order level: `session` -- held across dispatch into catalog,
@@ -184,7 +175,8 @@ class Session {
   mutable Mutex execute_mu_;
   core::ResilienceOptions resilience_ GUARDED_BY(execute_mu_);
   core::PlanOptions plan_options_ GUARDED_BY(execute_mu_);
-  std::map<std::string, std::unique_ptr<core::Executor>, std::less<>>
+  /// One-shard executors over own_pool_, one per user table.
+  std::map<std::string, std::unique_ptr<core::PoolExecutor>, std::less<>>
       executors_ GUARDED_BY(execute_mu_);
 
   /// Shard-pool state. A PoolEntry caches the sharded copy of a table and
@@ -198,10 +190,6 @@ class Session {
   int pool_shards_ GUARDED_BY(execute_mu_) = 0;
   std::map<std::string, PoolEntry, std::less<>> pool_executors_
       GUARDED_BY(execute_mu_);
-  /// Attribution of the statement currently executing: whether it ran
-  /// pooled, and the stats it produced.
-  bool pooled_statement_ GUARDED_BY(execute_mu_) = false;
-  core::PoolQueryStats pool_stats_ GUARDED_BY(execute_mu_);
 
   AdmissionController* admission_ GUARDED_BY(execute_mu_) = nullptr;
   std::string tenant_ GUARDED_BY(execute_mu_);

@@ -1,7 +1,8 @@
-// Resilience layer: bounded retry of transient device faults, the circuit
-// breaker, and the CPU fallback tier. The key contract is that a query
-// answered through any degradation path returns exactly the answer the
-// healthy GPU path would have produced.
+// Resilience layer on a single device, a pool of one: bounded retry of
+// transient device faults, the device's quarantine (the open breaker), and
+// the CPU fallback tier. The key contract is that a query answered through
+// any degradation path returns exactly the answer the healthy GPU path
+// would have produced.
 
 #include <memory>
 #include <vector>
@@ -10,9 +11,11 @@
 
 #include "src/common/metrics.h"
 #include "src/core/executor.h"
+#include "src/core/pool_executor.h"
 #include "src/core/resilience.h"
 #include "src/db/datagen.h"
 #include "src/gpu/device.h"
+#include "src/gpu/device_pool.h"
 #include "src/gpu/fault_injector.h"
 #include "tests/test_util.h"
 
@@ -50,27 +53,6 @@ TEST(FaultClassification, TransientAndDeviceFaultSets) {
   EXPECT_FALSE(IsDeviceFault(Status::Cancelled("x")));
 }
 
-TEST(CircuitBreaker, OpensAfterThresholdAndProbesPeriodically) {
-  CircuitBreaker breaker(/*threshold=*/3, /*probe_interval=*/4);
-  EXPECT_FALSE(breaker.open());
-  breaker.RecordFailure();
-  breaker.RecordFailure();
-  EXPECT_FALSE(breaker.open());
-  breaker.RecordFailure();
-  EXPECT_TRUE(breaker.open());
-
-  // Every probe_interval-th skipped call probes the device path.
-  int probes = 0;
-  for (int i = 0; i < 8; ++i) {
-    if (breaker.AllowProbe()) ++probes;
-  }
-  EXPECT_EQ(probes, 2);
-
-  breaker.RecordSuccess();
-  EXPECT_FALSE(breaker.open());
-  EXPECT_EQ(breaker.consecutive_failures(), 0);
-}
-
 TEST(FaultInjector, SameSeedSameDrawSequence) {
   gpu::FaultInjector a;
   gpu::FaultInjector b;
@@ -89,7 +71,7 @@ class ResilienceTest : public ::testing::Test {
     auto t = db::MakeTcpIpTable(5000, /*seed=*/77);
     EXPECT_TRUE(t.ok());
     table_ = std::move(t).ValueOrDie();
-    auto exec = Executor::Make(&device_, &table_);
+    auto exec = PoolExecutor::Make(pool_.get(), &table_);
     EXPECT_TRUE(exec.ok());
     executor_ = std::move(exec).ValueOrDie();
     auto ref = Executor::Make(&reference_device_, &table_);
@@ -100,15 +82,23 @@ class ResilienceTest : public ::testing::Test {
   /// Uploads every column texture while faults are off, so a subsequent
   /// ConfigureFaults starts the draw sequence at the query's first pass.
   void WarmTextures() {
+    auto gpu = executor_->ShardExecutorFor(0, 0);
+    ASSERT_TRUE(gpu.ok());
     for (size_t c = 0; c < table_.num_columns(); ++c) {
-      EXPECT_TRUE(executor_->BindingFor(c).ok());
+      EXPECT_TRUE(gpu.ValueOrDie()->BindingFor(c).ok());
     }
+  }
+
+  /// The open breaker of the single-device ladder.
+  bool Quarantined() const {
+    return pool_->health(0) == gpu::DeviceHealth::kQuarantined;
   }
 
   gpu::Device device_;             // fault-injected
   gpu::Device reference_device_;   // always healthy
+  std::unique_ptr<gpu::DevicePool> pool_ = gpu::DevicePool::Borrow(&device_);
   db::Table table_;
-  std::unique_ptr<Executor> executor_;
+  std::unique_ptr<PoolExecutor> executor_;
   std::unique_ptr<Executor> reference_;
 };
 
@@ -141,7 +131,7 @@ TEST_F(ResilienceTest, TransientFaultIsRetriedAndSucceeds) {
   EXPECT_EQ(count, want);
   EXPECT_EQ(CounterValue("queries.retried"), retried_before + 1);
   EXPECT_EQ(CounterValue("queries.fell_back"), fellback_before);
-  EXPECT_FALSE(executor_->breaker().open());
+  EXPECT_FALSE(Quarantined());
 }
 
 TEST_F(ResilienceTest, PermanentFaultsFallBackToIdenticalCpuAnswers) {
@@ -216,7 +206,7 @@ TEST_F(ResilienceTest, PermanentFaultsFallBackToIdenticalCpuAnswers) {
 
   EXPECT_GT(CounterValue("queries.fell_back"), fellback_before);
   // Three consecutive device faults opened the breaker along the way.
-  EXPECT_TRUE(executor_->breaker().open());
+  EXPECT_TRUE(Quarantined());
 }
 
 TEST_F(ResilienceTest, NoFallbackMeansCleanDeviceFaultStatus) {
@@ -241,7 +231,7 @@ TEST_F(ResilienceTest, UserErrorsAreNeverRetriedOrDegraded) {
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(CounterValue("queries.retry_attempts"), retried_before);
   EXPECT_EQ(CounterValue("queries.fell_back"), fellback_before);
-  EXPECT_FALSE(executor_->breaker().open());
+  EXPECT_FALSE(Quarantined());
 }
 
 TEST_F(ResilienceTest, OpenBreakerSkipsDeviceAndProbesRecovery) {
@@ -253,7 +243,7 @@ TEST_F(ResilienceTest, OpenBreakerSkipsDeviceAndProbesRecovery) {
     ASSERT_OK_AND_ASSIGN(uint64_t got, executor_->Count(where));
     EXPECT_EQ(got, want);
   }
-  ASSERT_TRUE(executor_->breaker().open());
+  ASSERT_TRUE(Quarantined());
   const uint64_t draws_with_open_breaker = device_.fault_injector().draws();
 
   // While open, calls short-circuit to the CPU tier: the device sees no new
@@ -270,7 +260,7 @@ TEST_F(ResilienceTest, OpenBreakerSkipsDeviceAndProbesRecovery) {
   for (int i = 0; i < 16 && !closed; ++i) {
     ASSERT_OK_AND_ASSIGN(uint64_t got, executor_->Count(where));
     EXPECT_EQ(got, want);
-    closed = !executor_->breaker().open();
+    closed = !Quarantined();
   }
   EXPECT_TRUE(closed);
 }

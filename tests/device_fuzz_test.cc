@@ -17,6 +17,7 @@
 #include "src/common/query_log.h"
 #include "src/common/random.h"
 #include "src/core/executor.h"
+#include "src/core/pool_executor.h"
 #include "src/core/resilience.h"
 #include "src/db/catalog.h"
 #include "src/db/datagen.h"
@@ -160,9 +161,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DeviceFuzz,
 // ---------------------------------------------------------------------------
 // Fault sweep: run a fixed battery of executor queries against a
 // fault-injected device across many seeds and every supported thread count.
-// The contract under injected faults is strict:
+// The battery runs on a one-shard PoolExecutor over the device, a pool of
+// one, so every query walks the one degradation ladder. The contract under
+// injected faults is strict:
 //   * a query either returns EXACTLY the healthy-path answer (after
-//     retry / circuit-breaker / CPU fallback) or a clean non-OK Status --
+//     retry / quarantine / CPU fallback) or a clean non-OK Status --
 //     never a crash, never a silently wrong answer;
 //   * the same seed produces bit-identical outcomes at 1/2/4/8 worker
 //     threads, because every injector draw happens on the issuing thread.
@@ -181,12 +184,13 @@ const db::Table& SweepTable() {
 /// value when OK, the full Status (code + message) when not.
 std::vector<std::string> RunBattery(Device* dev, bool allow_fallback) {
   std::vector<std::string> out;
-  auto exec_or = core::Executor::Make(dev, &SweepTable());
+  const std::unique_ptr<DevicePool> pool = DevicePool::Borrow(dev);
+  auto exec_or = core::PoolExecutor::Make(pool.get(), &SweepTable());
   if (!exec_or.ok()) {
     out.push_back("make:" + exec_or.status().ToString());
     return out;
   }
-  std::unique_ptr<core::Executor> exec = std::move(exec_or).ValueOrDie();
+  std::unique_ptr<core::PoolExecutor> exec = std::move(exec_or).ValueOrDie();
   core::ResilienceOptions options;
   options.allow_cpu_fallback = allow_fallback;
   exec->set_resilience_options(options);
@@ -278,17 +282,20 @@ std::vector<std::string> RunPlannedConfig(uint64_t seed, double rate,
   EXPECT_TRUE(dev.SetWorkerThreads(threads).ok());
   dev.ConfigureFaults({seed, rate});
   std::vector<std::string> out;
-  auto exec_or = core::Executor::Make(&dev, &SweepTable());
-  if (!exec_or.ok()) {
-    out.push_back("make:" + exec_or.status().ToString());
+  const std::unique_ptr<DevicePool> pool = DevicePool::Borrow(&dev);
+  auto exec_or = core::PoolExecutor::Make(pool.get(), &SweepTable());
+  auto gpu_or = exec_or.ok() ? exec_or.ValueOrDie()->ShardExecutorFor(0, 0)
+                             : Result<core::Executor*>(exec_or.status());
+  if (!gpu_or.ok()) {
+    out.push_back("make:" + gpu_or.status().ToString());
     return out;
   }
-  std::unique_ptr<core::Executor> exec = std::move(exec_or).ValueOrDie();
+  std::unique_ptr<core::PoolExecutor> exec = std::move(exec_or).ValueOrDie();
   core::ResilienceOptions options;
   options.allow_cpu_fallback = true;
   exec->set_resilience_options(options);
-  exec->set_plan_options(plan);
-  exec->SetTableIdentity("sweep", /*version=*/1);
+  gpu_or.ValueOrDie()->set_plan_options(plan);
+  gpu_or.ValueOrDie()->SetTableIdentity("sweep", /*version=*/1);
   const predicate::ExprPtr where =
       predicate::Expr::Pred(0, CompareOp::kGreater, 5000.0f);
 

@@ -21,11 +21,13 @@
 #include "src/core/eval_cnf.h"
 #include "src/core/executor.h"
 #include "src/core/kth_largest.h"
+#include "src/core/pool_executor.h"
 #include "src/core/range.h"
 #include "src/core/resilience.h"
 #include "src/db/datagen.h"
 #include "src/db/table.h"
 #include "src/gpu/device.h"
+#include "src/gpu/device_pool.h"
 #include "tests/test_util.h"
 
 namespace gpudb {
@@ -354,11 +356,11 @@ TEST(ParallelDeterminismTest, AwkwardViewportSizes) {
   }
 }
 
-// A deadline so small it has already expired when the first render pass
-// starts must fail with kDeadlineExceeded at every thread count, and with
-// the same status every time: the interrupt check runs at pass entry on the
-// issuing thread, before any band is dispatched, so worker threads can never
-// observe (or race on) the expiry.
+// A deadline so small it has already expired when the dispatch starts must
+// fail with kDeadlineExceeded at every thread count, and with the same
+// status every time: the interrupt check runs before the dispatch and at
+// pass entry on the issuing thread, before any band is dispatched, so worker
+// threads can never observe (or race on) the expiry.
 TEST(ParallelDeterminismTest, ExpiredDeadlineIsDeterministicAcrossThreads) {
   auto table_or = db::MakeTcpIpTable(2000, /*seed=*/21);
   ASSERT_OK(table_or.status());
@@ -370,8 +372,10 @@ TEST(ParallelDeterminismTest, ExpiredDeadlineIsDeterministicAcrossThreads) {
   for (int threads : {1, 2, 4, 8}) {
     gpu::Device device(100, 100);
     ASSERT_OK(device.SetWorkerThreads(threads));
-    ASSERT_OK_AND_ASSIGN(std::unique_ptr<Executor> executor,
-                         Executor::Make(&device, &table));
+    const std::unique_ptr<gpu::DevicePool> pool =
+        gpu::DevicePool::Borrow(&device);
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<PoolExecutor> executor,
+                         PoolExecutor::Make(pool.get(), &table));
     ResilienceOptions options;
     options.deadline_ms = 1e-7;  // expired before the first pass begins
     executor->set_resilience_options(options);
@@ -387,8 +391,8 @@ TEST(ParallelDeterminismTest, ExpiredDeadlineIsDeterministicAcrossThreads) {
           << "threads=" << threads;
     }
 
-    // The DeadlineScope must disarm on exit: with the deadline lifted the
-    // same executor answers normally (CheckInterrupt cleared the flag).
+    // The statement's deadline never outlives its dispatch: with the
+    // deadline lifted the same executor answers normally.
     EXPECT_FALSE(device.deadline_armed());
     executor->set_resilience_options(ResilienceOptions{});
     ASSERT_OK_AND_ASSIGN(uint64_t count, executor->Count(where));

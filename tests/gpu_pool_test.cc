@@ -4,6 +4,8 @@
 // execution through every rung of the failover ladder -- plus the admission
 // controller's deterministic rejection paths.
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -283,9 +285,9 @@ TEST_F(PoolExecutorTest, CpuRungCanBeDisabled) {
       db::ShardedTable::Make(table_, /*num_shards=*/4, pool->size()));
   ASSERT_OK_AND_ASSIGN(auto exec,
                        core::PoolExecutor::Make(pool.get(), &sharded));
-  core::FailoverPolicy policy;
-  policy.allow_cpu_fallback = false;
-  exec->set_failover_policy(policy);
+  core::ResilienceOptions options;
+  options.allow_cpu_fallback = false;
+  exec->set_resilience_options(options);
   pool->ForceDeviceLost(0);
   pool->ForceDeviceLost(1);
   auto result = exec->Count(nullptr);
@@ -596,6 +598,116 @@ TEST(SessionPool, ResilienceOutcomesStayWithTheirOwnSession) {
   }
   // The injection must actually have fired for the check to mean anything.
   EXPECT_GT(faulty_events, 0u);
+}
+
+// Regression: a pooled statement honours `allow_cpu_fallback = false` the
+// way the single-device route does. With every pool device lost there is no
+// GPU placement left, and the statement must fail with kDeviceLost instead
+// of being answered by the CPU tier.
+TEST(SessionPool, FallbackOffSurfacesDeviceLostWhenEveryDeviceIsLost) {
+  ASSERT_OK_AND_ASSIGN(db::Table table, db::MakeTcpIpTable(3000, /*seed=*/9));
+  db::Catalog catalog;
+  ASSERT_OK(catalog.Register("traffic", &table));
+  gpu::Device session_device(100, 100);
+  sql::Session session(&session_device, &catalog);
+  auto pool = MakePool(2);
+  session.SetDevicePool(pool.get());
+  core::ResilienceOptions options;
+  options.allow_cpu_fallback = false;
+  session.set_resilience_options(options);
+  pool->ForceDeviceLost(0);
+  pool->ForceDeviceLost(1);
+
+  const auto result =
+      session.Execute("SELECT COUNT(*) FROM traffic WHERE data_count > 20000");
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsDeviceLost()) << result.status().ToString();
+  const QueryLogEntry entry = QueryLog::Global().Entries().back();
+  EXPECT_FALSE(entry.fell_back);
+  EXPECT_GE(entry.device_id, 0);
+}
+
+// Regression: `deadline_ms` is one deadline per statement, not per shard
+// dispatch. Each shard of this statement beats the deadline by 3x, but the
+// sixteen of them together overrun it by more than 5x, so the statement must
+// fail with kDeadlineExceeded. The deadline is sized from the fastest of
+// several one-shard runs: host load can only lengthen the shards and make
+// the overrun larger.
+TEST(SessionPool, DeadlineCoversTheWholeStatementNotEachShard) {
+  constexpr int kShards = 16;
+  ASSERT_OK_AND_ASSIGN(db::Table table,
+                       db::MakeTcpIpTable(160000, /*seed=*/3));
+  db::Catalog catalog;
+  ASSERT_OK(catalog.Register("traffic", &table));
+  const char* sql =
+      "SELECT COUNT(*) FROM traffic WHERE data_count > 20000 AND "
+      "flow_rate < 250000 AND data_loss > 1";
+  const ExprPtr where = Expr::And(
+      Expr::And(Expr::Pred(0, CompareOp::kGreater, 20000.0f),
+                Expr::Pred(2, CompareOp::kLess, 250000.0f)),
+      Expr::Pred(1, CompareOp::kGreater, 1.0f));
+
+  DevicePoolOptions pool_options;
+  pool_options.devices = 2;
+  pool_options.width = 100;
+  pool_options.height = 100;
+  ASSERT_OK_AND_ASSIGN(auto pool, DevicePool::Make(pool_options));
+
+  // The fastest one-shard dispatch, on a warm device of the same size.
+  ASSERT_OK_AND_ASSIGN(db::ShardedTable sharded,
+                       db::ShardedTable::Make(table, kShards, pool->size()));
+  gpu::Device solo(100, 100);
+  ASSERT_OK_AND_ASSIGN(auto solo_exec,
+                       core::Executor::Make(&solo, &sharded.shard(0).table));
+  double shard_ms = 1e30;
+  for (int i = 0; i < 7; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_OK(solo_exec->Count(where).status());
+    shard_ms = std::min(
+        shard_ms, std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - start)
+                      .count());
+  }
+
+  gpu::Device session_device(400, 400);  // holds the whole table
+  sql::Session session(&session_device, &catalog);
+  session.SetDevicePool(pool.get(), kShards);
+  // Warm every shard executor and texture before the deadline goes on.
+  ASSERT_OK(session.Execute(sql).status());
+  core::ResilienceOptions options;
+  options.deadline_ms = 3.0 * shard_ms;
+  session.set_resilience_options(options);
+
+  const auto result = session.Execute(sql);
+  ASSERT_FALSE(result.ok()) << "one shard " << shard_ms << " ms, deadline "
+                            << options.deadline_ms << " ms";
+  EXPECT_TRUE(result.status().IsDeadlineExceeded())
+      << result.status().ToString();
+}
+
+// MEDIAN does not decompose, so a pooled session runs it on its own device,
+// a pool of one. A dead session device degrades it to the CPU tier, which
+// returns the healthy answer; the log attributes it to the session's device.
+TEST(SessionPool, MedianOnADeadSessionDeviceFallsBackToTheSameAnswer) {
+  ASSERT_OK_AND_ASSIGN(db::Table table, db::MakeTcpIpTable(3000, /*seed=*/9));
+  db::Catalog catalog;
+  ASSERT_OK(catalog.Register("traffic", &table));
+  const char* sql = "SELECT MEDIAN(data_count) FROM traffic";
+
+  gpu::Device classic_device(100, 100);
+  sql::Session classic(&classic_device, &catalog);
+  ASSERT_OK_AND_ASSIGN(sql::QueryResult want, classic.Execute(sql));
+
+  gpu::Device session_device(100, 100);
+  sql::Session pooled(&session_device, &catalog);
+  auto pool = MakePool(2);
+  pooled.SetDevicePool(pool.get());
+  session_device.ConfigureFaults({/*seed=*/7, /*rate=*/1.0});
+  ASSERT_OK_AND_ASSIGN(sql::QueryResult got, pooled.Execute(sql));
+  EXPECT_EQ(got.scalar, want.scalar);
+  const QueryLogEntry entry = QueryLog::Global().Entries().back();
+  EXPECT_TRUE(entry.fell_back);
+  EXPECT_EQ(entry.device_id, -1);
 }
 
 TEST(SessionPool, AdmissionRejectionSurfacesAndIsLogged) {
