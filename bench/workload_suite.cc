@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/core/executor.h"
-#include "src/sql/parser.h"
+#include "src/db/catalog.h"
+#include "src/sql/session.h"
 
 namespace gpudb {
 namespace bench {
@@ -29,8 +29,9 @@ int Run() {
               "(Section 7's conclusion)");
   const db::Table& table = TcpIpTable();
   auto device = MakeDevice();
-  auto exec = core::Executor::Make(device.get(), &table);
-  if (!exec.ok()) return 1;
+  db::Catalog catalog;
+  if (!catalog.Register("flows", &table).ok()) return 1;
+  sql::Session session(device.get(), &catalog);
   gpu::PerfModel gpu_model;
   cpu::XeonModel cpu_model;
   const size_t n = table.num_rows();
@@ -59,7 +60,7 @@ int Run() {
   double gpu_total = 0, cpu_total = 0, best_total = 0;
   for (const SuiteQuery& q : suite) {
     device->ResetCounters();
-    auto r = sql::ExecuteSql(exec.ValueOrDie().get(), q.sql);
+    auto r = session.Execute(q.sql);
     if (!r.ok()) {
       std::fprintf(stderr, "%s -> %s\n", q.sql, r.status().ToString().c_str());
       return 1;

@@ -15,9 +15,9 @@
 //   --trace=FILE        write a Chrome trace_event JSON of every traced span
 //                       to FILE on exit (open in chrome://tracing/Perfetto)
 //   --profile           enable the gpuprof deep pipeline counters for every
-//                       query (EXPLAIN PROFILE enables them per query even
-//                       without this flag); feeds the gpudb_profile system
-//                       table ($GPUDB_PROFILE=1)
+//                       query (EXPLAIN PROFILE computes them for its own
+//                       statement even without this flag); feeds the
+//                       gpudb_profile system table ($GPUDB_PROFILE=1)
 //   --metrics           dump the process metrics registry after the queries
 //   --metrics-prom=FILE write the registry in Prometheus text exposition
 //                       format to FILE on exit
@@ -298,14 +298,14 @@ int main(int argc, char** argv) {
   if (!trace_file.empty()) {
     // Counter tracks (band timings, engine busy time) ride along as Chrome
     // trace "C" events next to the spans.
-    const std::string json =
-        gpudb::Tracer::ToChromeTrace(gpudb::Tracer::Global().Finished(),
-                                     gpudb::Tracer::Global().CounterSamples());
+    const std::vector<gpudb::FinishedSpan> spans =
+        gpudb::Tracer::Global().Finished();
+    const std::vector<gpudb::CounterSample> samples =
+        gpudb::Tracer::Global().CounterSamples();
     std::ofstream out(trace_file);
-    out << json;
+    out << gpudb::Tracer::ToChromeTrace(spans, samples);
     std::printf("wrote %zu span(s) and %zu counter sample(s) to %s\n",
-                gpudb::Tracer::Global().FinishedCount(),
-                gpudb::Tracer::Global().CounterCount(), trace_file.c_str());
+                spans.size(), samples.size(), trace_file.c_str());
   }
   if (!prom_file.empty()) {
     std::ofstream out(prom_file);

@@ -10,13 +10,15 @@
 #   1. the standard build + full ctest run (what CI gates on),
 #   2. a bench smoke run of every figure bench with a committed baseline,
 #      diffed against bench/baseline (model-time regression gate; see
-#      scripts/bench_diff.py), then fig03 again under --profile with
+#      scripts/bench_diff.py), then fig03 five times plain and five times
+#      under --profile, alternating, with
 #      scripts/profile_smoke.py asserting the gpuprof counters are nonzero,
 #      the fragment ledger balances, and profiling overhead stays bounded,
 #   3. a fault-injection sweep: the resilience and fuzz suites re-run with
 #      $GPUDB_FAULT_RATE > 0 so every rung of the dispatch ladder (retry,
 #      quarantine, replica, CPU fallback) executes in the gating build,
-#   3b. a 1M-statement single-session soak (flat RSS and latency),
+#   3b. a 1M-statement single-session soak, plain and EXPLAIN ANALYZE
+#       (flat RSS and latency),
 #   3c. the session benchmark (perfbench/) at reduced size, gated on its
 #       run-time invariants by scripts/perfbench_invariants.py,
 #   4. an ASan+UBSan Debug build of the test suite, which also turns on the
@@ -83,16 +85,16 @@ done
 python3 scripts/bench_diff.py bench/baseline "$smoke_dir"
 
 echo "== profiling smoke: fig03 under --profile, counters + overhead gate =="
-# The plain fig03 JSON from the smoke run above is one no-profile baseline;
-# run both arms twice more and let profile_smoke.py gate on the best wall
-# time per side (shared machines jitter single runs by 2x+), assert the
+# Five plain and five profiled fig03 runs, strictly alternating so machine
+# load drifts over both arms alike; profile_smoke.py gates on the best wall
+# time per arm (shared machines jitter single runs by 2x+), asserts the
 # deep counters are nonzero and bit-identical across profiled runs, and
 # that the fragment ledger balances.
 profile_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir" "$profile_dir"' EXIT
-plain_jsons=("$smoke_dir/BENCH_figure_3.json")
+plain_jsons=()
 prof_jsons=()
-for i in 1 2; do
+for i in 1 2 3 4 5; do
   mkdir -p "$profile_dir/plain$i" "$profile_dir/prof$i"
   GPUDB_BENCH_JSON_DIR="$profile_dir/plain$i" ./build/bench/fig03_predicate \
     >/dev/null
@@ -128,10 +130,12 @@ GPUDB_FAULT_SEED=20260805 GPUDB_FAULT_RATE=0.05 \
 
 echo "== soak: one session, 1M statements, flat memory and latency =="
 # tests/sql_soak_test at full length: one sql::Session runs the same
-# one-pass COUNT a million times. Peak RSS may grow by less than 4 MB after
-# the warm-up, and the median latency of the last 10k statements must stay
-# within 1.5x of the first 10k -- per-statement accounting is fixed-size
-# (scalar device counters, no retained pass log). ctest runs it at 20k.
+# one-pass COUNT a million times, then EXPLAIN ANALYZE of it a million
+# times. Peak RSS may grow by less than 4 MB after the warm-up, and the
+# median latency of the last 10k statements must stay within 1.5x of the
+# first 10k -- per-statement accounting is fixed-size (scalar device
+# counters, no retained pass log, spans freed with their statement). ctest
+# runs it at 20k.
 GPUDB_SOAK_STATEMENTS=1000000 ./build/tests/sql_soak_test
 
 echo "== perfbench: every workload at reduced size, run-time invariants =="

@@ -10,16 +10,16 @@ bench run with --profile and asserts the gpuprof contract:
   2. the fragment ledger balances per row:
      depth_tested == prof_fragments - alpha_killed - stencil_killed;
   3. profiling overhead stays bounded: summed gpu_wall_ms with --profile is
-     within OVERHEAD_BOUND of the run without it. The ISSUE budget is 5%,
+     within OVERHEAD_BOUND of the run without it. The gpuprof budget is 5%,
      but single smoke runs on shared CI machines jitter far more than that
      (best-vs-worst single runs on the same box differ by 2x+), so the gate
      takes the *minimum* wall over each side's runs -- the minimum is the
      least-contended measurement of the same deterministic work -- and uses
      a looser 1.25x bound; the 5% claim is checked on quiet machines (see
-     DESIGN.md §13).
+     DESIGN.md §13). Callers alternate plain and profiled runs, so a burst
+     of machine load lands on both arms rather than on one.
 
 Usage: profile_smoke.py --plain <json>... --profiled <json>...
-       profile_smoke.py <plain.json> <profiled.json>
 """
 
 import argparse
@@ -79,18 +79,11 @@ def check_counters(profiled):
 
 
 def main():
-    argv = sys.argv[1:]
-    if argv and not argv[0].startswith("--"):
-        # Legacy two-positional form.
-        if len(argv) != 2:
-            fail(f"usage: {sys.argv[0]} <plain.json> <profiled.json>")
-        plain_paths, prof_paths = [argv[0]], [argv[1]]
-    else:
-        parser = argparse.ArgumentParser()
-        parser.add_argument("--plain", nargs="+", required=True)
-        parser.add_argument("--profiled", nargs="+", required=True)
-        args = parser.parse_args(argv)
-        plain_paths, prof_paths = args.plain, args.profiled
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--plain", nargs="+", required=True)
+    parser.add_argument("--profiled", nargs="+", required=True)
+    args = parser.parse_args()
+    plain_paths, prof_paths = args.plain, args.profiled
 
     plains = [load(p) for p in plain_paths]
     profileds = [load(p) for p in prof_paths]

@@ -22,13 +22,7 @@ void Profiler::RecordPass(std::string_view label, uint64_t fragments,
     it = groups_.emplace(std::string(label), PassProfileGroup{}).first;
     it->second.label = std::string(label);
   }
-  PassProfileGroup& g = it->second;
-  ++g.passes;
-  g.fragments += fragments;
-  g.fragments_passed += fragments_passed;
-  if (fused) ++g.fused_passes;
-  if (cache_hit) ++g.cache_hits;
-  g.prof.Merge(prof);
+  it->second.Add(fragments, fragments_passed, prof, fused, cache_hit);
 }
 
 void Profiler::RecordBandTimings(const std::vector<double>& band_ms) {
@@ -48,7 +42,7 @@ void Profiler::RecordBandTimings(const std::vector<double>& band_ms) {
   }
   const double mean = sum / static_cast<double>(band_ms.size());
   imbalance.Set(mean > 0.0 ? max / mean : 1.0);
-  Tracer& tracer = Tracer::Global();
+  Tracer& tracer = Tracer::Current();
   if (tracer.enabled()) {
     for (double ms : band_ms) tracer.Counter("gpu.band_ms", ms);
   }

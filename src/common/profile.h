@@ -63,6 +63,18 @@ struct PassProfileGroup {
   uint64_t fused_passes = 0;      ///< passes the planner fused (DESIGN.md §14)
   uint64_t cache_hits = 0;        ///< depth-plane cache restores
   PassProfile prof;
+
+  /// Folds one finished pass into the group: the fold of both the process
+  /// aggregate (Profiler::RecordPass) and EXPLAIN PROFILE's table.
+  void Add(uint64_t pass_fragments, uint64_t pass_fragments_passed,
+           const PassProfile& pass_prof, bool fused, bool cache_hit) {
+    ++passes;
+    fragments += pass_fragments;
+    fragments_passed += pass_fragments_passed;
+    if (fused) ++fused_passes;
+    if (cache_hit) ++cache_hits;
+    prof.Merge(pass_prof);
+  }
 };
 
 /// \brief Process-wide switch and aggregation point for deep profiling.
@@ -70,7 +82,8 @@ struct PassProfileGroup {
 /// Disabled by default; `enabled()` is a relaxed atomic load the Device
 /// reads once per pass, and the row kernel skips the kill counts it gates
 /// behind that per-pass flag, so the profiler costs nothing measurable
-/// when off and <5% when on.
+/// when off and <5% when on. A profiling gpu::PassLogScope asks one device
+/// for deep counters without this switch; those passes land here too.
 ///
 /// RecordPass aggregates by pass label under a mutex -- called once per
 /// pass, not per fragment, so contention is irrelevant. RecordBandTimings
@@ -92,16 +105,16 @@ class Profiler {
 
   /// Folds one finished pass into the per-label aggregate. Labels appear in
   /// Snapshot() in sorted order, so the aggregate view is deterministic
-  /// regardless of pass interleaving. `fused` and `cache_hit` carry the
-  /// pass's planner fast-path marks into the per-label tallies.
+  /// regardless of pass interleaving. `fused` and `cache_hit` are the
+  /// pass's planner fast-path marks.
   void RecordPass(std::string_view label, uint64_t fragments,
                   uint64_t fragments_passed, const PassProfile& prof,
                   bool fused = false, bool cache_hit = false);
 
   /// Records one ParallelFor dispatch's per-band wall times (milliseconds).
   /// Updates the "gpu.band_ms" histogram and the "gpu.band_imbalance" gauge
-  /// and, when the global Tracer is enabled, emits one counter sample per
-  /// band on the "gpu.band_ms" track.
+  /// and, when the thread's current Tracer is enabled, emits one counter
+  /// sample per band on the "gpu.band_ms" track.
   void RecordBandTimings(const std::vector<double>& band_ms);
 
   /// Point-in-time copy of every label aggregate, sorted by label.

@@ -27,6 +27,12 @@ std::vector<uint64_t>& ThreadSpanStack() {
   return stack;
 }
 
+/// Span ids come from one process-wide sequence (see Tracer).
+std::atomic<uint64_t> next_span_id{1};
+
+/// This thread's innermost open TraceCapture tracer; null = Global().
+thread_local Tracer* current_tracer = nullptr;
+
 }  // namespace
 
 double FinishedSpan::NumberTag(std::string_view key, double fallback) const {
@@ -48,15 +54,13 @@ Tracer& Tracer::Global() {
   return *tracer;
 }
 
-size_t Tracer::FinishedCount() const {
-  MutexLock lock(&mu_);
-  return finished_.size();
+Tracer& Tracer::Current() {
+  return current_tracer != nullptr ? *current_tracer : Global();
 }
 
-std::vector<FinishedSpan> Tracer::FinishedSince(size_t mark) const {
+std::vector<FinishedSpan> Tracer::Finished() const {
   MutexLock lock(&mu_);
-  if (mark >= finished_.size()) return {};
-  return std::vector<FinishedSpan>(finished_.begin() + mark, finished_.end());
+  return finished_;
 }
 
 void Tracer::Counter(std::string_view name, double value) {
@@ -70,16 +74,9 @@ void Tracer::Counter(std::string_view name, double value) {
   counters_.push_back(std::move(sample));
 }
 
-size_t Tracer::CounterCount() const {
+std::vector<CounterSample> Tracer::CounterSamples() const {
   MutexLock lock(&mu_);
-  return counters_.size();
-}
-
-std::vector<CounterSample> Tracer::CounterSamplesSince(size_t mark) const {
-  MutexLock lock(&mu_);
-  if (mark >= counters_.size()) return {};
-  return std::vector<CounterSample>(counters_.begin() + mark,
-                                    counters_.end());
+  return counters_;
 }
 
 void Tracer::Clear() {
@@ -88,10 +85,18 @@ void Tracer::Clear() {
   counters_.clear();
 }
 
+void Tracer::Append(const Tracer& from) {
+  const std::vector<FinishedSpan> spans = from.Finished();
+  const std::vector<CounterSample> samples = from.CounterSamples();
+  MutexLock lock(&mu_);
+  finished_.insert(finished_.end(), spans.begin(), spans.end());
+  counters_.insert(counters_.end(), samples.begin(), samples.end());
+}
+
 uint64_t Tracer::Begin(std::string_view name) {
   if (!enabled()) return 0;
   OpenSpan span;
-  const uint64_t id = next_id_.fetch_add(1);
+  const uint64_t id = next_span_id.fetch_add(1, std::memory_order_relaxed);
   span.id = id;
   span.thread_id = ThisThreadOrdinal();
   span.name = std::string(name);
@@ -181,6 +186,16 @@ TraceSpan::TraceSpan(std::string_view name, Tracer* tracer)
     : tracer_(tracer), id_(tracer->Begin(name)) {}
 
 TraceSpan::~TraceSpan() { tracer_->End(id_, std::move(tags_)); }
+
+TraceCapture::TraceCapture() : outer_(&Tracer::Current()) {
+  tracer_.set_enabled(true);
+  current_tracer = &tracer_;
+}
+
+TraceCapture::~TraceCapture() {
+  current_tracer = outer_ == &Tracer::Global() ? nullptr : outer_;
+  if (outer_->enabled()) outer_->Append(tracer_);
+}
 
 void TraceSpan::AddTag(std::string_view key, std::string_view value) {
   if (!active()) return;

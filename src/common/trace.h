@@ -60,13 +60,14 @@ struct CounterSample {
 ///
 /// Tracing is off by default: an inactive TraceSpan costs one relaxed atomic
 /// load, so instrumentation can stay in hot simulator paths (Device passes)
-/// unconditionally. A process-wide instance is available via Global(); tests
-/// may construct private tracers to stay isolated.
+/// unconditionally. A process-wide instance is available via Global(); a
+/// TraceCapture gives one thread a private one for a while (Current()), and
+/// tests may construct private tracers to stay isolated.
 ///
-/// Span nesting is tracked with a thread-local stack of open span ids per
-/// tracer use (the stack is shared, so interleaving spans from different
-/// Tracer instances on one thread would cross-parent; the codebase only ever
-/// nests spans of a single tracer at a time).
+/// Span nesting is tracked with one thread-local stack of open span ids
+/// shared by every tracer, and span ids are unique across the process, so a
+/// span opened on one tracer inside a span of another names it as parent
+/// without ever colliding with an id of its own tracer.
 class Tracer {
  public:
   Tracer() = default;
@@ -75,36 +76,27 @@ class Tracer {
 
   static Tracer& Global();
 
+  /// The tracer this thread records to by default: the innermost open
+  /// TraceCapture's, else Global(). TraceSpan defaults to it, and
+  /// instrumented code checks its enabled() before building tags.
+  static Tracer& Current();
+
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) {
     enabled_.store(on, std::memory_order_relaxed);
   }
 
-  /// Number of spans finished so far; use as a mark for FinishedSince.
-  size_t FinishedCount() const;
-
-  /// Copies the spans finished after a FinishedCount() mark (in completion
-  /// order: children close before their parents).
-  std::vector<FinishedSpan> FinishedSince(size_t mark) const;
-
-  /// All finished spans.
-  std::vector<FinishedSpan> Finished() const { return FinishedSince(0); }
+  /// All finished spans, in completion order (children close before their
+  /// parents).
+  std::vector<FinishedSpan> Finished() const;
 
   /// Records one sample on a counter track. No-op while disabled. Counter
   /// names are metric names and must be registered in metric_names.h
   /// (gpulint R5 checks Counter() literals like counter()/histogram() ones).
   void Counter(std::string_view name, double value);
 
-  /// Number of counter samples recorded so far; mark for CounterSamplesSince.
-  size_t CounterCount() const;
-
-  /// Copies the counter samples recorded after a CounterCount() mark.
-  std::vector<CounterSample> CounterSamplesSince(size_t mark) const;
-
   /// All recorded counter samples, in record order.
-  std::vector<CounterSample> CounterSamples() const {
-    return CounterSamplesSince(0);
-  }
+  std::vector<CounterSample> CounterSamples() const;
 
   /// Drops all finished spans and counter samples (open spans are unaffected
   /// and will still be recorded when they close).
@@ -122,10 +114,14 @@ class Tracer {
 
  private:
   friend class TraceSpan;
+  friend class TraceCapture;
 
   /// Opens a span; returns its id (0 when tracing is disabled).
   uint64_t Begin(std::string_view name);
   void End(uint64_t id, std::vector<TraceTag> tags);
+
+  /// Appends copies of `from`'s finished spans and counter samples.
+  void Append(const Tracer& from);
 
   struct OpenSpan {
     uint64_t id = 0;
@@ -136,7 +132,6 @@ class Tracer {
   };
 
   std::atomic<bool> enabled_{false};   // lint: lock-free (relaxed atomic)
-  std::atomic<uint64_t> next_id_{1};   // lint: lock-free (relaxed atomic)
   /// Lock-order level: `trace` (innermost leaf) -- span bookkeeping only,
   /// nothing is called out while mu_ is held.
   mutable Mutex mu_;
@@ -158,7 +153,7 @@ class Tracer {
 class TraceSpan {
  public:
   explicit TraceSpan(std::string_view name,
-                     Tracer* tracer = &Tracer::Global());
+                     Tracer* tracer = &Tracer::Current());
   ~TraceSpan();
 
   TraceSpan(const TraceSpan&) = delete;
@@ -183,6 +178,30 @@ class TraceSpan {
   Tracer* tracer_;
   uint64_t id_;
   std::vector<TraceTag> tags_;
+};
+
+/// \brief Statement-scoped trace capture (EXPLAIN ANALYZE).
+///
+/// While open, Tracer::Current() on the opening thread is the capture's own
+/// enabled tracer: what that thread records lands here, other threads'
+/// spans never mix in, and everything is freed with the capture. On close,
+/// the capture is appended to the tracer that was current before if that
+/// one is enabled (sql_shell --trace, an enclosing capture), so its trace
+/// stays complete. A capture belongs to the thread that opened it.
+class TraceCapture {
+ public:
+  TraceCapture();
+  ~TraceCapture();
+
+  TraceCapture(const TraceCapture&) = delete;
+  TraceCapture& operator=(const TraceCapture&) = delete;
+
+  /// The spans finished on this thread since the capture opened.
+  std::vector<FinishedSpan> Finished() const { return tracer_.Finished(); }
+
+ private:
+  Tracer tracer_;
+  Tracer* outer_;  ///< Current() when the capture opened.
 };
 
 }  // namespace gpudb

@@ -35,7 +35,7 @@ struct ResilienceMetrics {
 /// Chrome trace show *where* a query degraded, not just that it did.
 void TraceResilienceEvent(const char* event, const char* op_name,
                           int attempt = -1) {
-  if (!Tracer::Global().enabled()) return;
+  if (!Tracer::Current().enabled()) return;
   TraceSpan span(event);
   span.AddTag("op", op_name);
   if (attempt >= 0) span.AddTag("attempt", attempt);

@@ -293,7 +293,7 @@ Status Device::CopyColorToTexture(TextureId dst) {
   pass.fragments = viewport_pixels_;
   pass.fp_instructions = 1;
   pass.fragments_passed = viewport_pixels_;
-  pass.profiled = Profiler::Global().enabled();
+  pass.profiled = DeepProfiling();
   if (pass.profiled) {
     // The copy bypasses the fragment tests; its plane traffic is one full
     // read of the color plane (the test-chain model in
@@ -331,7 +331,7 @@ Result<bool> Device::RestoreCachedDepthPlane(const PlaneKey& key) {
   pass.fragments_passed = n;
   pass.depth_writes = n;
   pass.cache_hit = true;
-  pass.profiled = Profiler::Global().enabled();
+  pass.profiled = DeepProfiling();
   if (pass.profiled) pass.prof.plane_bytes_written = n * 4;
   GPUDB_RETURN_NOT_OK(FinishPass(std::move(pass)));
   return true;
@@ -364,7 +364,7 @@ Status Device::CacheDepthPlane(const PlaneKey& key) {
   pass.fragments = n;
   pass.fp_instructions = 1;
   pass.fragments_passed = n;
-  pass.profiled = Profiler::Global().enabled();
+  pass.profiled = DeepProfiling();
   if (pass.profiled) pass.prof.plane_bytes_read = n * 4;
   GPUDB_RETURN_NOT_OK(FinishPass(std::move(pass)));
   plane_cache_.Insert(key, std::move(plane));
@@ -1190,7 +1190,7 @@ Status Device::FinishPass(PassRecord pass) {
                                   pass.fragments_passed, pass.prof,
                                   pass.fused, pass.cache_hit);
   }
-  if (Tracer::Global().enabled()) {
+  if (Tracer::Current().enabled()) {
     // One span per rendering pass, carrying the full PassRecord. The span
     // is emitted at pass completion (zero duration on the trace timeline);
     // the nesting under the operator that issued the pass is what matters.
@@ -1270,9 +1270,9 @@ Status Device::RenderInternal(float quad_depth, bool textured) {
   pass.fp_instructions = program != nullptr ? program->instruction_count() : 0;
   pass.in_occlusion_query = occlusion_active_;
   pass.fused = fused;
-  // One relaxed load per pass decides both the kernel instantiation and
+  // One DeepProfiling() read per pass picks the kernel instantiation and
   // which PassRecords carry deep counters; a mid-pass toggle cannot tear.
-  pass.profiled = Profiler::Global().enabled();
+  pass.profiled = DeepProfiling();
 
   // Each coverage rect is a screen-aligned quad at constant depth, so
   // rasterization takes the span fast path (RasterizeRectRows): the two
@@ -1373,7 +1373,7 @@ Status Device::RenderInternal(float quad_depth, bool textured) {
   if (bands == 1) {
     run_band(0);
   } else {
-    EnsurePool()->ParallelFor(bands, run_band);
+    EnsurePool()->ParallelFor(bands, run_band, profiled);
   }
 
   // An interrupt that fired mid-pass leaves partially rendered bands; the
@@ -1420,7 +1420,7 @@ Status Device::DrawTriangles(const std::vector<Vertex>& vertices) {
   pass.fp_instructions =
       program_ != nullptr ? program_->instruction_count() : 0;
   pass.in_occlusion_query = occlusion_active_;
-  pass.profiled = Profiler::Global().enabled();
+  pass.profiled = DeepProfiling();
 
   // Arbitrary geometry may overlap itself (later triangles read earlier
   // ones' depth/stencil writes), so this path stays strictly serial; only
@@ -1508,7 +1508,14 @@ Result<std::vector<float>> Device::ReadColorChannel(int channel) {
   return out;
 }
 
-PassLogScope::PassLogScope(Device* device) : device_(device) {
+bool Device::DeepProfiling() const {
+  if (Profiler::Global().enabled()) return true;
+  return std::any_of(pass_log_scopes_.begin(), pass_log_scopes_.end(),
+                     [](const PassLogScope* scope) { return scope->profile_; });
+}
+
+PassLogScope::PassLogScope(Device* device, bool profile)
+    : device_(device), profile_(profile) {
   device_->pass_log_scopes_.push_back(this);
 }
 

@@ -368,11 +368,15 @@ class Device {
     /// Tile-local pixel pass counter; null when no occlusion query is
     /// active.
     uint64_t* occlusion = nullptr;
-    /// Deep profiling on for this pass (one Profiler::enabled() load per
-    /// pass, taken where the PassRecord is created): gates the per-fragment
-    /// kill counters.
+    /// Deep profiling on for this pass (one DeepProfiling() read per pass,
+    /// taken where the PassRecord is created): gates the per-fragment kill
+    /// counters.
     bool profile = false;
   };
+
+  /// Whether the next pass carries deep counters: the process-wide
+  /// Profiler is on, or an open PassLogScope asked for them.
+  bool DeepProfiling() const;
 
   /// Swaps a texture into video memory if evicted, evicting LRU textures as
   /// needed, and stamps its LRU slot.
@@ -472,12 +476,16 @@ class Device {
 ///   GPUDB_RETURN_NOT_OK(core::CompareSelect(&device, attr, op, t).status());
 ///   for (const gpu::PassRecord& pass : log.records()) { ... }
 ///
+/// A scope opened with `profile` turns on the deep per-pass counters
+/// (PassRecord::prof) for this device while it is open, as the process-wide
+/// Profiler switch does for every device (EXPLAIN PROFILE).
+///
 /// Like the device, a scope belongs to the thread that issues passes: the
 /// record is appended in FinishPass, after the band reduction, never from
 /// a pixel-engine worker. The scope must not outlive its device.
 class PassLogScope {
  public:
-  explicit PassLogScope(Device* device);
+  explicit PassLogScope(Device* device, bool profile = false);
   ~PassLogScope();
 
   PassLogScope(const PassLogScope&) = delete;
@@ -490,6 +498,7 @@ class PassLogScope {
   friend class Device;
 
   Device* device_;
+  bool profile_;
   std::vector<PassRecord> records_;
 };
 

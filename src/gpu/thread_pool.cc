@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "src/common/metrics.h"
-#include "src/common/profile.h"
 #include "src/common/trace.h"
 
 namespace gpudb {
@@ -41,10 +40,10 @@ int ThreadPool::DefaultThreads() {
 }
 
 void ThreadPool::RunJob() {
-  // Per-engine busy time (gpuprof): one enabled() load per job, one
-  // histogram record per engine per job -- nothing on the per-claim path
-  // beyond two clock reads, and nothing at all when profiling is off.
-  const bool profile = Profiler::Global().enabled();
+  // Per-engine busy time (gpuprof): latched with the job, one histogram
+  // record per engine per job -- nothing on the per-claim path beyond two
+  // clock reads, and nothing at all for unprofiled passes.
+  bool profile = false;
   double busy_ms = 0.0;
   bool worked = false;
   // Claim-and-run until this job's indices are exhausted. The lock is only
@@ -62,6 +61,7 @@ void ThreadPool::RunJob() {
       MutexLock lock(&mu_);
       if (!latched) {
         my_job = job_id_;
+        profile = time_engines_;
         latched = true;
       }
       if (task_ == nullptr || job_id_ != my_job || next_index_ >= job_size_) {
@@ -91,7 +91,7 @@ void ThreadPool::RunJob() {
     static MetricHistogram& engine_busy =
         MetricsRegistry::Global().histogram("gpu.engine_busy_ms");
     engine_busy.Record(busy_ms);
-    Tracer& tracer = Tracer::Global();
+    Tracer& tracer = Tracer::Current();
     if (tracer.enabled()) tracer.Counter("gpu.engine_busy_ms", busy_ms);
   }
 }
@@ -115,7 +115,8 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::ParallelFor(int n, const std::function<void(int)>& task) {
+void ThreadPool::ParallelFor(int n, const std::function<void(int)>& task,
+                             bool time_engines) {
   if (n <= 0) return;
   if (workers_.empty() || n == 1) {
     for (int i = 0; i < n; ++i) task(i);
@@ -128,6 +129,7 @@ void ThreadPool::ParallelFor(int n, const std::function<void(int)>& task) {
       in_flight = true;
     } else {
       task_ = &task;
+      time_engines_ = time_engines;
       job_size_ = n;
       next_index_ = 0;
       remaining_ = n;

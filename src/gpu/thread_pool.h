@@ -44,8 +44,11 @@ class ThreadPool {
   /// engines, and returns when all n invocations have finished. The caller
   /// participates, so a pool of size 1 runs everything inline. A call made
   /// while another region is in flight (nested or from another thread)
-  /// runs serially on the calling thread.
-  void ParallelFor(int n, const std::function<void(int)>& task);
+  /// runs serially on the calling thread. With `time_engines` (a profiled
+  /// pass), every engine that ran part of the region records its busy time
+  /// in the "gpu.engine_busy_ms" histogram and counter track.
+  void ParallelFor(int n, const std::function<void(int)>& task,
+                   bool time_engines = false);
 
   /// The default engine count: $GPUDB_THREADS when set to a positive
   /// integer, else std::thread::hardware_concurrency() (minimum 1).
@@ -76,6 +79,8 @@ class ThreadPool {
   int remaining_ GUARDED_BY(mu_) = 0;
   /// Generation counter so sleepers skip stale jobs.
   uint64_t job_id_ GUARDED_BY(mu_) = 0;
+  /// The current job's `time_engines`.
+  bool time_engines_ GUARDED_BY(mu_) = false;
   bool shutdown_ GUARDED_BY(mu_) = false;
 };
 

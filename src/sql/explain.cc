@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <map>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -89,7 +88,7 @@ class TreeFormatter {
         roots_.push_back(i);
       }
     }
-    // FinishedSince returns completion order (children first); display wants
+    // Spans arrive in completion order (children first); display wants
     // chronological start order at every level.
     auto by_start = [this](size_t a, size_t b) {
       return spans_[a].start_us != spans_[b].start_us
@@ -225,67 +224,43 @@ std::string FormatSpanTree(const std::vector<FinishedSpan>& spans) {
   return TreeFormatter(spans).Format();
 }
 
-template <typename Exec>
-Result<QueryResult> ExecuteAnalyze(Exec* executor, const Query& query,
+Result<QueryResult> ExecuteAnalyze(core::PoolExecutor* executor,
+                                   const Query& query,
                                    std::string_view input) {
-  if constexpr (std::is_same_v<Exec, core::PoolExecutor>) {
-    GPUDB_RETURN_NOT_OK(executor->RequireOneShard("EXPLAIN ANALYZE"));
-  }
-  Tracer& tracer = Tracer::Global();
-  const bool was_enabled = tracer.enabled();
-  tracer.set_enabled(true);
-  // EXPLAIN PROFILE: deep counters for the duration of this query only
-  // (restored afterwards, like the tracer flag).
-  Profiler& profiler = Profiler::Global();
-  const bool profiler_was_enabled = profiler.enabled();
-  if (query.explain_profile) profiler.set_enabled(true);
-  const size_t mark = tracer.FinishedCount();
-  const gpu::DeviceCounters before = executor->device().counters();
-  // EXPLAIN PROFILE groups this query's individual passes.
-  const gpu::PassLogScope pass_log(&executor->device());
-
+  GPUDB_RETURN_NOT_OK(executor->RequireOneShard("EXPLAIN ANALYZE"));
+  gpu::Device& device = executor->device();
+  const gpu::DeviceCounters before = device.counters();
+  const TraceCapture capture;
+  const gpu::PassLogScope pass_log(&device, query.explain_profile);
   QueryResult result;
-  Status status = Status::OK();
   {
-    core::GpuOpSpan root("query", &executor->device());
+    core::GpuOpSpan root("query", &device);
     root.AddTag("sql", input);
-    status = ExecuteParsed(executor, query, &result);
+    GPUDB_RETURN_NOT_OK(ExecuteParsed(executor, query, &result));
   }
-  tracer.set_enabled(was_enabled);
-  if (query.explain_profile) profiler.set_enabled(profiler_was_enabled);
-  GPUDB_RETURN_NOT_OK(status);
 
-  const gpu::DeviceCounters delta =
-      gpu::DeltaSince(before, executor->device().counters());
+  const gpu::DeviceCounters delta = gpu::DeltaSince(before, device.counters());
   result.analyzed = true;
   result.breakdown = gpu::PerfModel().Estimate(delta);
   result.simulated_total_ms = result.breakdown.TotalMs();
-  result.spans = tracer.FinishedSince(mark);
+  result.spans = capture.Finished();
   result.explain = FormatSpanTree(result.spans);
   if (query.explain_profile) {
-    // Group this query's profiled passes by label in first-appearance
-    // order. The pass records and their deep counters are band-reduced
+    // Group this query's passes by label in first-appearance order. The
+    // pass records and their deep counters are band-reduced
     // deterministically, so groups -- and the rendered table -- are
     // byte-identical at any worker-thread count.
     std::vector<PassProfileGroup> groups;
     for (const gpu::PassRecord& pass : pass_log.records()) {
-      if (!pass.profiled) continue;
-      PassProfileGroup* group = nullptr;
-      for (PassProfileGroup& g : groups) {
-        if (g.label == pass.label) {
-          group = &g;
-          break;
-        }
-      }
-      if (group == nullptr) {
-        groups.emplace_back();
-        group = &groups.back();
+      auto group = std::find_if(
+          groups.begin(), groups.end(),
+          [&pass](const PassProfileGroup& g) { return g.label == pass.label; });
+      if (group == groups.end()) {
+        group = groups.insert(groups.end(), PassProfileGroup{});
         group->label = pass.label;
       }
-      ++group->passes;
-      group->fragments += pass.fragments;
-      group->fragments_passed += pass.fragments_passed;
-      group->prof.Merge(pass.prof);
+      group->Add(pass.fragments, pass.fragments_passed, pass.prof, pass.fused,
+                 pass.cache_hit);
     }
     result.profiled = true;
     result.profile_groups = std::move(groups);
@@ -293,11 +268,6 @@ Result<QueryResult> ExecuteAnalyze(Exec* executor, const Query& query,
   }
   return result;
 }
-
-template Result<QueryResult> ExecuteAnalyze(core::Executor*, const Query&,
-                                            std::string_view);
-template Result<QueryResult> ExecuteAnalyze(core::PoolExecutor*, const Query&,
-                                            std::string_view);
 
 }  // namespace sql
 }  // namespace gpudb

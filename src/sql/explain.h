@@ -7,7 +7,7 @@
 
 #include "src/common/result.h"
 #include "src/common/trace.h"
-#include "src/core/executor.h"
+#include "src/core/pool_executor.h"
 #include "src/sql/parser.h"
 
 namespace gpudb {
@@ -25,25 +25,25 @@ namespace sql {
 /// moved across the bus.
 std::string FormatSpanTree(const std::vector<FinishedSpan>& spans);
 
-/// \brief Executes an already-parsed query under tracing (EXPLAIN ANALYZE
-/// and EXPLAIN PROFILE).
+/// \brief Executes an already-parsed query as EXPLAIN ANALYZE or EXPLAIN
+/// PROFILE on a one-shard executor (more shards return kNotImplemented:
+/// per-pass attribution needs one device).
 ///
-/// Enables the global tracer for the duration of the query (restoring its
-/// previous state afterwards), wraps execution in a root "query" span, and
-/// fills QueryResult's analysis fields: the rendered tree, the run's spans,
-/// and the PerfModel breakdown of the query's device-counter delta. The
-/// root span's total_ms equals breakdown.TotalMs() by construction.
+/// Everything the analysis reads is scoped to this statement. Its spans go
+/// to a TraceCapture that lives as long as the call, under a root "query"
+/// span, so no other thread's spans mix in and nothing is retained after
+/// it (if Tracer::Global() is enabled, it receives the spans too). The
+/// result carries the rendered tree, the spans, and the PerfModel
+/// breakdown of the query's device-counter delta; the root span's total_ms
+/// equals breakdown.TotalMs() by construction.
 ///
-/// For EXPLAIN PROFILE (query.explain_profile) the Profiler is additionally
-/// enabled for the query's duration and the result carries the per-pass
-/// deep-counter groups and their rendered table (QueryResult::profile);
-/// those counters are deterministic, so the table is byte-identical across
-/// worker-thread counts.
-///
-/// `Exec` is core::Executor or a one-shard core::PoolExecutor (more shards
-/// return kNotImplemented: per-pass attribution needs one device).
-template <typename Exec>
-[[nodiscard]] Result<QueryResult> ExecuteAnalyze(Exec* executor,
+/// For EXPLAIN PROFILE (query.explain_profile) the statement's
+/// gpu::PassLogScope also asks its device for deep counters, and the result
+/// carries its passes grouped by label in first-appearance order (the fold
+/// of Profiler::RecordPass) and their rendered table
+/// (QueryResult::profile). Those counters are deterministic, so the table
+/// is byte-identical across worker-thread counts.
+[[nodiscard]] Result<QueryResult> ExecuteAnalyze(core::PoolExecutor* executor,
                                                  const Query& query,
                                                  std::string_view input);
 

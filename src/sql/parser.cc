@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/core/pool_executor.h"
-#include "src/sql/explain.h"
 #include "src/sql/lexer.h"
 
 namespace gpudb {
@@ -485,43 +484,6 @@ Status ExecuteParsed(Exec* executor, const Query& query, QueryResult* result) {
 template Status ExecuteParsed(core::Executor*, const Query&, QueryResult*);
 template Status ExecuteParsed(core::PoolExecutor*, const Query&,
                               QueryResult*);
-
-Result<QueryResult> ExecuteSql(core::Executor* executor,
-                               std::string_view input) {
-  if (executor == nullptr) {
-    return Status::InvalidArgument("null executor");
-  }
-  GPUDB_ASSIGN_OR_RETURN(Query query,
-                         ParseQuery(input, executor->table()));
-  if (query.explain_analyze) {
-    return ExecuteAnalyze(executor, query, input);
-  }
-  QueryResult result;
-  GPUDB_RETURN_NOT_OK(ExecuteParsed(executor, query, &result));
-  return result;
-}
-
-Result<std::vector<QueryResult>> ExecuteScript(core::Executor* executor,
-                                               std::string_view script) {
-  std::vector<QueryResult> results;
-  size_t start = 0;
-  for (size_t i = 0; i <= script.size(); ++i) {
-    if (i == script.size() || script[i] == ';') {
-      std::string_view statement = script.substr(start, i - start);
-      start = i + 1;
-      // Skip blank statements (trailing semicolons, empty lines).
-      size_t first = statement.find_first_not_of(" \t\r\n");
-      if (first == std::string_view::npos) continue;
-      statement.remove_prefix(first);
-      GPUDB_ASSIGN_OR_RETURN(QueryResult r, ExecuteSql(executor, statement));
-      results.push_back(std::move(r));
-    }
-  }
-  if (results.empty()) {
-    return Status::InvalidArgument("script contains no statements");
-  }
-  return results;
-}
 
 }  // namespace sql
 }  // namespace gpudb

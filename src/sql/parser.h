@@ -62,9 +62,9 @@ struct Query {
   bool explain_analyze = false;
 
   /// EXPLAIN PROFILE prefix: EXPLAIN ANALYZE plus deep profiling -- the
-  /// query runs with the Profiler enabled and the result additionally
-  /// carries the per-pass counter table (kills, plane traffic). Implies
-  /// explain_analyze.
+  /// query's device computes the deep per-pass counters while it runs and
+  /// the result additionally carries the per-pass counter table (kills,
+  /// plane traffic). Implies explain_analyze.
   bool explain_profile = false;
 };
 
@@ -114,12 +114,6 @@ struct QueryResult {
   std::string ToString() const;
 };
 
-/// \brief One-call convenience: parse `input` against the executor's table
-/// and run it on the GPU. An EXPLAIN ANALYZE prefix additionally executes
-/// the query under tracing and fills the analysis fields of QueryResult.
-[[nodiscard]] Result<QueryResult> ExecuteSql(core::Executor* executor,
-                               std::string_view input);
-
 /// \brief Executes an already-parsed query, filling the plain result fields:
 /// the one statement switch, for a bare core::Executor (the GPU operators,
 /// no degradation ladder) and for a core::PoolExecutor (the ladder; what
@@ -128,11 +122,6 @@ struct QueryResult {
 template <typename Exec>
 [[nodiscard]] Status ExecuteParsed(Exec* executor, const Query& query,
                                    QueryResult* result);
-
-/// \brief Runs a semicolon-separated script of queries in order, stopping at
-/// the first error. Returns one result per executed statement.
-[[nodiscard]] Result<std::vector<QueryResult>> ExecuteScript(core::Executor* executor,
-                                               std::string_view script);
 
 }  // namespace sql
 }  // namespace gpudb

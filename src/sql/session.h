@@ -24,10 +24,8 @@ namespace gpudb {
 namespace sql {
 
 /// \brief A multi-table SQL session over a db::Catalog: name resolution,
-/// ANALYZE, system-table queries, and always-on query logging.
-///
-/// The single-executor ExecuteSql path (parser.h) serves the one-table
-/// benchmarks; Session is the layer above it:
+/// ANALYZE, system-table queries, and always-on query logging. It is the
+/// one way to run SQL text; a single table is a catalog of one.
 ///
 ///  * `FROM <name>` resolves through the catalog. Every statement runs on a
 ///    core::PoolExecutor, so every dispatch walks the one degradation

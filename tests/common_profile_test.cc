@@ -111,9 +111,8 @@ TEST(ProfilerTest, BandTimingsFeedHistogramGaugeAndTracer) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   const uint64_t hist_before = registry.histogram("gpu.band_ms").count();
 
-  Tracer& tracer = Tracer::Global();
-  tracer.set_enabled(true);
-  const size_t counter_mark = tracer.CounterCount();
+  // The capture is this thread's current tracer: an enabled, private one.
+  const TraceCapture capture;
 
   // max 3.0 over mean 2.0 -> imbalance 1.5.
   Profiler::Global().RecordBandTimings({1.0, 2.0, 3.0});
@@ -121,7 +120,7 @@ TEST(ProfilerTest, BandTimingsFeedHistogramGaugeAndTracer) {
   EXPECT_EQ(registry.histogram("gpu.band_ms").count(), hist_before + 3);
   EXPECT_DOUBLE_EQ(registry.gauge("gpu.band_imbalance").value(), 1.5);
   const std::vector<CounterSample> samples =
-      tracer.CounterSamplesSince(counter_mark);
+      Tracer::Current().CounterSamples();
   ASSERT_EQ(samples.size(), 3u);
   for (const CounterSample& s : samples) {
     EXPECT_EQ(s.name, "gpu.band_ms");
@@ -134,9 +133,8 @@ TEST(ProfilerTest, BandTimingsWithoutTracerEmitNoSamples) {
   ProfilerGuard guard;
   Tracer& tracer = Tracer::Global();
   tracer.set_enabled(false);
-  const size_t counter_mark = tracer.CounterCount();
   Profiler::Global().RecordBandTimings({0.5, 0.5});
-  EXPECT_EQ(tracer.CounterCount(), counter_mark);
+  EXPECT_TRUE(tracer.CounterSamples().empty());
 }
 
 TEST(FormatPassProfileTableTest, EmptyGroupsRenderEmpty) {

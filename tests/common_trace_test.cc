@@ -1,4 +1,5 @@
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,7 +18,7 @@ TEST(TracerTest, DisabledSpansAreInert) {
     EXPECT_FALSE(span.active());
     span.AddTag("dropped", 1.0);
   }
-  EXPECT_EQ(tracer.FinishedCount(), 0u);
+  EXPECT_TRUE(tracer.Finished().empty());
 }
 
 TEST(TracerTest, RecordsNestingAndCompletionOrder) {
@@ -68,17 +69,72 @@ TEST(TracerTest, TagsKeepNumericValues) {
   EXPECT_EQ(span.TextTag("absent"), "");
 }
 
-TEST(TracerTest, FinishedSinceMarkSkipsOlderSpans) {
+TEST(TracerTest, ClearDropsFinishedSpans) {
   Tracer tracer;
   tracer.set_enabled(true);
   { TraceSpan span("before", &tracer); }
-  const size_t mark = tracer.FinishedCount();
-  { TraceSpan span("after", &tracer); }
-  const std::vector<FinishedSpan> since = tracer.FinishedSince(mark);
-  ASSERT_EQ(since.size(), 1u);
-  EXPECT_EQ(since[0].name, "after");
   tracer.Clear();
-  EXPECT_EQ(tracer.FinishedCount(), 0u);
+  { TraceSpan span("after", &tracer); }
+  const std::vector<FinishedSpan> spans = tracer.Finished();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "after");
+}
+
+TEST(TraceCaptureTest, RoutesThisThreadsDefaultSpansToTheCapture) {
+  ASSERT_FALSE(Tracer::Global().enabled());
+  ASSERT_EQ(&Tracer::Current(), &Tracer::Global());
+  std::vector<FinishedSpan> spans;
+  {
+    TraceCapture capture;
+    EXPECT_NE(&Tracer::Current(), &Tracer::Global());
+    EXPECT_TRUE(Tracer::Current().enabled());
+    {
+      TraceSpan outer("query");
+      TraceSpan inner("Where");
+    }
+    // Another thread's spans keep going to its own current tracer.
+    std::thread([] {
+      TraceSpan elsewhere("elsewhere");
+      EXPECT_FALSE(elsewhere.active());
+    }).join();
+    spans = capture.Finished();
+  }
+  EXPECT_EQ(&Tracer::Current(), &Tracer::Global());
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].name, "Where");
+  EXPECT_EQ(spans[0].parent_id, spans[1].id);
+  // With the process tracer off, nothing outlives the capture.
+  EXPECT_TRUE(Tracer::Global().Finished().empty());
+}
+
+TEST(TraceCaptureTest, HandsSpansToAnEnabledOuterTracer) {
+  Tracer& global = Tracer::Global();
+  global.set_enabled(true);
+  uint64_t outer_id = 0;
+  std::vector<FinishedSpan> captured;
+  {
+    TraceSpan outer("statement");
+    outer_id = outer.id();
+    TraceCapture capture;
+    {
+      TraceSpan inner("query");
+      Tracer::Current().Counter("gpu.band_ms", 1.0);
+    }
+    captured = capture.Finished();
+  }
+  global.set_enabled(false);
+  const std::vector<FinishedSpan> spans = global.Finished();
+  const std::vector<CounterSample> samples = global.CounterSamples();
+  global.Clear();
+  ASSERT_EQ(captured.size(), 1u);
+  // Span ids are unique across tracers, so the captured span keeps its
+  // parent link into the outer trace.
+  EXPECT_EQ(captured[0].parent_id, outer_id);
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].id, captured[0].id);
+  EXPECT_EQ(spans[1].id, outer_id);
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_EQ(samples[0].name, "gpu.band_ms");
 }
 
 TEST(TracerTest, ChromeTraceJsonRoundTrips) {
@@ -134,7 +190,7 @@ TEST(TracerTest, GlobalTracerIsOffByDefault) {
 TEST(TracerTest, DisabledCounterSamplesAreInert) {
   Tracer tracer;
   tracer.Counter("dropped.track", 1.0);
-  EXPECT_EQ(tracer.CounterCount(), 0u);
+  EXPECT_TRUE(tracer.CounterSamples().empty());
 }
 
 TEST(TracerTest, CounterSamplesRecordInOrderAndClear) {
@@ -142,24 +198,19 @@ TEST(TracerTest, CounterSamplesRecordInOrderAndClear) {
   tracer.set_enabled(true);
   tracer.Counter("band.ms", 1.5);
   tracer.Counter("band.ms", 2.5);
-  const size_t mark = tracer.CounterCount();
   tracer.Counter("busy.ms", 9.0);
 
-  ASSERT_EQ(tracer.CounterCount(), 3u);
   const std::vector<CounterSample> all = tracer.CounterSamples();
   ASSERT_EQ(all.size(), 3u);
   EXPECT_EQ(all[0].name, "band.ms");
   EXPECT_DOUBLE_EQ(all[0].value, 1.5);
   EXPECT_DOUBLE_EQ(all[1].value, 2.5);
   EXPECT_LE(all[0].ts_us, all[1].ts_us);
-
-  const std::vector<CounterSample> since = tracer.CounterSamplesSince(mark);
-  ASSERT_EQ(since.size(), 1u);
-  EXPECT_EQ(since[0].name, "busy.ms");
-  EXPECT_DOUBLE_EQ(since[0].value, 9.0);
+  EXPECT_EQ(all[2].name, "busy.ms");
+  EXPECT_DOUBLE_EQ(all[2].value, 9.0);
 
   tracer.Clear();
-  EXPECT_EQ(tracer.CounterCount(), 0u);
+  EXPECT_TRUE(tracer.CounterSamples().empty());
 }
 
 TEST(TracerTest, ChromeTraceCounterEventsEscapeAndParse) {

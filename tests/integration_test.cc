@@ -8,10 +8,11 @@
 #include "src/cpu/aggregate.h"
 #include "src/cpu/quickselect.h"
 #include "src/cpu/scan.h"
+#include "src/db/catalog.h"
 #include "src/db/csv.h"
 #include "src/db/datagen.h"
 #include "src/gpu/perf_model.h"
-#include "src/sql/parser.h"
+#include "src/sql/session.h"
 #include "tests/test_util.h"
 
 namespace gpudb {
@@ -147,13 +148,14 @@ TEST_F(IntegrationTest, FullAnalyticsSessionAcrossSubsystems) {
   ASSERT_OK_AND_ASSIGN(db::Table source, db::MakeTcpIpTable(4000));
   const std::string csv = db::WriteCsv(source);
   ASSERT_OK_AND_ASSIGN(db::Table table, db::ReadCsv(csv));
-  ASSERT_OK_AND_ASSIGN(auto exec, Executor::Make(&device_, &table));
+  db::Catalog catalog;
+  ASSERT_OK(catalog.Register("flows", &table));
+  sql::Session session(&device_, &catalog);
 
   // SQL count, cross-checked.
   ASSERT_OK_AND_ASSIGN(
       sql::QueryResult counted,
-      sql::ExecuteSql(exec.get(),
-                      "SELECT COUNT(*) FROM flows WHERE data_loss > 0 AND "
+      session.Execute("SELECT COUNT(*) FROM flows WHERE data_loss > 0 AND "
                       "data_count >= 1000"));
   uint64_t expected = 0;
   for (size_t row = 0; row < table.num_rows(); ++row) {
@@ -164,7 +166,9 @@ TEST_F(IntegrationTest, FullAnalyticsSessionAcrossSubsystems) {
   }
   EXPECT_EQ(counted.count, expected);
 
-  // Materialize the lossy flows and re-run analytics on the result table.
+  // Materialize the lossy flows with the session's GPU operators and re-run
+  // analytics on the result table.
+  ASSERT_OK_AND_ASSIGN(Executor * exec, session.ExecutorFor("flows"));
   ExprPtr lossy = Expr::Pred(1, CompareOp::kGreater, 0.0f);
   ASSERT_OK_AND_ASSIGN(db::Table lossy_table, exec->SelectTable(lossy));
   gpu::Device device2(100, 100);

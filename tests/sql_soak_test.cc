@@ -1,8 +1,9 @@
-// Long-session soak: one sql::Session runs the same one-pass COUNT over and
-// over. Per-statement bookkeeping must be fixed-size, so the session's
-// thousandth statement costs what its first did: peak RSS stops growing
-// after a warm-up, every answer stays exact, and -- at the long setting --
-// the last statements run as fast as the first.
+// Long-session soak: one sql::Session runs the same statement over and over
+// -- a one-pass COUNT, and EXPLAIN ANALYZE of that COUNT. Per-statement
+// bookkeeping must be fixed-size, so the session's thousandth statement
+// costs what its first did: peak RSS stops growing after a warm-up, every
+// answer stays exact, no span outlives its statement, and -- at the long
+// setting -- the last statements run as fast as the first.
 //
 // $GPUDB_SOAK_STATEMENTS sets the length (default 20000, the ctest run).
 // From 100000 statements on, the latency gate runs too: the median latency
@@ -22,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
+#include "src/common/trace.h"
 #include "src/db/catalog.h"
 #include "src/db/column.h"
 #include "src/db/table.h"
@@ -65,7 +67,10 @@ double Median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-TEST(SessionSoak, RepeatedCountStaysFlatInMemoryAndLatency) {
+class SessionSoak : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SessionSoak, RepeatedStatementStaysFlatInMemoryAndLatency) {
+  const char* const sql = GetParam();
   const uint64_t statements = SoakStatements();
   ASSERT_GT(statements, kWarmup) << "GPUDB_SOAK_STATEMENTS too small";
 
@@ -94,8 +99,7 @@ TEST(SessionSoak, RepeatedCountStaysFlatInMemoryAndLatency) {
   for (uint64_t i = 0; i < statements; ++i) {
     if (i == kWarmup) rss_after_warmup = MaxRssKb();
     const auto start = std::chrono::steady_clock::now();
-    Result<sql::QueryResult> result =
-        session.Execute("SELECT COUNT(*) FROM t WHERE a > 500");
+    Result<sql::QueryResult> result = session.Execute(sql);
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - start)
                           .count();
@@ -108,9 +112,10 @@ TEST(SessionSoak, RepeatedCountStaysFlatInMemoryAndLatency) {
   const long growth_kb = MaxRssKb() - rss_after_warmup;
   const double first_median = Median(first);
   const double last_median = Median(last);
-  std::printf("soak: %llu statements, peak RSS growth %ld KiB after %llu "
-              "warm-up, median latency first %zu %.4f ms, last %zu %.4f ms\n",
-              static_cast<unsigned long long>(statements), growth_kb,
+  std::printf("soak: %s: %llu statements, peak RSS growth %ld KiB after "
+              "%llu warm-up, median latency first %zu %.4f ms, last %zu "
+              "%.4f ms\n",
+              sql, static_cast<unsigned long long>(statements), growth_kb,
               static_cast<unsigned long long>(kWarmup), window, first_median,
               window, last_median);
 
@@ -122,7 +127,15 @@ TEST(SessionSoak, RepeatedCountStaysFlatInMemoryAndLatency) {
   if (statements >= kLatencyGateFrom) {
     EXPECT_LE(last_median, 1.5 * first_median);
   }
+  // Tracing is off: EXPLAIN's spans went to the statement, not the process.
+  ASSERT_FALSE(Tracer::Global().enabled());
+  EXPECT_TRUE(Tracer::Global().Finished().empty());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Statements, SessionSoak,
+    ::testing::Values("SELECT COUNT(*) FROM t WHERE a > 500",
+                      "EXPLAIN ANALYZE SELECT COUNT(*) FROM t WHERE a > 500"));
 
 }  // namespace
 }  // namespace gpudb

@@ -5,11 +5,12 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/executor.h"
+#include "src/db/catalog.h"
 #include "src/db/datagen.h"
 #include "src/gpu/device.h"
 #include "src/sql/lexer.h"
 #include "src/sql/parser.h"
+#include "src/sql/session.h"
 #include "tests/test_util.h"
 
 namespace gpudb {
@@ -156,25 +157,24 @@ TEST_F(ParserTest, ErrorsCarryPosition) {
 
 class SqlEndToEndTest : public ::testing::Test {
  protected:
-  SqlEndToEndTest() : device_(64, 64) {
+  SqlEndToEndTest() : device_(64, 64), session_(&device_, &catalog_) {
     auto t = db::MakeUniformTable(2000, 8, 3, /*seed=*/52);
     EXPECT_TRUE(t.ok());
     table_ = std::move(t).ValueOrDie();
-    auto exec = core::Executor::Make(&device_, &table_);
-    EXPECT_TRUE(exec.ok());
-    executor_ = std::move(exec).ValueOrDie();
+    EXPECT_TRUE(catalog_.Register("t", &table_).ok());
   }
 
   gpu::Device device_;
   db::Table table_;
-  std::unique_ptr<core::Executor> executor_;
+  db::Catalog catalog_;
+  Session session_;
 };
 
 TEST_F(SqlEndToEndTest, CountMatchesDirectEvaluation) {
   ASSERT_OK_AND_ASSIGN(
       QueryResult r,
-      ExecuteSql(executor_.get(),
-                 "SELECT COUNT(*) FROM t WHERE u0 >= 100 AND NOT u1 = 7"));
+      session_.Execute(
+          "SELECT COUNT(*) FROM t WHERE u0 >= 100 AND NOT u1 = 7"));
   uint64_t expected = 0;
   for (size_t row = 0; row < table_.num_rows(); ++row) {
     expected += (table_.column(0).value(row) >= 100.0f &&
@@ -187,9 +187,9 @@ TEST_F(SqlEndToEndTest, CountMatchesDirectEvaluation) {
 }
 
 TEST_F(SqlEndToEndTest, AggregatesRun) {
-  ASSERT_OK_AND_ASSIGN(QueryResult sum,
-                       ExecuteSql(executor_.get(),
-                                  "SELECT SUM(u0) FROM t WHERE u1 < 128"));
+  ASSERT_OK_AND_ASSIGN(
+      QueryResult sum,
+      session_.Execute("SELECT SUM(u0) FROM t WHERE u1 < 128"));
   uint64_t expected = 0;
   for (size_t row = 0; row < table_.num_rows(); ++row) {
     if (table_.column(1).value(row) < 128.0f) {
@@ -199,7 +199,7 @@ TEST_F(SqlEndToEndTest, AggregatesRun) {
   EXPECT_DOUBLE_EQ(sum.scalar, static_cast<double>(expected));
 
   ASSERT_OK_AND_ASSIGN(QueryResult max_r,
-                       ExecuteSql(executor_.get(), "SELECT MAX(u2) FROM t"));
+                       session_.Execute("SELECT MAX(u2) FROM t"));
   EXPECT_DOUBLE_EQ(max_r.scalar,
                    static_cast<double>(table_.column(2).max()));
 }
@@ -207,13 +207,13 @@ TEST_F(SqlEndToEndTest, AggregatesRun) {
 TEST_F(SqlEndToEndTest, SelectRowsAndKth) {
   ASSERT_OK_AND_ASSIGN(
       QueryResult rows,
-      ExecuteSql(executor_.get(), "SELECT * FROM t WHERE u0 BETWEEN 0 AND 9"));
+      session_.Execute("SELECT * FROM t WHERE u0 BETWEEN 0 AND 9"));
   for (uint32_t row : rows.row_ids) {
     EXPECT_LE(table_.column(0).value(row), 9.0f);
   }
   ASSERT_OK_AND_ASSIGN(
       QueryResult kth,
-      ExecuteSql(executor_.get(), "SELECT KTH_LARGEST(u0, 1) FROM t"));
+      session_.Execute("SELECT KTH_LARGEST(u0, 1) FROM t"));
   EXPECT_DOUBLE_EQ(kth.scalar, static_cast<double>(table_.column(0).max()));
 }
 
@@ -259,8 +259,7 @@ TEST_F(ParserTest, OrderByAndLimitParse) {
 TEST_F(SqlEndToEndTest, OrderByLimitExecutes) {
   ASSERT_OK_AND_ASSIGN(
       QueryResult r,
-      ExecuteSql(executor_.get(),
-                 "SELECT * FROM t ORDER BY u0 DESC LIMIT 5"));
+      session_.Execute("SELECT * FROM t ORDER BY u0 DESC LIMIT 5"));
   ASSERT_EQ(r.row_ids.size(), 5u);
   const auto& vals = table_.column(0).values();
   for (size_t i = 1; i < r.row_ids.size(); ++i) {
@@ -270,8 +269,7 @@ TEST_F(SqlEndToEndTest, OrderByLimitExecutes) {
   // WHERE + LIMIT without ORDER BY trims the selection.
   ASSERT_OK_AND_ASSIGN(
       QueryResult limited,
-      ExecuteSql(executor_.get(),
-                 "SELECT * FROM t WHERE u0 >= 0 LIMIT 7"));
+      session_.Execute("SELECT * FROM t WHERE u0 >= 0 LIMIT 7"));
   EXPECT_EQ(limited.row_ids.size(), 7u);
 }
 
@@ -281,12 +279,11 @@ TEST_F(SqlEndToEndTest, GroupByExecutes) {
   auto small = db::MakeUniformTable(500, 2, 2, /*seed=*/53);
   ASSERT_TRUE(small.ok());
   gpu::Device device(32, 32);
-  auto exec = core::Executor::Make(&device, &small.ValueOrDie());
-  ASSERT_TRUE(exec.ok());
-  ASSERT_OK_AND_ASSIGN(
-      QueryResult r,
-      ExecuteSql(exec.ValueOrDie().get(),
-                 "SELECT SUM(u1) FROM t GROUP BY u0"));
+  db::Catalog catalog;
+  ASSERT_OK(catalog.Register("t", &small.ValueOrDie()));
+  Session session(&device, &catalog);
+  ASSERT_OK_AND_ASSIGN(QueryResult r,
+                       session.Execute("SELECT SUM(u1) FROM t GROUP BY u0"));
   EXPECT_EQ(r.kind, Query::Kind::kGroupBy);
   std::map<uint32_t, uint64_t> expected;
   const db::Table& t = small.ValueOrDie();
@@ -303,20 +300,19 @@ TEST_F(SqlEndToEndTest, GroupByExecutes) {
 TEST_F(SqlEndToEndTest, ScriptRunsStatementsInOrder) {
   ASSERT_OK_AND_ASSIGN(
       std::vector<QueryResult> results,
-      ExecuteScript(executor_.get(),
-                    "SELECT COUNT(*) FROM t;\n"
-                    "SELECT MAX(u0) FROM t;\n"
-                    "  ;\n"  // blank statement skipped
-                    "SELECT COUNT(*) FROM t WHERE u1 < 100"));
+      session_.ExecuteScript("SELECT COUNT(*) FROM t;\n"
+                             "SELECT MAX(u0) FROM t;\n"
+                             "  ;\n"  // blank statement skipped
+                             "SELECT COUNT(*) FROM t WHERE u1 < 100"));
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(results[0].count, table_.num_rows());
   EXPECT_DOUBLE_EQ(results[1].scalar,
                    static_cast<double>(table_.column(0).max()));
-  // Errors stop the script.
-  EXPECT_FALSE(ExecuteScript(executor_.get(),
-                             "SELECT COUNT(*) FROM t; SELECT NOPE(u0) FROM t")
-                   .ok());
-  EXPECT_FALSE(ExecuteScript(executor_.get(), " ;; ").ok());
+  // A failed statement fails the script.
+  EXPECT_FALSE(
+      session_.ExecuteScript("SELECT COUNT(*) FROM t; SELECT NOPE(u0) FROM t")
+          .ok());
+  EXPECT_FALSE(session_.ExecuteScript(" ;; ").ok());
 }
 
 TEST(SqlSizeInvarianceTest, FramebufferSizeChangesNoAnswerAndNoCounter) {
@@ -355,16 +351,18 @@ TEST(SqlSizeInvarianceTest, FramebufferSizeChangesNoAnswerAndNoCounter) {
           quantile("data_count", 0.9) + " AND retransmissions < " +
           quantile("retransmissions", 0.8),
   };
+  db::Catalog catalog;
+  ASSERT_OK(catalog.Register("flows", &table));
   gpu::Device fitted(64, 64);
   gpu::Device large(128, 128);
-  ASSERT_OK_AND_ASSIGN(auto fitted_exec, core::Executor::Make(&fitted, &table));
-  ASSERT_OK_AND_ASSIGN(auto large_exec, core::Executor::Make(&large, &table));
+  Session fitted_session(&fitted, &catalog);
+  Session large_session(&large, &catalog);
   for (const std::string& sql : shapes) {
     SCOPED_TRACE(sql);
     const gpu::DeviceCounters fitted_before = fitted.counters();
     const gpu::DeviceCounters large_before = large.counters();
-    ASSERT_OK_AND_ASSIGN(QueryResult a, ExecuteSql(fitted_exec.get(), sql));
-    ASSERT_OK_AND_ASSIGN(QueryResult b, ExecuteSql(large_exec.get(), sql));
+    ASSERT_OK_AND_ASSIGN(QueryResult a, fitted_session.Execute(sql));
+    ASSERT_OK_AND_ASSIGN(QueryResult b, large_session.Execute(sql));
     EXPECT_EQ(a.count, b.count);
     EXPECT_EQ(a.scalar, b.scalar);
     EXPECT_EQ(a.row_ids, b.row_ids);
@@ -387,8 +385,9 @@ TEST(SqlSizeInvarianceTest, FramebufferSizeChangesNoAnswerAndNoCounter) {
   }
 }
 
-TEST_F(SqlEndToEndTest, NullExecutorRejected) {
-  EXPECT_FALSE(ExecuteSql(nullptr, "SELECT COUNT(*) FROM t").ok());
+TEST_F(SqlEndToEndTest, NullDeviceRejected) {
+  EXPECT_FALSE(Session(nullptr, &catalog_).Execute("SELECT COUNT(*) FROM t")
+                   .ok());
 }
 
 }  // namespace
