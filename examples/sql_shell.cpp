@@ -206,7 +206,7 @@ int main(int argc, char** argv) {
   gpudb::sql::Session session(&device, &catalog);
   gpudb::core::ResilienceOptions resilience;
   resilience.deadline_ms = deadline_ms;
-  resilience.retry.sleep = true;  // real backoff in the interactive shell
+  resilience.sleep = true;  // real backoff in the interactive shell
   session.set_resilience_options(resilience);
   // Multi-device tier (DESIGN.md §15): poolable statements scatter across
   // the pool; every device is its own failure domain and fault stream.

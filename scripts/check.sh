@@ -36,7 +36,7 @@ cd "$(dirname "$0")/.."
 echo "== lint: gpulint rules R1-R9 + suppression hygiene + clang-tidy baseline =="
 # gpulint only needs its own little library; build just that target.
 cmake -B build -S . >/dev/null
-cmake --build build -j --target gpulint
+cmake --build build -j"$(nproc)" --target gpulint
 ./build/tools/gpulint/gpulint --root=. --json=build/gpulint-report.json
 # Suppression hygiene: every live entry must carry a reason on the line
 # (RULE PATH reason...) and an owner/why comment block directly above it.
@@ -64,15 +64,15 @@ echo "== lint: clang -Wthread-safety capability analysis =="
 if command -v clang++ >/dev/null 2>&1; then
   cmake -B build-threadsafety -S . -DCMAKE_CXX_COMPILER=clang++ \
     -DCMAKE_CXX_FLAGS="-Wthread-safety -Werror=thread-safety" >/dev/null
-  cmake --build build-threadsafety -j
+  cmake --build build-threadsafety -j"$(nproc)"
 else
   echo "thread-safety: clang++ not found; skipping (annotations are no-ops" \
        "under gcc -- gpulint R7-R9 still gate lock discipline)"
 fi
 
 echo "== tier 1: standard build + tests =="
-cmake --build build -j
-ctest --test-dir build --output-on-failure -j
+cmake --build build -j"$(nproc)"
+ctest --test-dir build --output-on-failure -j"$(nproc)"
 
 echo "== bench smoke: figure model times vs bench/baseline =="
 smoke_dir="$(mktemp -d)"
@@ -147,19 +147,19 @@ CARGO_TARGET_DIR=build-perfbench python3 scripts/perfbench_invariants.py
 
 echo "== sanitizers: ASan+UBSan Debug build + tests =="
 cmake -B build-asan -S . -DGPUDB_SANITIZE=ON >/dev/null
-cmake --build build-asan -j
-ctest --test-dir build-asan --output-on-failure -j
+cmake --build build-asan -j"$(nproc)"
+ctest --test-dir build-asan --output-on-failure -j"$(nproc)"
 GPUDB_FAULT_SEED=20260805 GPUDB_FAULT_RATE=0.05 \
   ./build-asan/tests/device_fuzz_test --gtest_filter='FaultSweep.*'
 
 echo "== sanitizers: standalone UBSan build + tests =="
 cmake -B build-ubsan -S . -DGPUDB_SANITIZE=undefined >/dev/null
-cmake --build build-ubsan -j
-ctest --test-dir build-ubsan --output-on-failure -j
+cmake --build build-ubsan -j"$(nproc)"
+ctest --test-dir build-ubsan --output-on-failure -j"$(nproc)"
 
 echo "== sanitizers: TSan build + parallel determinism + fault sweep + pool soak =="
 cmake -B build-tsan -S . -DGPUDB_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j --target gpu_parallel_test device_fuzz_test gpu_pool_test
+cmake --build build-tsan -j"$(nproc)" --target gpu_parallel_test device_fuzz_test gpu_pool_test
 GPUDB_THREADS=8 ./build-tsan/tests/gpu_parallel_test
 GPUDB_THREADS=8 ./build-tsan/tests/device_fuzz_test --gtest_filter='FaultSweep.*'
 GPUDB_THREADS=8 ./build-tsan/tests/gpu_pool_test

@@ -28,7 +28,7 @@ struct QueryLogEntry {
   /// queue_ms + exec_ms ~= wall_ms. The admission-control baseline signal.
   double queue_ms = 0.0;
   double exec_ms = 0.0;
-  double simulated_ms = 0.0;  ///< PerfModel time (EXPLAIN ANALYZE runs only).
+  double simulated_ms = 0.0;  ///< PerfModel time of the statement's passes.
   uint64_t passes = 0;        ///< Rendering passes the statement issued.
   uint64_t fragments = 0;     ///< Fragments generated across those passes.
   uint64_t rows_out = 0;      ///< Result cardinality (1 for scalar results).

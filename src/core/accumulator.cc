@@ -40,7 +40,7 @@ Result<uint64_t> Accumulate(gpu::Device* device, gpu::TextureId texture,
 
   uint64_t sum = 0;
   for (int i = 0; i < bit_width; ++i) {
-    // Cooperative cancellation between TestBit passes.
+    // Deadline check between TestBit passes.
     GPUDB_RETURN_NOT_OK(device->CheckInterrupt());
     // Lines 4-8: count the records with bit i set, weight by 2^i.
     const gpu::TestBitProgram alpha_program(channel, i);

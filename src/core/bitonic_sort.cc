@@ -56,7 +56,7 @@ Result<std::vector<float>> BitonicSort(gpu::Device* device,
   // Batcher's bitonic network: outer merge size k, inner compare stride j.
   for (uint64_t k = 2; k <= padded; k <<= 1) {
     for (uint64_t j = k >> 1; j >= 1; j >>= 1) {
-      // Cooperative cancellation between network steps (lint rule R2).
+      // Deadline check between network steps (lint rule R2).
       GPUDB_RETURN_NOT_OK(device->CheckInterrupt());
       const gpu::BitonicStepProgram program(j, k);
       GPUDB_RETURN_NOT_OK(device->BindTexture(src));
@@ -127,7 +127,7 @@ Result<SortedPairs> BitonicSortPairs(gpu::Device* device,
 
   for (uint64_t k = 2; k <= padded; k <<= 1) {
     for (uint64_t j = k >> 1; j >= 1; j >>= 1) {
-      // Cooperative cancellation between network steps (lint rule R2).
+      // Deadline check between network steps (lint rule R2).
       GPUDB_RETURN_NOT_OK(device->CheckInterrupt());
       const gpu::BitonicPairStepProgram program(j, k);
       GPUDB_RETURN_NOT_OK(device->BindTexture(src));

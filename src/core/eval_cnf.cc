@@ -147,7 +147,7 @@ Result<StencilSelection> EvalCnf(gpu::Device* device,
     // flips and cleanup passes.
     uint8_t valid = 1;
     for (size_t i = 0; i < k; ++i) {
-      // Cooperative cancellation between predicate passes (lint rule R2).
+      // Deadline check between predicate passes (lint rule R2).
       GPUDB_RETURN_NOT_OK(device->CheckInterrupt());
       device->SetStencilTest(true, gpu::CompareOp::kEqual, valid);
       device->SetStencilOp(gpu::StencilOp::kKeep, gpu::StencilOp::kKeep,
@@ -163,7 +163,7 @@ Result<StencilSelection> EvalCnf(gpu::Device* device,
     sel.valid_value = valid;
   } else {
     for (size_t i = 1; i <= k; ++i) {
-      // Cooperative cancellation between clauses (large CNFs run thousands
+      // Deadline check between clauses (large CNFs run thousands
       // of passes; the per-pass device check bounds the latency either way).
       GPUDB_RETURN_NOT_OK(device->CheckInterrupt());
       const bool odd = (i % 2) == 1;
@@ -177,7 +177,7 @@ Result<StencilSelection> EvalCnf(gpu::Device* device,
                            odd ? gpu::StencilOp::kIncr : gpu::StencilOp::kDecr);
       // Lines 11-14: evaluate each B_ij of the clause.
       for (const GpuPredicate& pred : clauses[i - 1]) {
-        // Cooperative cancellation between predicate passes (lint rule R2).
+        // Deadline check between predicate passes (lint rule R2).
         GPUDB_RETURN_NOT_OK(device->CheckInterrupt());
         GPUDB_RETURN_NOT_OK(
             ExecPredicate(device, pred, opts, /*begin_occlusion=*/false));
@@ -232,7 +232,7 @@ Result<StencilSelection> EvalDnf(gpu::Device* device,
     // Conjunction chain over candidates: predicate j bumps j -> j+1.
     uint8_t value = 1;
     for (const GpuPredicate& pred : term) {
-      // Cooperative cancellation between predicate passes (lint rule R2).
+      // Deadline check between predicate passes (lint rule R2).
       GPUDB_RETURN_NOT_OK(device->CheckInterrupt());
       device->SetStencilTest(true, gpu::CompareOp::kEqual, value);
       device->SetStencilOp(gpu::StencilOp::kKeep, gpu::StencilOp::kKeep,
@@ -252,7 +252,7 @@ Result<StencilSelection> EvalDnf(gpu::Device* device,
     // Walk partial chains (values 2..m) back down to 1 so the next term
     // starts clean: each pass decrements every value above 1.
     for (int step = 0; step < m - 1; ++step) {
-      // Cooperative cancellation between walk-down passes (lint rule R2).
+      // Deadline check between walk-down passes (lint rule R2).
       GPUDB_RETURN_NOT_OK(device->CheckInterrupt());
       device->SetStencilTest(true, gpu::CompareOp::kLess, /*ref=*/1);
       device->SetStencilOp(gpu::StencilOp::kKeep, gpu::StencilOp::kKeep,

@@ -112,7 +112,6 @@ Result<std::vector<GpuClause>> Executor::Lower(
 
 Result<StencilSelection> Executor::Where(const predicate::ExprPtr& expr) {
   OpCounter("where").Increment();
-  last_exec_ = SelectionExecOptions{};  // no stale outcome on early paths
   GpuOpSpan op("Where", device_);
   op.AddTag("rows", table_->num_rows());
   // With ANALYZE statistics attached, estimate the result cardinality up
@@ -184,7 +183,6 @@ Result<StencilSelection> Executor::Where(const predicate::ExprPtr& expr) {
                            ? "hit"
                            : (exec.cache_hits == 0 ? "miss" : "mixed"));
   }
-  last_exec_ = exec;
   op.AddTag("selected", sel.count);
   op.AddTag("selectivity", Selectivity(sel.count));
   if (have_stats) {

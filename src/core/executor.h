@@ -130,19 +130,12 @@ class Executor {
   const db::Table& table() const { return *table_; }
   gpu::Device& device() { return *device_; }
 
-  /// Forwards to Device::SetWorkerThreads: number of parallel pixel
-  /// engines for this executor's device. Never changes results -- every
-  /// operator is bit-identical at any thread count -- only wall-clock.
-  [[nodiscard]] Status SetWorkerThreads(int n) { return device_->SetWorkerThreads(n); }
-  int worker_threads() const { return device_->worker_threads(); }
-
   /// Attaches ANALYZE statistics (owned by the db::Catalog; may be null to
   /// detach). With stats attached, Where() tags each selection span with
   /// `est_rows` -- the histogram-based cardinality estimate -- so EXPLAIN
   /// ANALYZE reports estimated vs. actual rows, and estimates off by more
   /// than 2x increment the `planner.misestimates` counter.
   void set_table_stats(const db::TableStats* stats) { stats_ = stats; }
-  const db::TableStats* table_stats() const { return stats_; }
 
   /// Planner rewrite controls (fusion / plane cache) for this executor's
   /// selections. Never changes results -- only the pass sequence.
@@ -158,10 +151,6 @@ class Executor {
     table_name_ = std::move(name);
     table_version_ = version;
   }
-
-  /// Planner/cache outcome of the most recent Where(): fused pass count and
-  /// plane-cache hits/misses, for query-log columns and tests.
-  const SelectionExecOptions& last_exec() const { return last_exec_; }
 
   /// The GPU binding (texture/channel/encoding) for a column; uploads the
   /// column texture on first use. Exposed for benchmarks that drive the
@@ -193,7 +182,6 @@ class Executor {
   PlanOptions plan_options_;
   std::string table_name_;      ///< catalog identity for plane-cache keys
   uint64_t table_version_ = 0;  ///< catalog version at SetTableIdentity time
-  SelectionExecOptions last_exec_;
   std::vector<gpu::TextureId> column_textures_;  // -1 = not uploaded yet
   std::map<std::pair<size_t, size_t>, gpu::TextureId> pair_textures_;
 };

@@ -42,7 +42,7 @@ Result<Histogram> GpuHistogram(gpu::Device* device,
   // Cumulative counts at each bucket edge; one comparison pass per edge.
   std::vector<uint64_t> ge(buckets + 1, 0);
   for (int i = 0; i <= buckets; ++i) {
-    // Cooperative cancellation between per-edge passes (lint rule R2).
+    // Deadline check between per-edge passes (lint rule R2).
     GPUDB_RETURN_NOT_OK(device->CheckInterrupt());
     const double edge = hist.low + hist.BucketWidth() * i;
     // The final edge uses GREATER so the last bucket includes `high`.

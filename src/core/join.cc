@@ -51,7 +51,7 @@ Result<std::vector<JoinPair>> EquiJoin(gpu::Device* device,
 
   std::vector<JoinPair> result;
   for (uint32_t key : keys) {
-    // Cooperative cancellation between per-key probes (lint rule R2).
+    // Deadline check between per-key probes (lint rule R2).
     GPUDB_RETURN_NOT_OK(device->CheckInterrupt());
     // Selectivity probe on the right side: keys without partners cost one
     // occlusion-counted pass and nothing more.
@@ -147,7 +147,7 @@ Result<uint64_t> EquiJoinSize(gpu::Device* device, const JoinSide& left,
                          LeftKeys(device, left, options.max_keys));
   uint64_t size = 0;
   for (uint32_t key : keys) {
-    // Cooperative cancellation between per-key probes (lint rule R2).
+    // Deadline check between per-key probes (lint rule R2).
     GPUDB_RETURN_NOT_OK(device->CheckInterrupt());
     GPUDB_RETURN_NOT_OK(device->SetViewport(right.rows));
     GPUDB_ASSIGN_OR_RETURN(

@@ -59,7 +59,7 @@ Result<uint32_t> KthLargest(gpu::Device* device, const AttributeBinding& attr,
 
   uint64_t x = 0;
   for (int i = bit_width - 1; i >= 0; --i) {
-    // Cooperative cancellation between binary-search passes (the per-pass
+    // Deadline check between binary-search passes (the per-pass
     // device check would also catch it; this keeps the operator loop
     // responsive even if a pass is skipped).
     GPUDB_RETURN_NOT_OK(device->CheckInterrupt());

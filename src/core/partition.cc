@@ -95,7 +95,7 @@ Result<uint64_t> PartitionedColumn::CrossTileCount(gpu::CompareOp op,
                                                    double constant) const {
   uint64_t total = 0;
   for (const Tile& tile : tiles_) {
-    // Cooperative cancellation between per-tile passes (lint rule R2).
+    // Deadline check between per-tile passes (lint rule R2).
     GPUDB_RETURN_NOT_OK(device_->CheckInterrupt());
     if (options_.use_zone_maps) {
       const TileMatch match = Classify(tile, op, constant);
@@ -145,7 +145,7 @@ Result<uint32_t> PartitionedColumn::KthLargest(uint64_t k) const {
   // video memory, as Section 6.1 anticipates.
   uint64_t x = 0;
   for (int i = bit_width_ - 1; i >= 0; --i) {
-    // Cooperative cancellation between bit-probe rounds (lint rule R2).
+    // Deadline check between bit-probe rounds (lint rule R2).
     GPUDB_RETURN_NOT_OK(device_->CheckInterrupt());
     const uint64_t tentative = x + bit_util::PowerOfTwo(i);
     GPUDB_ASSIGN_OR_RETURN(
@@ -168,7 +168,7 @@ Result<std::vector<uint8_t>> PartitionedColumn::SelectBitmap(
   std::vector<uint8_t> bitmap;
   bitmap.reserve(total_records_);
   for (const Tile& tile : tiles_) {
-    // Cooperative cancellation between per-tile passes (lint rule R2).
+    // Deadline check between per-tile passes (lint rule R2).
     GPUDB_RETURN_NOT_OK(device_->CheckInterrupt());
     if (options_.use_zone_maps) {
       const TileMatch match = Classify(tile, op, constant);

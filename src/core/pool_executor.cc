@@ -95,7 +95,7 @@ PoolExecutor::Statement::Statement(PoolExecutor* exec)
   exec_->last_stats_ = PoolQueryStats();
   const ResilienceOptions& options = exec_->resilience_;
   exec_->expiry_ =
-      options.enabled && options.deadline_ms > 0.0
+      options.deadline_ms > 0.0
           ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                std::chrono::duration<double, std::milli>(
                                    options.deadline_ms))
@@ -124,10 +124,7 @@ Status PoolExecutor::RequireOneShard(std::string_view op) const {
       "operator (EXTENDING.md)");
 }
 
-Status PoolExecutor::CheckInterrupt(int device_id) const {
-  if (pool_->device(device_id).cancel_requested()) {
-    return Status::Cancelled("query cancelled");
-  }
+Status PoolExecutor::CheckInterrupt() const {
   if (expiry_ != Clock::time_point::max() && Clock::now() >= expiry_) {
     ResilienceMetrics::Get().deadline_exceeded.Increment();
     return Status::DeadlineExceeded("query deadline exceeded");
@@ -158,17 +155,15 @@ std::invoke_result_t<const GpuOp&, Executor&> PoolExecutor::RunShard(
     const CpuOp& cpu_op) {
   ResilienceMetrics& metrics = ResilienceMetrics::Get();
   const ShardRef& shard = shards_[shard_index];
-  // Cancellation and the statement's deadline stay responsive across the
-  // whole scatter: every dispatch starts by consulting them.
-  GPUDB_RETURN_NOT_OK(CheckInterrupt(shard.placement.primary));
+  // The statement's deadline stays responsive across the whole scatter:
+  // every dispatch starts by consulting it.
+  GPUDB_RETURN_NOT_OK(CheckInterrupt());
   if (last_stats_.first_device < 0) {
     last_stats_.first_device = shard.placement.primary;
   }
   const int candidates[2] = {shard.placement.primary,
                              shard.placement.replica};
   const int num_candidates = shard.placement.replicated() ? 2 : 1;
-  const int max_attempts =
-      resilience_.enabled ? resilience_.retry.max_attempts : 1;
   Status last_fault = Status::OK();
   auto hop_off = [&](int device_id) {
     pool_->RecordFailover(device_id);
@@ -216,13 +211,13 @@ std::invoke_result_t<const GpuOp&, Executor&> PoolExecutor::RunShard(
     if (arm) device.ArmDeadlineAt(expiry_);
     auto result = gpu_op(*exec);
     for (int retry = 0; !result.ok() && IsTransientFault(result.status()) &&
-                        retry < max_attempts - 1;
+                        retry < kMaxAttempts - 1;
          ++retry) {
       if (retry == 0) metrics.retried.Increment();
       ++last_stats_.retries;
       metrics.retry_attempts.Increment();
       TraceResilienceEvent("resilience.retry", op_name, retry + 1);
-      BackoffSleep(resilience_.retry.DelayMs(retry), resilience_.retry.sleep);
+      BackoffSleep(RetryDelayMs(retry), resilience_.sleep);
       device.ResetQueryState();
       const Status interrupt = device.CheckInterrupt();
       if (!interrupt.ok()) {
@@ -245,8 +240,8 @@ std::invoke_result_t<const GpuOp&, Executor&> PoolExecutor::RunShard(
       metrics.deadline_exceeded.Increment();
       return result;
     }
-    // Cancellation and user errors (bad column, k out of range, ...) are
-    // not the device's fault: no health record, no hop.
+    // User errors (bad column, k out of range, ...) are not the device's
+    // fault: no health record, no hop.
     if (!IsDeviceFault(status)) return result;
     pool_->RecordFailure(device_id);
     device.ResetQueryState();
@@ -256,8 +251,8 @@ std::invoke_result_t<const GpuOp&, Executor&> PoolExecutor::RunShard(
   }
   // The CPU tier answers what it has an exact equivalent for.
   if constexpr (!std::is_same_v<CpuOp, std::nullptr_t>) {
-    if (resilience_.enabled && resilience_.allow_cpu_fallback) {
-      GPUDB_RETURN_NOT_OK(CheckInterrupt(shard.placement.primary));
+    if (resilience_.allow_cpu_fallback) {
+      GPUDB_RETURN_NOT_OK(CheckInterrupt());
       last_stats_.cpu_fallback = true;
       metrics.fell_back.Increment();
       MetricsRegistry::Global()

@@ -63,11 +63,11 @@ struct PoolQueryStats {
 ///
 /// The ladder, per dispatch: the device's health gate
 /// (DevicePool::AdmitDispatch; quarantine is the open breaker), the lease,
-/// the attempt with in-place retry of transient faults, the health record,
-/// then the shard's replica, then the CPU tier (core/cpu_tier). Every hop
-/// off a device counts in `pool.failovers`. User errors, deadline and
-/// cancellation propagate at once: a replica holds an identical copy and
-/// cannot beat the clock.
+/// the attempt with in-place retry of transient faults (kMaxAttempts in
+/// all, core/resilience.h), the health record, then the shard's replica,
+/// then the CPU tier (core/cpu_tier). Every hop off a device counts in
+/// `pool.failovers`. User errors and the deadline propagate at once: a
+/// replica holds an identical copy and cannot beat the clock.
 ///
 /// Thread model: one PoolExecutor serves one session (its executor cache is
 /// not locked); devices are shared across sessions and every dispatch holds
@@ -171,9 +171,9 @@ class PoolExecutor {
   PoolExecutor(gpu::DevicePool* pool, std::vector<ShardRef> shards)
       : pool_(pool), shards_(std::move(shards)) {}
 
-  /// Cancellation of `device_id` or the statement's expiry, read without
-  /// the device's lease.
-  [[nodiscard]] Status CheckInterrupt(int device_id) const;
+  /// kDeadlineExceeded once the statement's expiry has passed, read
+  /// without any device's lease.
+  [[nodiscard]] Status CheckInterrupt() const;
 
   /// Runs one shard's dispatch through the ladder: `gpu_op(Executor&)` on a
   /// device, else `cpu_op(const db::Table&)`, the CPU tier's equivalent

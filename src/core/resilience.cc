@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <thread>
 
 namespace gpudb {
 namespace core {
 
-double RetryPolicy::DelayMs(int retry_index) const {
-  double delay = backoff_base_ms;
-  for (int i = 0; i < retry_index; ++i) delay *= backoff_multiplier;
-  return std::min(delay, backoff_max_ms);
+double RetryDelayMs(int retry_index) {
+  return std::min(std::ldexp(1.0, retry_index), 64.0);
 }
 
 bool IsTransientFault(const Status& status) {

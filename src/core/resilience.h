@@ -8,24 +8,16 @@
 namespace gpudb {
 namespace core {
 
-/// \brief Bounded-retry policy for transient device faults.
-///
-/// Retries apply only to the kDeviceLost category (see IsTransientFault):
-/// a lost context or injected watchdog kill may succeed on the next
-/// attempt, while deterministic failures (bad arguments, a texture that
-/// cannot fit VRAM) never will. Backoff is exponential with a cap; tests
-/// keep `sleep` off so retry schedules stay deterministic and instant.
-struct RetryPolicy {
-  int max_attempts = 3;          ///< Total attempts, including the first.
-  double backoff_base_ms = 1.0;  ///< Delay before the first retry.
-  double backoff_multiplier = 2.0;
-  double backoff_max_ms = 64.0;
-  bool sleep = false;  ///< Actually sleep between attempts.
+/// Bounded retry of transient device faults: attempts per device,
+/// including the first. Retries apply only to the kDeviceLost category
+/// (see IsTransientFault): a lost context or injected watchdog kill may
+/// succeed on the next attempt, while deterministic failures (bad
+/// arguments, a texture that cannot fit VRAM) never will.
+inline constexpr int kMaxAttempts = 3;
 
-  /// Backoff before retry `retry_index` (0-based): base * multiplier^i,
-  /// clamped to backoff_max_ms.
-  double DelayMs(int retry_index) const;
-};
+/// Backoff before retry `retry_index` (0-based): 1 ms, doubling per retry,
+/// capped at 64 ms.
+double RetryDelayMs(int retry_index);
 
 /// True for faults worth retrying in place: the transient kDeviceLost
 /// category (driver context loss, injected watchdog/readback faults).
@@ -34,17 +26,16 @@ bool IsTransientFault(const Status& status);
 /// True for faults that indict the device path as a whole and count
 /// toward the device's quarantine (gpu::DevicePool): kDeviceLost,
 /// kResourceExhausted (VRAM), and kInternal (simulator invariant
-/// violations). Deadline and cancellation are the *user's* budget running
-/// out, not a device fault, and user errors (InvalidArgument & co.) are
-/// neither.
+/// violations). A deadline is the *user's* budget running out, not a
+/// device fault, and user errors (InvalidArgument & co.) are neither.
 bool IsDeviceFault(const Status& status);
 
 /// \brief Resilience configuration of a PoolExecutor's dispatch ladder
 /// (DESIGN.md section 11): retry in place, replica, CPU tier.
 struct ResilienceOptions {
-  /// Off: one attempt per device, no deadline, no CPU tier.
-  bool enabled = true;
-  RetryPolicy retry;
+  /// Actually sleep the backoff between retries. Off, retry schedules are
+  /// deterministic and instant (tests, benchmarks).
+  bool sleep = false;
   /// Degrade device faults to the cpu/ baseline where an equivalent
   /// implementation exists (count/select/aggregate/kth/range).
   bool allow_cpu_fallback = true;

@@ -200,7 +200,7 @@ Result<std::vector<std::pair<uint32_t, uint32_t>>> SpatialOverlapJoin(
   std::vector<std::pair<uint32_t, uint32_t>> result;
   for (size_t i = 0; i < layer_a.size(); ++i) {
     for (size_t j = 0; j < layer_b.size(); ++j) {
-      // Cooperative cancellation between per-pair tests (lint rule R2).
+      // Deadline check between per-pair tests (lint rule R2).
       GPUDB_RETURN_NOT_OK(device->CheckInterrupt());
       if (!boxes_a[i].Intersects(boxes_b[j])) continue;  // CPU bbox prune
       const Box overlap{std::max(boxes_a[i].x0, boxes_b[j].x0),

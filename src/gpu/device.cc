@@ -1230,9 +1230,9 @@ void Device::ArmDeadline(double ms) {
 }
 
 Status Device::CheckInterrupt() const {
-  if (cancel_requested_.load(std::memory_order_relaxed)) {
-    return Status::Cancelled("query cancelled");
-  }
+  // The deadline is the only interrupt: work stops when its statement's
+  // budget runs out, never on a request from another thread, so every
+  // check reads state that only the issuing thread writes.
   if (deadline_armed_ && std::chrono::steady_clock::now() >= deadline_) {
     return Status::DeadlineExceeded("query deadline exceeded");
   }
@@ -1313,9 +1313,9 @@ Status Device::RenderInternal(float quad_depth, bool textured) {
   const PassShape shape(state_, fb_, interpret ? BatchedForm{} : form,
                         units[0], quad_depth, profiled);
   const auto run_band = [&](int band) {
-    // Per-band cooperative cancellation: a band that starts after the
-    // interrupt fired does no work. Bands already in their fragment loop
-    // finish normally; the post-reduction check below surfaces the error.
+    // Per-band deadline check: a band that starts after the deadline
+    // passed does no work. Bands already in their fragment loop finish
+    // normally; the post-reduction check below surfaces the error.
     if (InterruptPending()) return;
     const auto band_start = profiled ? std::chrono::steady_clock::now()
                                      : std::chrono::steady_clock::time_point();

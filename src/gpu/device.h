@@ -2,7 +2,6 @@
 #define GPUDB_GPU_DEVICE_H_
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -250,8 +249,8 @@ class Device {
 
   /// Reads the stencil plane back to the CPU (charged as a GPU->CPU
   /// transfer). Used to materialize selection results. Fails with
-  /// kDeviceLost under injected readback corruption, or with the armed
-  /// interrupt status (kCancelled / kDeadlineExceeded).
+  /// kDeviceLost under injected readback corruption, or with
+  /// kDeadlineExceeded once an armed deadline has passed.
   [[nodiscard]] Result<std::vector<uint8_t>> ReadStencil();
 
   /// Reads the depth plane back (quantized values).
@@ -290,7 +289,7 @@ class Device {
   FaultInjector& fault_injector() { return injector_; }
   const FaultInjector& fault_injector() const { return injector_; }
 
-  // --- Deadlines and cancellation ------------------------------------------
+  // --- Deadlines -------------------------------------------------------------
 
   /// Arms a wall-clock deadline `ms` milliseconds from now. Every pass
   /// entry, row band, and readback checks it cooperatively; once exceeded,
@@ -307,26 +306,9 @@ class Device {
   void DisarmDeadline() { deadline_armed_ = false; }
   bool deadline_armed() const { return deadline_armed_; }
 
-  /// Requests cooperative cancellation of in-flight work. Safe to call
-  /// from another thread; the next per-pass or per-band check surfaces
-  /// kCancelled. Sticky until ClearInterrupt().
-  void RequestCancel() {
-    cancel_requested_.store(true, std::memory_order_relaxed);
-  }
-
-  /// True once RequestCancel was called. Unlike CheckInterrupt it reads no
-  /// deadline state, so it is safe without holding the device's lease.
-  bool cancel_requested() const {
-    return cancel_requested_.load(std::memory_order_relaxed);
-  }
-
-  /// Clears a pending cancel request (an armed deadline stays armed).
-  void ClearInterrupt() {
-    cancel_requested_.store(false, std::memory_order_relaxed);
-  }
-
-  /// kCancelled if cancellation was requested, kDeadlineExceeded if an
-  /// armed deadline has passed, OK otherwise. Cheap when nothing is armed.
+  /// kDeadlineExceeded if an armed deadline has passed, OK otherwise.
+  /// Cheap when nothing is armed. Every pass entry, readback and operator
+  /// loop calls it, so a deadline stays responsive.
   [[nodiscard]] Status CheckInterrupt() const;
 
   /// Clears transient per-query device state (an open occlusion query and
@@ -423,10 +405,9 @@ class Device {
   /// while the pass's RenderState is still live.
   void ApplyPlaneTrafficModel(PassRecord* pass) const;
 
-  /// Lock-free check shared by the per-band loops: true when a cancel is
-  /// pending or an armed deadline has passed.
+  /// Check shared by the per-band loops: true when an armed deadline has
+  /// passed.
   bool InterruptPending() const {
-    if (cancel_requested_.load(std::memory_order_relaxed)) return true;
     return deadline_armed_ && std::chrono::steady_clock::now() >= deadline_;
   }
 
@@ -451,7 +432,6 @@ class Device {
   uint64_t occlusion_count_ = 0;
 
   FaultInjector injector_;
-  std::atomic<bool> cancel_requested_{false};
   bool deadline_armed_ = false;
   std::chrono::steady_clock::time_point deadline_;
 

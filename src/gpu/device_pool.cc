@@ -42,10 +42,6 @@ Result<std::unique_ptr<DevicePool>> DevicePool::Make(
   if (options.devices < 1) {
     return Status::InvalidArgument("DevicePool needs at least one device");
   }
-  if (options.quarantine_threshold < 1 || options.probe_interval < 1) {
-    return Status::InvalidArgument(
-        "DevicePool quarantine_threshold and probe_interval must be >= 1");
-  }
   auto pool = std::unique_ptr<DevicePool>(new DevicePool(options));
   pool->slots_.resize(static_cast<size_t>(options.devices));
   for (int i = 0; i < options.devices; ++i) {
@@ -102,7 +98,7 @@ Result<DevicePool::Lease> DevicePool::TryAcquire(int id) {
 
 DeviceHealth DevicePool::HealthLocked(const Slot& slot) const {
   if (slot.forced_lost ||
-      slot.consecutive_failures >= options_.quarantine_threshold) {
+      slot.consecutive_failures >= kQuarantineThreshold) {
     return DeviceHealth::kQuarantined;
   }
   if (slot.consecutive_failures > 0) return DeviceHealth::kDegraded;
@@ -123,9 +119,9 @@ bool DevicePool::AdmitDispatch(int id) {
   Slot& slot = slots_[static_cast<size_t>(id)];
   if (slot.forced_lost) return false;  // hot-unplugged: not even probes
   if (HealthLocked(slot) != DeviceHealth::kQuarantined) return true;
-  // Quarantined: admit every probe_interval-th ask as a recovery probe.
+  // Quarantined: admit every kProbeInterval-th ask as a recovery probe.
   ++slot.asks_while_quarantined;
-  if (slot.asks_while_quarantined >= options_.probe_interval) {
+  if (slot.asks_while_quarantined >= kProbeInterval) {
     slot.asks_while_quarantined = 0;
     return true;
   }

@@ -22,11 +22,12 @@ namespace gpu {
 ///      ▲                    │ success                │ probe success
 ///      └────────────────────┴─────────────────────────┘
 ///
-/// `degraded` means 1..threshold-1 consecutive device faults: the device
-/// still serves dispatches, but it is one bad streak away from quarantine.
-/// `quarantined` devices are skipped by AdmitDispatch except for every
-/// `probe_interval`-th ask (counted in calls, not wall time, so recovery is
-/// deterministic under test); one probe success returns them to healthy.
+/// `degraded` means 1..DevicePool::kQuarantineThreshold-1 consecutive device
+/// faults: the device still serves dispatches, but it is one bad streak away
+/// from quarantine. `quarantined` devices are skipped by AdmitDispatch
+/// except for every DevicePool::kProbeInterval-th ask (counted in calls, not
+/// wall time, so recovery is deterministic under test); one probe success
+/// returns them to healthy.
 enum class DeviceHealth { kHealthy, kDegraded, kQuarantined };
 
 std::string_view ToString(DeviceHealth health);
@@ -42,8 +43,6 @@ struct DevicePoolOptions {
   /// failure domain draws from its own deterministic stream (seed ^
   /// SplitMix64(i)) regardless of dispatch interleaving.
   FaultConfig faults;
-  int quarantine_threshold = 3;  ///< Consecutive faults before quarantine.
-  int probe_interval = 8;        ///< Every n-th ask probes a quarantined dev.
 };
 
 /// \brief A pool of N simulated Devices, each its own failure domain.
@@ -69,6 +68,11 @@ struct DevicePoolOptions {
 /// move off its primary. Thread-safe.
 class DevicePool {
  public:
+  /// Consecutive device faults that quarantine a device.
+  static constexpr int kQuarantineThreshold = 3;
+  /// A quarantined device is probed on every kProbeInterval-th ask.
+  static constexpr int kProbeInterval = 8;
+
   [[nodiscard]] static Result<std::unique_ptr<DevicePool>> Make(
       const DevicePoolOptions& options);
 
@@ -119,7 +123,7 @@ class DevicePool {
 
   /// Health gate consulted before dispatching to `id`: true when the device
   /// should be tried. Healthy/degraded devices always pass; quarantined
-  /// devices pass only on every `probe_interval`-th ask (the recovery
+  /// devices pass only on every kProbeInterval-th ask (the recovery
   /// probe); force-lost devices never pass.
   bool AdmitDispatch(int id);
 

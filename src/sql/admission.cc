@@ -89,7 +89,7 @@ Result<AdmissionController::Ticket> AdmissionController::Admit(
   if (deadline_ms > 0.0) {
     const MetricHistogram& exec =
         MetricsRegistry::Global().histogram("sql.exec_ms");
-    if (exec.count() >= options_.min_p95_samples) {
+    if (exec.count() >= kMinP95Samples) {
       shed_p95 = exec.Quantile(0.95);
       shed = shed_p95 > deadline_ms;
     }

@@ -31,9 +31,6 @@ struct AdmissionOptions {
   /// and burst capacity.
   double tenant_qps = 0.0;
   double tenant_burst = 8.0;
-  /// Deadline-aware rejection consults the p95 of "sql.exec_ms" only once
-  /// it has this many samples -- a cold histogram says nothing yet.
-  uint64_t min_p95_samples = 32;
   /// Injectable monotonic clock in milliseconds (tests); default is
   /// std::chrono::steady_clock.
   std::function<double()> now_ms;
@@ -59,6 +56,10 @@ struct AdmissionOptions {
 /// Thread-safe; one controller is shared by all sessions of a server.
 class AdmissionController {
  public:
+  /// Deadline-aware rejection consults the p95 of "sql.exec_ms" only once
+  /// it has this many samples -- a cold histogram says nothing yet.
+  static constexpr uint64_t kMinP95Samples = 32;
+
   explicit AdmissionController(AdmissionOptions options = {});
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;

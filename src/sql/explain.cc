@@ -229,7 +229,7 @@ Result<QueryResult> ExecuteAnalyze(core::PoolExecutor* executor,
                                    std::string_view input) {
   GPUDB_RETURN_NOT_OK(executor->RequireOneShard("EXPLAIN ANALYZE"));
   gpu::Device& device = executor->device();
-  const gpu::DeviceCounters before = device.counters();
+  const core::PoolExecutor::Statement statement(executor);
   const TraceCapture capture;
   const gpu::PassLogScope pass_log(&device, query.explain_profile);
   QueryResult result;
@@ -239,9 +239,9 @@ Result<QueryResult> ExecuteAnalyze(core::PoolExecutor* executor,
     GPUDB_RETURN_NOT_OK(ExecuteParsed(executor, query, &result));
   }
 
-  const gpu::DeviceCounters delta = gpu::DeltaSince(before, device.counters());
   result.analyzed = true;
-  result.breakdown = gpu::PerfModel().Estimate(delta);
+  result.breakdown =
+      gpu::PerfModel().Estimate(executor->last_stats().counters);
   result.simulated_total_ms = result.breakdown.TotalMs();
   result.spans = capture.Finished();
   result.explain = FormatSpanTree(result.spans);

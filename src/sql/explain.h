@@ -34,8 +34,9 @@ std::string FormatSpanTree(const std::vector<FinishedSpan>& spans);
 /// span, so no other thread's spans mix in and nothing is retained after
 /// it (if Tracer::Global() is enabled, it receives the spans too). The
 /// result carries the rendered tree, the spans, and the PerfModel
-/// breakdown of the query's device-counter delta; the root span's total_ms
-/// equals breakdown.TotalMs() by construction.
+/// breakdown of the statement's dispatches (`executor->last_stats()
+/// .counters`, the delta the query log prices too); on one shard that is
+/// the root span's window, so its total_ms equals breakdown.TotalMs().
 ///
 /// For EXPLAIN PROFILE (query.explain_profile) the statement's
 /// gpu::PassLogScope also asks its device for deep counters, and the result

@@ -426,7 +426,6 @@ TEST(DeviceTest, ProfiledQuadPassComputesDeepCountersAndPlaneTraffic) {
   ASSERT_OK_AND_ASSIGN(uint64_t count, dev.EndOcclusionQuery());
   EXPECT_EQ(count, 4u);
 
-  const DeviceCounters& c = dev.counters();
   ASSERT_EQ(log.records().size(), 2u);
   const PassRecord& hit = log.records()[0];
   EXPECT_TRUE(hit.profiled);
@@ -449,17 +448,15 @@ TEST(DeviceTest, ProfiledQuadPassComputesDeepCountersAndPlaneTraffic) {
   EXPECT_EQ(miss.prof.plane_bytes_read, 4u * 4);
   EXPECT_EQ(miss.prof.plane_bytes_written, 0u);
 
-  // Cumulative device counters sum both passes, and the global aggregate
-  // grouped them under the fixed-function label.
-  EXPECT_EQ(c.prof.depth_tested, 8u);
-  EXPECT_EQ(c.prof.depth_killed, 4u);
-  EXPECT_EQ(c.prof.plane_bytes_written, 4u * 4 + 4u * 16);
+  // The global aggregate sums both passes under the fixed-function label.
   const auto groups = Profiler::Global().Snapshot();
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_EQ(groups[0].label, "fixed-function");
   EXPECT_EQ(groups[0].passes, 2u);
   EXPECT_EQ(groups[0].fragments, 8u);
+  EXPECT_EQ(groups[0].prof.depth_tested, 8u);
   EXPECT_EQ(groups[0].prof.depth_killed, 4u);
+  EXPECT_EQ(groups[0].prof.plane_bytes_written, 4u * 4 + 4u * 16);
 }
 
 TEST(DeviceTest, ProfiledKillAttributionSplitsAlphaAndStencil) {
@@ -508,7 +505,6 @@ TEST(DeviceTest, UnprofiledPassLeavesDeepCountersZero) {
   ASSERT_EQ(log.records().size(), 1u);
   EXPECT_FALSE(log.records()[0].profiled);
   EXPECT_EQ(log.records()[0].prof, PassProfile{});
-  EXPECT_EQ(dev.counters().prof, PassProfile{});
 }
 
 TEST(VideoMemoryTest, UploadWithinBudgetStaysResident) {

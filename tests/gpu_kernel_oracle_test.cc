@@ -332,7 +332,6 @@ void ExpectSameOutcome(const Outcome& kernel, const Outcome& oracle,
   EXPECT_EQ(kernel.counters.fragments_passed, oracle.counters.fragments_passed)
       << what;
   EXPECT_EQ(kernel.counters.fill_cycles, oracle.counters.fill_cycles) << what;
-  EXPECT_EQ(kernel.counters.prof, oracle.counters.prof) << what;
 }
 
 TEST(KernelOracleTest, RandomPassShapesMatchTheInterpreter) {

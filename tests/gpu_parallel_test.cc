@@ -203,7 +203,6 @@ void ExpectBitIdentical(const Snapshot& serial, const Snapshot& parallel,
   EXPECT_EQ(a.fused_passes, b.fused_passes) << what;
   EXPECT_EQ(a.plane_cache_hits, b.plane_cache_hits) << what;
   EXPECT_EQ(a.plane_cache_misses, b.plane_cache_misses) << what;
-  EXPECT_EQ(a.prof, b.prof) << what << " (cumulative deep counters)";
   EXPECT_EQ(a.passes, serial.passes.size()) << what;
   ExpectPassLogsEqual(serial.passes, parallel.passes, what);
 }
@@ -248,18 +247,20 @@ TEST(ParallelDeterminismTest, ProfiledCountersBitIdenticalAcrossThreadCounts) {
 
   // The scenario must have exercised the deep counters for the equality
   // above to mean anything.
-  EXPECT_GT(serial.counters.prof.alpha_killed, 0u);
-  EXPECT_GT(serial.counters.prof.stencil_killed, 0u);
-  EXPECT_GT(serial.counters.prof.depth_tested, 0u);
-  EXPECT_GT(serial.counters.prof.depth_killed, 0u);
-  EXPECT_GT(serial.counters.prof.occlusion_samples, 0u);
-  EXPECT_GT(serial.counters.prof.plane_bytes_read, 0u);
-  EXPECT_GT(serial.counters.prof.plane_bytes_written, 0u);
+  PassProfile total;
   bool any_profiled_pass = false;
   for (const gpu::PassRecord& pass : serial.passes) {
     if (pass.profiled) any_profiled_pass = true;
+    total.Merge(pass.prof);
   }
   EXPECT_TRUE(any_profiled_pass);
+  EXPECT_GT(total.alpha_killed, 0u);
+  EXPECT_GT(total.stencil_killed, 0u);
+  EXPECT_GT(total.depth_tested, 0u);
+  EXPECT_GT(total.depth_killed, 0u);
+  EXPECT_GT(total.occlusion_samples, 0u);
+  EXPECT_GT(total.plane_bytes_read, 0u);
+  EXPECT_GT(total.plane_bytes_written, 0u);
 }
 
 /// Fused/cached scenario: the planner-rewritten selections (DESIGN.md §14)
@@ -415,7 +416,6 @@ TEST(ParallelDeterminismTest, ArmedDeviceDeadlineFailsRoutinesCleanly) {
         << select.status().ToString();
 
     device.DisarmDeadline();
-    device.ClearInterrupt();
     EXPECT_OK(CompareSelect(&device, attr, CompareOp::kGreater, 100.0)
                   .status());
   }

@@ -59,8 +59,9 @@ TEST(DevicePool, HealthStateMachine) {
   pool->RecordSuccess(0);
   EXPECT_EQ(pool->health(0), DeviceHealth::kHealthy);
 
-  // threshold (default 3) consecutive faults quarantine the device.
-  for (int i = 0; i < pool->options().quarantine_threshold; ++i) {
+  // kQuarantineThreshold (3) consecutive faults quarantine the device.
+  ASSERT_EQ(DevicePool::kQuarantineThreshold, 3);
+  for (int i = 0; i < DevicePool::kQuarantineThreshold; ++i) {
     EXPECT_TRUE(pool->AdmitDispatch(0));
     pool->RecordFailure(0);
   }
@@ -68,9 +69,10 @@ TEST(DevicePool, HealthStateMachine) {
   // The other failure domain is untouched.
   EXPECT_EQ(pool->health(1), DeviceHealth::kHealthy);
 
-  // Quarantine refuses dispatches except every probe_interval-th ask.
+  // Quarantine refuses dispatches except every kProbeInterval-th (8th) ask.
+  ASSERT_EQ(DevicePool::kProbeInterval, 8);
   int admitted = 0;
-  for (int i = 0; i < 2 * pool->options().probe_interval; ++i) {
+  for (int i = 0; i < 2 * DevicePool::kProbeInterval; ++i) {
     if (pool->AdmitDispatch(0)) ++admitted;
   }
   EXPECT_EQ(admitted, 2);
@@ -424,9 +426,7 @@ TEST(Admission, DeadlineCannotCoverP95IsShedUpFront) {
   for (int i = 0; i < 64; ++i) {
     registry.histogram("sql.exec_ms").Record(50.0);
   }
-  sql::AdmissionOptions options;
-  options.min_p95_samples = 32;
-  sql::AdmissionController admission(options);
+  sql::AdmissionController admission;
   auto shed = admission.Admit("", /*deadline_ms=*/1.0);
   ASSERT_FALSE(shed.ok());
   EXPECT_TRUE(shed.status().IsResourceExhausted());
