@@ -12,9 +12,7 @@ class Timer {
  public:
   Timer() : start_(Clock::now()) {}
 
-  void Restart() { start_ = Clock::now(); }
-
-  /// Elapsed milliseconds since construction or the last Restart().
+  /// Elapsed milliseconds since construction.
   double ElapsedMs() const {
     return std::chrono::duration<double, std::milli>(Clock::now() - start_)
         .count();

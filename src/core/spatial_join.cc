@@ -5,7 +5,6 @@
 #include <string>
 
 #include "src/core/state_guard.h"
-#include "src/gpu/geometry.h"
 
 namespace gpudb {
 namespace core {
@@ -63,9 +62,7 @@ std::vector<gpu::Vertex> Triangulate(const Polygon2D& p) {
   std::vector<gpu::Vertex> out;
   out.reserve((p.vertices.size() - 2) * 3);
   auto vertex = [](const std::pair<float, float>& v) {
-    gpu::Vertex out_v;
-    out_v.position = {v.first, v.second, 0.0f, 1.0f};
-    return out_v;
+    return gpu::Vertex{v.first, v.second, 0.0f};
   };
   for (size_t i = 1; i + 1 < p.vertices.size(); ++i) {
     out.push_back(vertex(p.vertices[0]));
@@ -98,9 +95,6 @@ Result<bool> OverlapTest(gpu::Device* device, const Polygon2D& a,
   GPUDB_RETURN_NOT_OK(
       device->SetViewport(device->framebuffer().pixel_count()));
   device->UseProgram(nullptr);
-  // Polygons are given in window coordinates; the join owns the vertex
-  // stage for its two passes (the guard restores any user transform).
-  device->ResetTransform();
   device->SetAlphaTest(false, gpu::CompareOp::kAlways, 0.0f);
   device->SetDepthTest(false, gpu::CompareOp::kAlways);
   device->SetDepthBoundsTest(false);

@@ -17,9 +17,7 @@ class StateGuard {
   explicit StateGuard(gpu::Device* device)
       : device_(device),
         saved_state_(device->state()),
-        saved_program_(device->program()),
-        saved_transform_(device->transform()),
-        saved_window_space_(device->window_space_vertices()) {}
+        saved_program_(device->program()) {}
 
   StateGuard(const StateGuard&) = delete;
   StateGuard& operator=(const StateGuard&) = delete;
@@ -27,19 +25,12 @@ class StateGuard {
   ~StateGuard() {
     device_->state() = saved_state_;
     device_->UseProgram(saved_program_);
-    if (saved_window_space_) {
-      device_->ResetTransform();
-    } else {
-      device_->SetTransform(saved_transform_);
-    }
   }
 
  private:
   gpu::Device* device_;
   gpu::RenderState saved_state_;
   const gpu::FragmentProgram* saved_program_;
-  gpu::Mat4 saved_transform_;
-  bool saved_window_space_;
 };
 
 /// \brief RAII save/restore of the device viewport, which RenderState does

@@ -139,10 +139,6 @@ bool Catalog::IsSystemTable(std::string_view name) {
   return false;
 }
 
-std::vector<std::string_view> Catalog::SystemTableNames() {
-  return {std::begin(kSystemTables), std::end(kSystemTables)};
-}
-
 Result<Table> Catalog::MaterializeSystemTable(std::string_view name) const {
   if (name == "gpudb_metrics") return MetricsTable();
   if (name == "gpudb_counters") return CountersTable();

@@ -83,9 +83,6 @@ class Catalog {
   /// True for the gpudb_* virtual table names.
   static bool IsSystemTable(std::string_view name);
 
-  /// The virtual table names, sorted.
-  static std::vector<std::string_view> SystemTableNames();
-
   /// Materializes a snapshot of a system table from live telemetry. Fails
   /// with NotFound when the source has no rows yet (relations cannot be
   /// empty) and InvalidArgument for unknown names.

@@ -14,7 +14,6 @@
 #include "src/gpu/fault_injector.h"
 #include "src/gpu/fragment_program.h"
 #include "src/gpu/framebuffer.h"
-#include "src/gpu/geometry.h"
 #include "src/gpu/plane_cache.h"
 #include "src/gpu/rasterizer.h"
 #include "src/gpu/render_state.h"
@@ -181,11 +180,6 @@ class Device {
   /// The currently installed fragment program (nullptr = fixed function).
   const FragmentProgram* program() const { return program_; }
 
-  /// The current vertex-stage transform and whether the default
-  /// window-space stage is active (for state save/restore).
-  const Mat4& transform() const { return transform_; }
-  bool window_space_vertices() const { return window_space_vertices_; }
-
   // --- Viewport ----------------------------------------------------------
 
   /// Limits quads, clears and triangles to the first `pixels` pixels
@@ -208,8 +202,9 @@ class Device {
   /// texture (fixed-function). This is the paper's RenderQuad(d).
   ///
   /// The quad covers the viewport's pixel range as two scissored rectangles
-  /// (full rows plus a partial row), each split into two triangles that run
-  /// through the setup engine and rasterizer like any other geometry.
+  /// (full rows plus a partial row). Each is rasterized by the span path
+  /// (RasterizeRectRows), which emits exactly the fragments its two
+  /// triangles would through RasterizeTriangle.
   [[nodiscard]] Status RenderQuad(float depth);
 
   /// Renders a screen-filling quad textured with the bound texture, running
@@ -217,23 +212,13 @@ class Device {
   /// RenderTexturedQuad(tex).
   [[nodiscard]] Status RenderTexturedQuad();
 
-  // --- General geometry path (vertex processing engine) ------------------
+  // --- General geometry path --------------------------------------------
 
-  /// Sets the clip-space transform applied to DrawTriangles vertices
-  /// (modelview-projection). Window coordinates come from the standard
-  /// viewport mapping of NDC over the full framebuffer with depth range
-  /// [0,1].
-  void SetTransform(const Mat4& mvp);
-
-  /// Restores the default vertex stage: positions are interpreted directly
-  /// as window coordinates (x, y in pixels, z = window depth), the setup a
-  /// host uses for the screen-aligned quads of the database algorithms.
-  void ResetTransform();
-
-  /// Draws triangles (consecutive vertex triples) through the full pipeline:
-  /// vertex transform, triangle setup/rasterization with the top-left fill
-  /// rule, clipped to the quad coverage, then the per-fragment test chain.
-  /// The fragment count of the call is whatever the rasterizer emits.
+  /// Draws triangles (consecutive vertex triples) given in window
+  /// coordinates (x, y in pixels, window depth in [0,1]; there is no vertex
+  /// transform): triangle setup/rasterization with the top-left fill rule,
+  /// clipped to the quad coverage, then the per-fragment test chain. The
+  /// fragment count of the call is whatever the rasterizer emits.
   [[nodiscard]] Status DrawTriangles(const std::vector<Vertex>& vertices);
 
   // --- Occlusion queries (GL_NV_occlusion_query) -------------------------
@@ -255,9 +240,6 @@ class Device {
 
   /// Reads the depth plane back (quantized values).
   [[nodiscard]] Result<std::vector<uint32_t>> ReadDepth();
-
-  /// Reads one color channel (0=R..3=A) back.
-  [[nodiscard]] Result<std::vector<float>> ReadColorChannel(int channel);
 
   FrameBuffer& framebuffer() { return fb_; }
   const FrameBuffer& framebuffer() const { return fb_; }
@@ -387,9 +369,6 @@ class Device {
   /// The worker pool, created on first parallel pass.
   ThreadPool* EnsurePool();
 
-  /// Applies the vertex processing engine to one vertex.
-  ScreenVertex ApplyVertexStage(const Vertex& v) const;
-
   /// Folds a finished pass into the cumulative counters. For a profiled
   /// pass, first closes the fragment ledger (depth_tested / depth_killed /
   /// occlusion_samples are derived from the counted kills) and feeds the
@@ -424,9 +403,6 @@ class Device {
 
   PlaneCache plane_cache_;        // shares video_memory_budget_ with textures
   bool next_pass_fused_ = false;  // one-shot, consumed by RenderInternal
-
-  Mat4 transform_;
-  bool window_space_vertices_ = true;  // default vertex stage is identity
 
   bool occlusion_active_ = false;
   uint64_t occlusion_count_ = 0;

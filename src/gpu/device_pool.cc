@@ -151,8 +151,6 @@ void DevicePool::RecordSuccess(int id) {
 void DevicePool::RecordFailover(int id) {
   (void)id;
   PoolMetrics::Get().failovers.Increment();
-  MutexLock lock(&mu_);
-  ++failovers_;
 }
 
 void DevicePool::ForceDeviceLost(int id) {
@@ -173,11 +171,6 @@ void DevicePool::Revive(int id) {
 bool DevicePool::forced_lost(int id) const {
   MutexLock lock(&mu_);
   return slots_[static_cast<size_t>(id)].forced_lost;
-}
-
-uint64_t DevicePool::failovers() const {
-  MutexLock lock(&mu_);
-  return failovers_;
 }
 
 int DevicesFromEnv(int fallback) {

@@ -145,8 +145,6 @@ class DevicePool {
   void Revive(int id);
   bool forced_lost(int id) const;
 
-  uint64_t failovers() const;
-
   /// Direct device access for setup (texture preload, viewport checks).
   /// Callers that dispatch work must go through Acquire instead.
   Device& device(int id) { return *slots_[static_cast<size_t>(id)].device; }
@@ -176,12 +174,11 @@ class DevicePool {
   /// instance's capability in a GUARDED_BY attribute).
   // lint: lock-free (shape fixed after Make; Slot health fields under mu_)
   std::vector<Slot> slots_;
-  /// Guards slot health fields + failovers_. Lock-order level: `pool`
+  /// Guards slot health fields. Lock-order level: `pool`
   /// (health) -- taken briefly while a Lease (device level) is already
   /// held when the executor records a dispatch outcome, and never held
   /// across a call into device, session, or catalog code.
   mutable Mutex mu_;
-  uint64_t failovers_ GUARDED_BY(mu_) = 0;
 };
 
 /// $GPUDB_DEVICES as an int; `fallback` when unset/invalid.

@@ -156,11 +156,5 @@ void BitonicPairStepProgram::Execute(const FragmentInput& in,
                 take_self ? self_payload : other_payload, 0.0f, 1.0f};
 }
 
-void PassthroughProgram::Execute(const FragmentInput& in,
-                                 FragmentOutput* out) const {
-  const float v = in.tex0->At(in.texel_index, channel_);
-  out->color = {v, v, v, 1.0f};
-}
-
 }  // namespace gpu
 }  // namespace gpudb

@@ -297,20 +297,6 @@ class BitonicPairStepProgram final : public FragmentProgram {
   uint64_t k_;
 };
 
-/// \brief Passthrough program used where fixed-function texturing would be:
-/// copies the fetched texel to the color output.
-class PassthroughProgram final : public FragmentProgram {
- public:
-  explicit PassthroughProgram(int channel = 0) : channel_(channel) {}
-
-  void Execute(const FragmentInput& in, FragmentOutput* out) const override;
-  int instruction_count() const override { return 1; }
-  std::string_view name() const override { return "PassthroughFP"; }
-
- private:
-  int channel_;
-};
-
 }  // namespace gpu
 }  // namespace gpudb
 

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "src/gpu/geometry.h"
-
 namespace gpudb {
 namespace gpu {
 
@@ -19,17 +17,21 @@ struct ScissorRect {
   bool Contains(uint32_t x, uint32_t y) const {
     return x >= x0 && x < x1 && y >= y0 && y < y1;
   }
-  uint64_t Area() const {
-    return uint64_t{x1 - x0} * (y1 - y0);
-  }
+};
+
+/// \brief A vertex as DrawTriangles takes it: window coordinates (pixels)
+/// and window depth in [0,1]. There is no vertex transform; every algorithm
+/// draws in the window space its fragments address records by.
+struct Vertex {
+  float x = 0, y = 0;
+  float depth = 0;
 };
 
 /// \brief A fragment emitted by the setup/rasterization stage: pixel
-/// coordinates plus interpolated depth and texture coordinates.
+/// coordinates plus interpolated depth.
 struct RasterFragment {
   uint32_t x = 0, y = 0;
   float depth = 0;
-  float u = 0, v = 0;
 };
 
 namespace raster_detail {
@@ -46,7 +48,7 @@ inline double Orient(double ax, double ay, double bx, double by, double px,
 /// covered exactly once. With the positive-orientation winding used below
 /// (y grows downward): a "left" edge goes downward (b.y > a.y), a "top"
 /// edge is horizontal going leftward (b.x < a.x).
-inline bool IsTopLeft(const ScreenVertex& a, const ScreenVertex& b) {
+inline bool IsTopLeft(const Vertex& a, const Vertex& b) {
   if (a.y == b.y) return b.x < a.x;
   return b.y > a.y;
 }
@@ -58,10 +60,10 @@ inline bool IsTopLeft(const ScreenVertex& a, const ScreenVertex& b) {
 /// initial value information ... used during rasterization for constructing
 /// fragments at each pixel location covered by the primitive").
 ///
-/// Rasterizes one triangle given screen-space vertices: edge-function
+/// Rasterizes one triangle given window-space vertices: edge-function
 /// coverage with the top-left fill rule (shared edges covered exactly once),
-/// pixel centers at (x+0.5, y+0.5), barycentric interpolation of depth and
-/// texcoords. Fragments outside the scissor rectangle are culled before the
+/// pixel centers at (x+0.5, y+0.5), barycentric interpolation of depth.
+/// Fragments outside the scissor rectangle are culled before the
 /// emitter is called. Winding is irrelevant (no face culling).
 ///
 /// `Emit` is any callable taking `const RasterFragment&`. Templating the
@@ -69,15 +71,15 @@ inline bool IsTopLeft(const ScreenVertex& a, const ScreenVertex& b) {
 /// call inline into the scanline loop, which matters when a pass covers a
 /// million pixels.
 template <typename Emit>
-void RasterizeTriangle(const ScreenVertex& a, const ScreenVertex& b,
-                       const ScreenVertex& c, const ScissorRect& scissor,
+void RasterizeTriangle(const Vertex& a, const Vertex& b, const Vertex& c,
+                       const ScissorRect& scissor,
                        Emit&& emit) {
   using raster_detail::IsTopLeft;
   using raster_detail::Orient;
 
-  const ScreenVertex* v0 = &a;
-  const ScreenVertex* v1 = &b;
-  const ScreenVertex* v2 = &c;
+  const Vertex* v0 = &a;
+  const Vertex* v1 = &b;
+  const Vertex* v2 = &c;
   double area = Orient(v0->x, v0->y, v1->x, v1->y, v2->x, v2->y);
   if (area == 0) return;  // degenerate
   if (area < 0) {
@@ -119,22 +121,21 @@ void RasterizeTriangle(const ScreenVertex& a, const ScreenVertex& b,
       const double e20 = Orient(v2->x, v2->y, v0->x, v0->y, px, py);
       if (e20 < 0 || (e20 == 0 && !e20_tl)) continue;
 
-      // Barycentric weights: vertex i is weighted by the edge function of
-      // the opposite edge.
-      const double w0 = e12 / area;
-      const double w1 = e20 / area;
-      const double w2 = e01 / area;
       frag.x = static_cast<uint32_t>(x);
       frag.y = static_cast<uint32_t>(y);
-      // Constant attributes pass through exactly (the setup engine computes
+      // Constant depth passes through exactly (the setup engine computes
       // zero slopes); this preserves the bit-exact depth the database
-      // algorithms rely on when rendering screen-aligned quads.
-      frag.depth = flat_depth
-                       ? v0->depth
-                       : static_cast<float>(w0 * v0->depth + w1 * v1->depth +
-                                            w2 * v2->depth);
-      frag.u = static_cast<float>(w0 * v0->u + w1 * v1->u + w2 * v2->u);
-      frag.v = static_cast<float>(w0 * v0->v + w1 * v1->v + w2 * v2->v);
+      // algorithms rely on when rendering screen-aligned quads. Otherwise
+      // vertex i is weighted by the edge function of the opposite edge.
+      if (flat_depth) {
+        frag.depth = v0->depth;
+      } else {
+        const double w0 = e12 / area;
+        const double w1 = e20 / area;
+        const double w2 = e01 / area;
+        frag.depth = static_cast<float>(w0 * v0->depth + w1 * v1->depth +
+                                        w2 * v2->depth);
+      }
       emit(frag);
     }
   }
@@ -147,8 +148,7 @@ void RasterizeTriangle(const ScreenVertex& a, const ScreenVertex& b,
 /// A rect split into its two triangles and fed to RasterizeTriangle covers
 /// exactly the pixels with centers inside [x0,x1) x [y0,y1), once each (the
 /// shared diagonal is top-left on exactly one triangle), with depth passed
-/// through exactly (flat) and texcoords interpolating to the pixel center.
-/// This routine emits the identical fragment stream directly, so quad passes
+/// through exactly (flat). This routine emits the identical fragment stream directly, so quad passes
 /// -- the only geometry the database algorithms draw -- skip triangle setup
 /// entirely. `rect` must already be clipped to the scissor.
 template <typename Emit>
@@ -160,10 +160,8 @@ void RasterizeRectRows(const ScissorRect& rect, float depth, uint32_t y_begin,
   frag.depth = depth;
   for (uint32_t y = y_begin; y < y_end; ++y) {
     frag.y = y;
-    frag.v = static_cast<float>(y) + 0.5f;
     for (uint32_t x = rect.x0; x < rect.x1; ++x) {
       frag.x = x;
-      frag.u = static_cast<float>(x) + 0.5f;
       emit(frag);
     }
   }

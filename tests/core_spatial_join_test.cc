@@ -113,24 +113,6 @@ TEST_F(SpatialJoinTest, ValidatesInput) {
   EXPECT_FALSE(SpatialOverlapJoin(&device_, {ok}, {outside}).ok());
 }
 
-TEST_F(SpatialJoinTest, WorksUnderAndRestoresUserTransform) {
-  // A user-set vertex transform must neither distort the join's own
-  // window-space geometry nor be clobbered by it.
-  device_.SetTransform(gpu::Mat4::Scale(0.01f, 0.01f, 1.0f));
-  const Polygon2D a = Rect(10, 10, 50, 50);
-  ASSERT_OK_AND_ASSIGN(bool hit,
-                       PolygonsOverlapScreenSpace(&device_, a,
-                                                  Rect(30, 30, 70, 70)));
-  EXPECT_TRUE(hit);
-  ASSERT_OK_AND_ASSIGN(bool miss,
-                       PolygonsOverlapScreenSpace(&device_, a,
-                                                  Rect(60, 60, 100, 100)));
-  EXPECT_FALSE(miss);
-  EXPECT_FALSE(device_.window_space_vertices());  // transform restored
-  EXPECT_FLOAT_EQ(device_.transform().at(0, 0), 0.01f);
-  device_.ResetTransform();
-}
-
 TEST_F(SpatialJoinTest, ScissorLimitsWorkToOverlapRegion) {
   // The pair's overlap region is 8x8 pixels; the two passes must generate
   // on the order of that many fragments, not the polygons' full areas.

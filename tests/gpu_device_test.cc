@@ -308,10 +308,10 @@ TEST(CoverageTest, TrianglesNeverLeaveTheQuadCoverage) {
     // Two triangles over the whole window, past the viewport's last pixel.
     const auto w = static_cast<float>(kCoverW);
     const auto h = static_cast<float>(kCoverH);
-    const Vertex a{{0, 0, 0.5f, 1}, 0, 0};
-    const Vertex b{{w, 0, 0.5f, 1}, 0, 0};
-    const Vertex c{{w, h, 0.5f, 1}, 0, 0};
-    const Vertex d{{0, h, 0.5f, 1}, 0, 0};
+    const Vertex a{0, 0, 0.5f};
+    const Vertex b{w, 0, 0.5f};
+    const Vertex c{w, h, 0.5f};
+    const Vertex d{0, h, 0.5f};
     ASSERT_OK(dev.BeginOcclusionQuery());
     ASSERT_OK(dev.DrawTriangles({a, b, c, a, c, d}));
     ASSERT_OK_AND_ASSIGN(uint64_t drawn, dev.EndOcclusionQuery());

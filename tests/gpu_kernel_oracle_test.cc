@@ -279,10 +279,10 @@ Outcome RunCase(const PassCase& c, const std::vector<float>& texels,
       const auto rest = static_cast<float>(c.viewport % kWidth);
       std::vector<Vertex> tris;
       const auto quad = [&](float x0, float y0, float x1, float y1) {
-        const Vertex a{{x0, y0, z, 1}, 0, 0};
-        const Vertex b{{x1, y0, z, 1}, 0, 0};
-        const Vertex d{{x1, y1, z, 1}, 0, 0};
-        const Vertex e{{x0, y1, z, 1}, 0, 0};
+        const Vertex a{x0, y0, z};
+        const Vertex b{x1, y0, z};
+        const Vertex d{x1, y1, z};
+        const Vertex e{x0, y1, z};
         tris.insert(tris.end(), {a, b, d, a, d, e});
       };
       if (full_rows > 0) quad(0, 0, static_cast<float>(kWidth), full_rows);

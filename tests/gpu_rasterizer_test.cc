@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "src/gpu/device.h"
-#include "src/gpu/geometry.h"
 #include "src/gpu/rasterizer.h"
 #include "tests/test_util.h"
 
@@ -14,54 +13,11 @@ namespace gpu {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Mat4 / Vec4
-// ---------------------------------------------------------------------------
-
-TEST(Mat4Test, IdentityTransformsVectorsToThemselves) {
-  const Mat4 id = Mat4::Identity();
-  const Vec4 v{1.5f, -2.0f, 3.25f, 1.0f};
-  const Vec4 out = id.Transform(v);
-  EXPECT_EQ(out.x, v.x);
-  EXPECT_EQ(out.y, v.y);
-  EXPECT_EQ(out.z, v.z);
-  EXPECT_EQ(out.w, v.w);
-}
-
-TEST(Mat4Test, TranslateAndScale) {
-  const Mat4 t = Mat4::Translate(10, 20, 30);
-  const Vec4 moved = t.Transform({1, 2, 3, 1});
-  EXPECT_EQ(moved.x, 11);
-  EXPECT_EQ(moved.y, 22);
-  EXPECT_EQ(moved.z, 33);
-  const Mat4 s = Mat4::Scale(2, 3, 4);
-  const Vec4 scaled = s.Transform({1, 1, 1, 1});
-  EXPECT_EQ(scaled.x, 2);
-  EXPECT_EQ(scaled.y, 3);
-  EXPECT_EQ(scaled.z, 4);
-}
-
-TEST(Mat4Test, ProductAppliesRightToLeft) {
-  const Mat4 m = Mat4::Translate(5, 0, 0) * Mat4::Scale(2, 2, 2);
-  const Vec4 out = m.Transform({1, 0, 0, 1});
-  EXPECT_EQ(out.x, 7);  // scale then translate
-}
-
-TEST(Mat4Test, OrthoMapsCornersToClipCube) {
-  const Mat4 ortho = Mat4::Ortho(0, 100, 0, 50, -1, 1);
-  const Vec4 lo = ortho.Transform({0, 0, 0, 1});
-  EXPECT_FLOAT_EQ(lo.x, -1.0f);
-  EXPECT_FLOAT_EQ(lo.y, -1.0f);
-  const Vec4 hi = ortho.Transform({100, 50, 0, 1});
-  EXPECT_FLOAT_EQ(hi.x, 1.0f);
-  EXPECT_FLOAT_EQ(hi.y, 1.0f);
-}
-
-// ---------------------------------------------------------------------------
 // RasterizeTriangle
 // ---------------------------------------------------------------------------
 
 std::map<std::pair<uint32_t, uint32_t>, int> Rasterize(
-    const ScreenVertex& a, const ScreenVertex& b, const ScreenVertex& c,
+    const Vertex& a, const Vertex& b, const Vertex& c,
     const ScissorRect& scissor) {
   std::map<std::pair<uint32_t, uint32_t>, int> hits;
   RasterizeTriangle(a, b, c, scissor,
@@ -96,7 +52,7 @@ TEST(RasterizerTest, SplitRectangleCoversEachPixelExactlyOnce) {
   const uint32_t kSize = 8;
   const ScissorRect full{0, 0, kSize, kSize};
   std::map<std::pair<uint32_t, uint32_t>, int> hits;
-  const ScreenVertex c00{0, 0}, c10{kSize, 0}, c11{kSize, kSize},
+  const Vertex c00{0, 0}, c10{kSize, 0}, c11{kSize, kSize},
       c01{0, kSize};
   auto emit = [&](const RasterFragment& f) { ++hits[{f.x, f.y}]; };
   RasterizeTriangle(c00, c10, c11, full, emit);
@@ -112,7 +68,7 @@ TEST(RasterizerTest, AdjacentTrianglesShareEdgeWithoutOverlap) {
   // Two triangles sharing a non-axis-aligned edge: fragments on the shared
   // edge must go to exactly one of them (top-left rule).
   const ScissorRect full{0, 0, 32, 32};
-  const ScreenVertex a{2, 2}, b{30, 6}, c{6, 30}, d{28, 26};
+  const Vertex a{2, 2}, b{30, 6}, c{6, 30}, d{28, 26};
   std::map<std::pair<uint32_t, uint32_t>, int> hits;
   auto emit = [&](const RasterFragment& f) { ++hits[{f.x, f.y}]; };
   RasterizeTriangle(a, b, c, full, emit);
@@ -153,14 +109,14 @@ TEST(RasterizerTest, RandomSharedEdgePairsNeverDoubleCover) {
   const ScissorRect full{0, 0, 64, 64};
   for (int trial = 0; trial < 200; ++trial) {
     // Shared edge (a, b) plus points c, d on opposite sides.
-    ScreenVertex a{static_cast<float>(rng.NextUint64(64)),
+    Vertex a{static_cast<float>(rng.NextUint64(64)),
                    static_cast<float>(rng.NextUint64(64))};
-    ScreenVertex b{static_cast<float>(rng.NextUint64(64)),
+    Vertex b{static_cast<float>(rng.NextUint64(64)),
                    static_cast<float>(rng.NextUint64(64))};
-    ScreenVertex c{static_cast<float>(rng.NextUint64(64)),
+    Vertex c{static_cast<float>(rng.NextUint64(64)),
                    static_cast<float>(rng.NextUint64(64))};
     // Reflect c across the midpoint of (a,b) so d is on the other side.
-    ScreenVertex d{a.x + b.x - c.x, a.y + b.y - c.y};
+    Vertex d{a.x + b.x - c.x, a.y + b.y - c.y};
     std::map<std::pair<uint32_t, uint32_t>, int> hits;
     auto emit = [&](const RasterFragment& f) { ++hits[{f.x, f.y}]; };
     RasterizeTriangle(a, b, c, full, emit);
@@ -199,16 +155,6 @@ TEST(RasterizerTest, FlatDepthIsBitExact) {
                     });
 }
 
-TEST(RasterizerTest, TexcoordInterpolation) {
-  const ScissorRect full{0, 0, 8, 8};
-  // Texcoords equal to window coordinates: u at pixel center = x + 0.5.
-  RasterizeTriangle({0, 0, 0, 0, 0}, {8, 0, 0, 8, 0}, {0, 8, 0, 0, 8}, full,
-                    [&](const RasterFragment& f) {
-                      EXPECT_NEAR(f.u, f.x + 0.5f, 1e-4f);
-                      EXPECT_NEAR(f.v, f.y + 0.5f, 1e-4f);
-                    });
-}
-
 // ---------------------------------------------------------------------------
 // Device geometry path
 // ---------------------------------------------------------------------------
@@ -216,9 +162,7 @@ TEST(RasterizerTest, TexcoordInterpolation) {
 TEST(DeviceGeometryTest, DrawTrianglesCountsFragments) {
   Device dev(16, 16);
   dev.SetDepthTest(false, CompareOp::kAlways);
-  std::vector<Vertex> tri = {{{0, 0, 0.5f, 1}, 0, 0},
-                             {{16, 0, 0.5f, 1}, 0, 0},
-                             {{0, 16, 0.5f, 1}, 0, 0}};
+  std::vector<Vertex> tri = {{0, 0, 0.5f}, {16, 0, 0.5f}, {0, 16, 0.5f}};
   ASSERT_OK(dev.BeginOcclusionQuery());
   ASSERT_OK(dev.DrawTriangles(tri));
   ASSERT_OK_AND_ASSIGN(uint64_t count, dev.EndOcclusionQuery());
@@ -228,28 +172,6 @@ TEST(DeviceGeometryTest, DrawTrianglesCountsFragments) {
   EXPECT_EQ(count, 136u);
   EXPECT_FALSE(dev.DrawTriangles({}).ok());
   EXPECT_FALSE(dev.DrawTriangles({tri[0], tri[1]}).ok());
-}
-
-TEST(DeviceGeometryTest, CustomTransformMovesGeometry) {
-  Device dev(16, 16);
-  dev.SetDepthTest(false, CompareOp::kAlways);
-  // NDC-space right triangle covering the left half of the screen.
-  dev.SetTransform(Mat4::Identity());
-  std::vector<Vertex> tri = {{{-1, -1, 0, 1}, 0, 0},
-                             {{1, -1, 0, 1}, 0, 0},
-                             {{-1, 1, 0, 1}, 0, 0}};
-  ASSERT_OK(dev.BeginOcclusionQuery());
-  ASSERT_OK(dev.DrawTriangles(tri));
-  ASSERT_OK_AND_ASSIGN(uint64_t count, dev.EndOcclusionQuery());
-  EXPECT_EQ(count, 136u);  // same shape as the window-space triangle above
-  // Scale by 0.5: quarter-size triangle -> ~1/8 of the screen.
-  dev.SetTransform(Mat4::Scale(0.5f, 0.5f, 1.0f));
-  ASSERT_OK(dev.BeginOcclusionQuery());
-  ASSERT_OK(dev.DrawTriangles(tri));
-  ASSERT_OK_AND_ASSIGN(uint64_t scaled, dev.EndOcclusionQuery());
-  EXPECT_LT(scaled, count);
-  EXPECT_GT(scaled, 0u);
-  dev.ResetTransform();
 }
 
 TEST(DeviceGeometryTest, ScissorLimitsQuadFragments) {

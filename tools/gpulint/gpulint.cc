@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 
 namespace gpulint {
@@ -37,65 +38,7 @@ std::string Relativize(const fs::path& p, const fs::path& root) {
   return rel.generic_string();
 }
 
-/// A suppression path matches when it equals the diagnostic path or is a
-/// path-component suffix of it ("gpu/device.cc" matches
-/// "src/gpu/device.cc" but not "src/gpu/other_device.cc").
-bool PathMatchesSuffix(const std::string& diag_path,
-                       const std::string& pattern) {
-  if (diag_path == pattern) return true;
-  if (diag_path.size() <= pattern.size()) return false;
-  return diag_path.compare(diag_path.size() - pattern.size(), pattern.size(),
-                           pattern) == 0 &&
-         diag_path[diag_path.size() - pattern.size() - 1] == '/';
-}
-
 }  // namespace
-
-std::vector<Suppression> ParseSuppressions(
-    std::string_view text, std::vector<std::string>* warnings) {
-  std::vector<Suppression> out;
-  int line_no = 0;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    std::string line(text.substr(pos, eol - pos));
-    pos = eol + 1;
-    ++line_no;
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream ss(line);
-    std::string rule, target;
-    if (!(ss >> rule)) continue;  // blank / comment-only
-    if (!(ss >> target)) {
-      if (warnings != nullptr) {
-        warnings->push_back("suppressions:" + std::to_string(line_no) +
-                            ": entry '" + rule + "' is missing a path");
-      }
-      continue;
-    }
-    Suppression s;
-    s.rule = rule;
-    s.source_line = line_no;
-    const size_t colon = target.rfind(':');
-    if (colon != std::string::npos &&
-        target.find_first_not_of("0123456789", colon + 1) ==
-            std::string::npos &&
-        colon + 1 < target.size()) {
-      s.path = target.substr(0, colon);
-      s.line = std::stoi(target.substr(colon + 1));
-    } else {
-      s.path = target;
-    }
-    std::string word;
-    while (ss >> word) {
-      if (!s.reason.empty()) s.reason += ' ';
-      s.reason += word;
-    }
-    out.push_back(std::move(s));
-  }
-  return out;
-}
 
 LintResult RunLint(const LintOptions& options) {
   LintResult result;
@@ -152,43 +95,31 @@ LintResult RunLint(const LintOptions& options) {
     }
   }
 
-  std::vector<Suppression> suppressions;
-  if (!options.suppressions_path.empty()) {
-    fs::path sup = fs::path(options.suppressions_path);
-    if (!sup.is_absolute()) sup = root / sup;
-    std::string source;
-    if (ReadFile(sup, &source)) {
-      suppressions = ParseSuppressions(source, &result.warnings);
-    } else {
-      result.warnings.push_back("suppression file unreadable: " +
-                                sup.generic_string());
-    }
-  }
-
-  std::vector<bool> used(suppressions.size(), false);
-  auto inline_suppressed = [&](const Diagnostic& d) {
+  // A diagnostic is suppressed by a reasoned marker in its own file; every
+  // marker rule id that suppresses nothing is reported back.
+  std::set<const InlineAllow*> used;
+  for (Diagnostic& d : RunAllRules(program)) {
+    const InlineAllow* allow = nullptr;
     for (const auto& model : models) {
       if (model->path() == d.file) {
-        return model->IsInlineSuppressed(d.rule, d.line);
+        allow = model->FindInlineAllow(d.rule, d.line);
+        break;
       }
     }
-    return false;
-  };
-
-  for (Diagnostic& d : RunAllRules(program)) {
-    bool matched = inline_suppressed(d);
-    for (size_t i = 0; i < suppressions.size() && !matched; ++i) {
-      const Suppression& s = suppressions[i];
-      if (s.rule != d.rule) continue;
-      if (!PathMatchesSuffix(d.file, s.path)) continue;
-      if (s.line != 0 && s.line != d.line) continue;
-      matched = true;
-      used[i] = true;
-    }
-    (matched ? result.suppressed : result.active).push_back(std::move(d));
+    if (allow != nullptr) used.insert(allow);
+    (allow != nullptr ? result.suppressed : result.active)
+        .push_back(std::move(d));
   }
-  for (size_t i = 0; i < suppressions.size(); ++i) {
-    if (!used[i]) result.unused_suppressions.push_back(suppressions[i]);
+  for (const auto& model : models) {
+    for (const InlineAllow& allow : model->inline_allows()) {
+      if (used.count(&allow) != 0) continue;
+      result.unused_suppressions.push_back(
+          {allow.rule, model->path(), allow.line,
+           allow.has_reason
+               ? "gpulint-allow marker suppresses nothing; prune it"
+               : "gpulint-allow marker has no reason, so it suppresses "
+                 "nothing"});
+    }
   }
 
   auto by_location = [](const Diagnostic& a, const Diagnostic& b) {
@@ -204,10 +135,6 @@ LintResult RunLint(const LintOptions& options) {
 std::string FormatText(const Diagnostic& d) {
   return d.file + ":" + std::to_string(d.line) + ": [" + d.rule + "] " +
          d.message;
-}
-
-std::string SuppressionKey(const Diagnostic& d) {
-  return d.rule + " " + d.file + ":" + std::to_string(d.line);
 }
 
 namespace {
@@ -268,13 +195,7 @@ std::string ReportJson(const LintResult& result) {
   AppendDiagnostics(result.suppressed, &out);
   out += "],\n";
   out += "  \"unused_suppressions\": [";
-  for (size_t i = 0; i < result.unused_suppressions.size(); ++i) {
-    const Suppression& s = result.unused_suppressions[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"rule\":\"" + JsonEscape(s.rule) + "\",\"path\":\"" +
-           JsonEscape(s.path) + "\",\"line\":" + std::to_string(s.line) + "}";
-  }
-  if (!result.unused_suppressions.empty()) out += "\n  ";
+  AppendDiagnostics(result.unused_suppressions, &out);
   out += "],\n";
   out += "  \"ok\": ";
   out += result.active.empty() ? "true" : "false";
@@ -287,8 +208,7 @@ std::string FormatJsonRecords(const LintResult& result) {
   for (const Diagnostic& d : result.active) {
     out += "{\"rule\":\"" + JsonEscape(d.rule) + "\",\"file\":\"" +
            JsonEscape(d.file) + "\",\"line\":" + std::to_string(d.line) +
-           ",\"message\":\"" + JsonEscape(d.message) +
-           "\",\"suppression\":\"" + JsonEscape(SuppressionKey(d)) + "\"}\n";
+           ",\"message\":\"" + JsonEscape(d.message) + "\"}\n";
   }
   return out;
 }

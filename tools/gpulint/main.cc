@@ -2,16 +2,16 @@
 //
 // Usage:
 //   gpulint [--root DIR] [--json FILE] [--format=text|json]
-//           [--suppressions FILE] [--registry FILE] [--list-rules]
-//           [paths...]
+//           [--registry FILE] [--list-rules] [paths...]
 //
-// With no arguments it lints src/ under the current directory, reads
-// lint.suppressions at the root when present, and loads the metric-name
-// registry from src/common/metric_names.h. --format=json streams one JSON
-// record per active diagnostic to stdout (rule, file, line, message, and
-// the ready-to-paste suppression key) instead of the text lines. Exit
-// status is 0 when every diagnostic is suppressed or absent, 1 otherwise,
-// 2 on usage errors.
+// With no arguments it lints src/ under the current directory and loads
+// the metric-name registry from src/common/metric_names.h. A diagnostic is
+// suppressed only by a `// gpulint-allow(Rn) <reason>` marker on its line
+// or the line above; a marker without a reason suppresses nothing, and a
+// marker that suppresses nothing is warned about. --format=json streams
+// one JSON record per active diagnostic to stdout (rule, file, line,
+// message) instead of the text lines. Exit status is 0 when every
+// diagnostic is suppressed or absent, 1 otherwise, 2 on usage errors.
 
 #include <cstdio>
 #include <filesystem>
@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
   gpulint::LintOptions options;
   std::string json_path;
   std::string format = "text";
-  bool suppressions_given = false;
   bool registry_given = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -59,9 +58,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       format = value;
-    } else if (FlagValue(arg, "--suppressions", &value)) {
-      options.suppressions_path = value;
-      suppressions_given = true;
     } else if (FlagValue(arg, "--registry", &value)) {
       options.metric_registry_path = value;
       registry_given = true;
@@ -69,7 +65,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "gpulint: unknown flag '%s'\n"
                    "usage: gpulint [--root DIR] [--json FILE] "
-                   "[--suppressions FILE] [--registry FILE] [--list-rules] "
+                   "[--format=text|json] [--registry FILE] [--list-rules] "
                    "[paths...]\n",
                    arg.c_str());
       return 2;
@@ -79,10 +75,6 @@ int main(int argc, char** argv) {
   }
 
   namespace fs = std::filesystem;
-  if (!suppressions_given &&
-      fs::exists(fs::path(options.root) / "lint.suppressions")) {
-    options.suppressions_path = "lint.suppressions";
-  }
   if (!registry_given &&
       fs::exists(fs::path(options.root) / "src/common/metric_names.h")) {
     options.metric_registry_path = "src/common/metric_names.h";
@@ -93,11 +85,9 @@ int main(int argc, char** argv) {
   for (const std::string& w : result.warnings) {
     std::fprintf(stderr, "gpulint: warning: %s\n", w.c_str());
   }
-  for (const gpulint::Suppression& s : result.unused_suppressions) {
-    std::fprintf(stderr,
-                 "gpulint: warning: unused suppression (line %d): %s %s — "
-                 "prune it\n",
-                 s.source_line, s.rule.c_str(), s.path.c_str());
+  for (const gpulint::Diagnostic& d : result.unused_suppressions) {
+    std::fprintf(stderr, "gpulint: warning: %s\n",
+                 gpulint::FormatText(d).c_str());
   }
   if (format == "json") {
     std::fputs(gpulint::FormatJsonRecords(result).c_str(), stdout);

@@ -73,7 +73,8 @@ bool SourceModel::LockFreeMarkedAt(int line) const {
 
 void SourceModel::ScanInlineSuppressions(std::string_view source) {
   // Raw-text scan (the lexer throws comments away): every line containing
-  // "gpulint-allow(R1,R2)" maps those rule ids to that line.
+  // "gpulint-allow(R1,R2) reason" maps those rule ids to that line. The
+  // reason is whatever follows the ')' besides blanks and a comment closer.
   int line = 1;
   size_t pos = 0;
   while (pos < source.size()) {
@@ -85,11 +86,15 @@ void SourceModel::ScanInlineSuppressions(std::string_view source) {
       const size_t open = mark + 14;
       const size_t close = text.find(')', open);
       if (close != std::string_view::npos) {
+        const bool has_reason = text.find_first_not_of(" \t*/", close + 1) !=
+                                std::string_view::npos;
         std::string id;
         for (size_t k = open; k <= close; ++k) {
           const char c = k < close ? text[k] : ',';
           if (c == ',' || c == ' ') {
-            if (!id.empty()) inline_allows_.emplace_back(line, id);
+            if (!id.empty()) {
+              inline_allows_.push_back({line, id, has_reason});
+            }
             id.clear();
           } else {
             id += c;
@@ -102,11 +107,15 @@ void SourceModel::ScanInlineSuppressions(std::string_view source) {
   }
 }
 
-bool SourceModel::IsInlineSuppressed(const std::string& rule, int line) const {
-  for (const auto& [l, r] : inline_allows_) {
-    if (r == rule && (l == line || l == line - 1)) return true;
+const InlineAllow* SourceModel::FindInlineAllow(const std::string& rule,
+                                                int line) const {
+  for (const InlineAllow& allow : inline_allows_) {
+    if (allow.has_reason && allow.rule == rule &&
+        (allow.line == line || allow.line == line - 1)) {
+      return &allow;
+    }
   }
-  return false;
+  return nullptr;
 }
 
 size_t SourceModel::MatchForward(size_t open) const {

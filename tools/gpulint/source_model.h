@@ -104,6 +104,14 @@ struct NakedLockCall {
   std::string receiver;  // identifier left of the '.' / '->' ("" if complex)
 };
 
+/// One rule id of a `// gpulint-allow(Rn[,Rm]) <reason>` marker comment.
+/// Only a marker with a reason after the ')' suppresses anything.
+struct InlineAllow {
+  int line = 0;
+  std::string rule;  // "R1"
+  bool has_reason = false;
+};
+
 /// Token-level model of a single file. Built once, shared by every rule.
 class SourceModel {
  public:
@@ -129,10 +137,15 @@ class SourceModel {
     return naked_locks_;
   }
 
-  /// Lines carrying a `gpulint-allow(Rn[,Rm])` marker, mapped to rule ids.
-  /// A diagnostic is inline-suppressed when its line or the line above
-  /// carries its rule id.
-  bool IsInlineSuppressed(const std::string& rule, int line) const;
+  /// Every rule id of every `gpulint-allow` marker, in line order.
+  const std::vector<InlineAllow>& inline_allows() const {
+    return inline_allows_;
+  }
+
+  /// The marker that suppresses a `rule` diagnostic at `line`: one with a
+  /// reason, carrying that rule id, on the same line or the line above.
+  /// nullptr when there is none.
+  const InlineAllow* FindInlineAllow(const std::string& rule, int line) const;
 
   /// Every callee name appearing in [begin, end): identifiers directly
   /// followed by '(' that are not control keywords.
@@ -170,8 +183,7 @@ class SourceModel {
   std::vector<ClassInfo> classes_;
   std::vector<LockSite> lock_sites_;
   std::vector<NakedLockCall> naked_locks_;
-  // line -> rule ids allowed on that line (from gpulint-allow comments).
-  std::vector<std::pair<int, std::string>> inline_allows_;
+  std::vector<InlineAllow> inline_allows_;
   // Lines carrying a "lint: lock-free" marker, and comment-only lines
   // (markers apply through a contiguous comment block above a field).
   std::set<int> lock_free_lines_;
