@@ -6,7 +6,7 @@
 #include <fstream>
 
 #include "src/common/json.h"
-#include "src/gpu/device_pool.h"
+#include "src/gpu/thread_pool.h"
 
 namespace gpudb {
 namespace bench {
@@ -124,25 +124,6 @@ int& BenchThreadsSlot() {
   return threads;
 }
 
-/// Device-pool size for pool-aware benches; 1 = classic single device.
-int& BenchDevicesSlot() {
-  static int devices = gpu::DevicesFromEnv(/*fallback=*/1);
-  return devices;
-}
-
-/// Fault/deadline/VRAM settings shared by every device the bench creates;
-/// defaults come from the GPUDB_* environment, flags override.
-struct BenchRobustness {
-  gpu::FaultConfig faults = gpu::FaultInjector::ConfigFromEnv();
-  double deadline_ms = gpu::DeadlineMsFromEnv();
-  uint64_t vram_budget = gpu::VramBudgetBytesFromEnv();
-};
-
-BenchRobustness& RobustnessSlot() {
-  static BenchRobustness settings;
-  return settings;
-}
-
 }  // namespace
 
 std::vector<size_t> RecordSweep() {
@@ -150,9 +131,6 @@ std::vector<size_t> RecordSweep() {
 }
 
 void InitBench(int argc, char** argv) {
-  if (const char* env = std::getenv("GPUDB_PROFILE")) {
-    if (env[0] != '\0' && env[0] != '0') Profiler::Global().set_enabled(true);
-  }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--profile") {
@@ -165,29 +143,9 @@ void InitBench(int argc, char** argv) {
         std::exit(2);
       }
       BenchThreadsSlot() = n;
-    } else if (arg.rfind("--deadline-ms=", 0) == 0) {
-      RobustnessSlot().deadline_ms = std::atof(arg.c_str() + 14);
-    } else if (arg.rfind("--fault-seed=", 0) == 0) {
-      RobustnessSlot().faults.seed =
-          std::strtoull(arg.c_str() + 13, nullptr, 10);
-    } else if (arg.rfind("--fault-rate=", 0) == 0) {
-      RobustnessSlot().faults.rate = std::atof(arg.c_str() + 13);
-    } else if (arg.rfind("--vram-budget=", 0) == 0) {
-      RobustnessSlot().vram_budget =
-          std::strtoull(arg.c_str() + 14, nullptr, 10);
-    } else if (arg.rfind("--devices=", 0) == 0) {
-      const int n = std::atoi(arg.c_str() + 10);
-      if (n < 1) {
-        std::fprintf(stderr, "invalid %s: device count must be >= 1\n",
-                     arg.c_str());
-        std::exit(2);
-      }
-      BenchDevicesSlot() = n;
     } else {
       std::fprintf(stderr,
-                   "unknown flag %s\nusage: %s [--threads=N] "
-                   "[--deadline-ms=N] [--fault-seed=N] [--fault-rate=P] "
-                   "[--vram-budget=N] [--devices=N] [--profile]\n",
+                   "unknown flag %s\nusage: %s [--threads=N] [--profile]\n",
                    arg.c_str(), argv[0]);
       std::exit(2);
     }
@@ -196,10 +154,6 @@ void InitBench(int argc, char** argv) {
 
 int BenchThreads() { return BenchThreadsSlot(); }
 
-int BenchDevices() { return BenchDevicesSlot(); }
-
-const gpu::FaultConfig& BenchFaultConfig() { return RobustnessSlot().faults; }
-
 std::unique_ptr<gpu::Device> MakeDevice() {
   auto device = std::make_unique<gpu::Device>(1000, 1000);
   const Status st = device->SetWorkerThreads(BenchThreads());
@@ -207,19 +161,6 @@ std::unique_ptr<gpu::Device> MakeDevice() {
     std::fprintf(stderr, "SetWorkerThreads failed: %s\n",
                  st.ToString().c_str());
     std::abort();
-  }
-  const BenchRobustness& robustness = RobustnessSlot();
-  device->ConfigureFaults(robustness.faults);
-  if (robustness.vram_budget > 0) {
-    const Status budget = device->SetVideoMemoryBudget(robustness.vram_budget);
-    if (!budget.ok()) {
-      std::fprintf(stderr, "SetVideoMemoryBudget failed: %s\n",
-                   budget.ToString().c_str());
-      std::abort();
-    }
-  }
-  if (robustness.deadline_ms > 0) {
-    device->ArmDeadline(robustness.deadline_ms);
   }
   return device;
 }

@@ -23,41 +23,24 @@ namespace bench {
 /// records, Section 5.1).
 std::vector<size_t> RecordSweep();
 
-/// Parses shared benchmark flags. Supported:
-///   --threads=N      pixel-engine worker threads for every device the bench
-///                    creates (default: $GPUDB_THREADS, else hardware
-///                    concurrency; threading never changes results, only
-///                    wall-clock).
-///   --deadline-ms=N  arm a wall-clock deadline on every device the bench
-///                    creates ($GPUDB_DEADLINE_MS; 0 = off).
-///   --fault-seed=N   deterministic fault-injector seed ($GPUDB_FAULT_SEED).
-///   --fault-rate=P   per-site fault probability in [0,1]; 0 keeps the
-///                    injector compiled in but disabled ($GPUDB_FAULT_RATE).
-///   --vram-budget=N  video-memory budget in bytes for every device
-///                    ($GPUDB_VRAM_BUDGET; 0 = default 256 MB).
-///   --devices=N      device-pool size for pool-aware benches
-///                    ($GPUDB_DEVICES; 1 = classic single device).
-///   --profile        enable the gpuprof deep pipeline counters (also via
-///                    $GPUDB_PROFILE=1); PrintRow then captures the per-row
-///                    counter delta and BENCH_*.json rows gain counter
-///                    columns. Off by default: the counters are compiled to
-///                    no-ops so baseline numbers are unaffected.
-/// Unknown flags abort with a usage message so typos don't silently run
-/// the wrong configuration.
+/// Parses the shared benchmark flags:
+///   --threads=N  pixel-engine worker threads for every device the bench
+///                creates (default: $GPUDB_THREADS, else hardware
+///                concurrency; threading never changes results, only
+///                wall-clock).
+///   --profile    enable the gpuprof deep pipeline counters; PrintRow then
+///                captures the per-row counter delta and BENCH_*.json rows
+///                gain counter columns. Off by default: the counters are
+///                compiled to no-ops so baseline numbers are unaffected.
+/// Any other argument exits 2 with a usage message, so a typo never
+/// silently runs the wrong configuration.
 void InitBench(int argc, char** argv);
 
 /// The worker-thread count benches run with (see InitBench).
 int BenchThreads();
 
-/// The device-pool size benches run with (see InitBench); 1 = no pool.
-int BenchDevices();
-
-/// The fault configuration benches run with (see InitBench).
-const gpu::FaultConfig& BenchFaultConfig();
-
-/// Fresh 1000x1000 device (the paper's screen/texture size), configured
-/// with BenchThreads() pixel-engine workers and the fault/deadline/VRAM
-/// settings from InitBench.
+/// Fresh 1000x1000 device (the paper's screen/texture size) with
+/// BenchThreads() pixel-engine workers.
 std::unique_ptr<gpu::Device> MakeDevice();
 
 /// The shared TCP/IP benchmark table (1M rows, generated once per process).

@@ -42,7 +42,6 @@ int Run() {
     for (int q = 0; q < kRepeats; ++q) {
       core::SelectionExecOptions opts;
       opts.plan = core::PlanSelectionPasses(clauses, core::NormalForm::kCnf,
-                                            /*fusion_enabled=*/true,
                                             /*cache_enabled=*/true);
       opts.use_cache = true;
       opts.table = "tcpip";

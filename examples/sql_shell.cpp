@@ -17,32 +17,30 @@
 //   --profile           enable the gpuprof deep pipeline counters for every
 //                       query (EXPLAIN PROFILE computes them for its own
 //                       statement even without this flag); feeds the
-//                       gpudb_profile system table ($GPUDB_PROFILE=1)
+//                       gpudb_profile system table
 //   --metrics           dump the process metrics registry after the queries
 //   --metrics-prom=FILE write the registry in Prometheus text exposition
 //                       format to FILE on exit
 //   --slow-ms=N         flag and echo statements slower than N wall-clock ms
-//                       (also settable via $GPUDB_SLOW_MS)
 //   --threads=N         pixel-engine worker threads for the session's device
 //                       (default: $GPUDB_THREADS, else hardware concurrency;
 //                       results are bit-identical at any thread count)
 //   --deadline-ms=N     per-query wall-clock deadline; an overrunning query
-//                       returns DeadlineExceeded ($GPUDB_DEADLINE_MS)
+//                       returns DeadlineExceeded
 //   --fault-seed=N      seed for the deterministic fault injector
-//                       ($GPUDB_FAULT_SEED)
 //   --fault-rate=P      per-site fault probability in [0,1]; 0 disables
-//                       injection entirely ($GPUDB_FAULT_RATE)
+//                       injection entirely
 //   --vram-budget=N     simulated video-memory budget in bytes; allocations
 //                       beyond it fail with ResourceExhausted and the query
-//                       degrades to the CPU tier ($GPUDB_VRAM_BUDGET)
+//                       degrades to the CPU tier
 //   --plan-cache        cache depth planes of hot columns across queries
 //                       (keyed on table version; evicted LRU-first under the
-//                       VRAM budget; $GPUDB_PLAN_CACHE=1)
+//                       VRAM budget)
 //   --devices=N         run poolable statements range-sharded across a pool
 //                       of N simulated devices with R=2 replica failover
-//                       ($GPUDB_DEVICES; 1 = classic single device)
+//                       (1 = classic single device)
 //   --tenant=NAME       tenant identity for admission quotas and query-log
-//                       attribution ($GPUDB_TENANT)
+//                       attribution
 //   --admission-queue=N bounded admission queue: N statements may wait for
 //                       an execution slot, one more is rejected immediately
 //                       with ResourceExhausted (0 disables admission)
@@ -114,23 +112,13 @@ int main(int argc, char** argv) {
   std::string prom_file;
   bool dump_metrics = false;
   int threads = 0;  // 0 = device default ($GPUDB_THREADS / hardware)
-  // Robustness knobs default from the environment; flags override.
-  gpudb::gpu::FaultConfig faults = gpudb::gpu::FaultInjector::ConfigFromEnv();
-  double deadline_ms = gpudb::gpu::DeadlineMsFromEnv();
-  uint64_t vram_budget = gpudb::gpu::VramBudgetBytesFromEnv();
+  gpudb::gpu::FaultConfig faults;  // rate 0: injection off
+  double deadline_ms = 0.0;        // 0 = no deadline
+  uint64_t vram_budget = 0;        // 0 = the device's default budget
   bool plan_cache = false;
-  if (const char* env = std::getenv("GPUDB_PLAN_CACHE")) {
-    plan_cache = env[0] != '\0' && env[0] != '0';
-  }
-  int devices = gpudb::gpu::DevicesFromEnv(/*fallback=*/1);
+  int devices = 1;
   std::string tenant;
-  if (const char* env = std::getenv("GPUDB_TENANT")) tenant = env;
   int admission_queue = 0;  // 0 = no admission control
-  if (const char* env = std::getenv("GPUDB_PROFILE")) {
-    if (env[0] != '\0' && env[0] != '0') {
-      gpudb::Profiler::Global().set_enabled(true);
-    }
-  }
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {

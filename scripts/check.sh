@@ -13,9 +13,9 @@
 #      under --profile, alternating, with
 #      scripts/profile_smoke.py asserting the gpuprof counters are nonzero,
 #      the fragment ledger balances, and profiling overhead stays bounded,
-#   3. a fault-injection sweep: the resilience and fuzz suites re-run with
-#      $GPUDB_FAULT_RATE > 0 so every rung of the dispatch ladder (retry,
-#      quarantine, replica, CPU fallback) executes in the gating build,
+#   3. a fault-injection sweep: the resilience and fuzz suites, whose
+#      fault-injected cases drive every rung of the dispatch ladder (retry,
+#      quarantine, replica, CPU fallback) in the gating build,
 #   3b. a 1M-statement single-session soak, plain and EXPLAIN ANALYZE
 #       (flat RSS and latency),
 #   3c. the session benchmark (perfbench/) at reduced size, gated on its
@@ -89,26 +89,21 @@ python3 scripts/profile_smoke.py --plain "${plain_jsons[@]}" \
   --profiled "${prof_jsons[@]}"
 
 echo "== fault sweep: resilience + fuzz suites with injection enabled =="
-# The suites configure their own injectors (tests need to control the seed
-# per device); the env vars are exported anyway to pin the convention for
-# harness binaries (sql_shell, bench) — only ConfigFromEnv consumers see
-# them, so the suites stay deterministic.
-GPUDB_FAULT_SEED=20260805 GPUDB_FAULT_RATE=0.05 \
-  ./build/tests/core_resilience_test
-GPUDB_FAULT_SEED=20260805 GPUDB_FAULT_RATE=0.05 \
-  ./build/tests/device_fuzz_test --gtest_filter='FaultSweep.*'
+# The suites configure their own injectors with fixed seeds and rates per
+# device, so every run draws the same fault sequence.
+./build/tests/core_resilience_test
+./build/tests/device_fuzz_test --gtest_filter='FaultSweep.*'
 
 echo "== pool: shard failover + 16-session soak with injection enabled =="
 # The multi-device tier under fault injection: the pool suite covers the
 # health state machine, replica-failover bit-exactness, and the session's
 # one ladder (fallback-off and per-statement deadline); the soak runs 16
 # concurrent sessions over a shared fault-injected pool and admission
-# controller. The gate is zero non-injected failures and zero wrong answers
-# (injected faults must be absorbed by failover and the CPU rung).
-GPUDB_FAULT_SEED=20260805 GPUDB_FAULT_RATE=0.05 \
-  ./build/tests/gpu_pool_test
-GPUDB_FAULT_SEED=20260805 GPUDB_FAULT_RATE=0.05 \
-  ./build/tests/device_fuzz_test --gtest_filter='PoolSoak.*'
+# controller at fault seed 20260805, rate 0.05. The gate is zero
+# non-injected failures, zero wrong answers (injected faults must be
+# absorbed by failover and the CPU rung) and at least one injected fault.
+./build/tests/gpu_pool_test
+./build/tests/device_fuzz_test --gtest_filter='PoolSoak.*'
 
 echo "== soak: one session, 1M statements, flat memory and latency =="
 # tests/sql_soak_test at full length: one sql::Session runs the same
@@ -131,8 +126,7 @@ echo "== sanitizers: ASan+UBSan Debug build + tests =="
 cmake -B build-asan -S . -DGPUDB_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"$(nproc)"
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)"
-GPUDB_FAULT_SEED=20260805 GPUDB_FAULT_RATE=0.05 \
-  ./build-asan/tests/device_fuzz_test --gtest_filter='FaultSweep.*'
+./build-asan/tests/device_fuzz_test --gtest_filter='FaultSweep.*'
 
 echo "== sanitizers: standalone UBSan build + tests =="
 cmake -B build-ubsan -S . -DGPUDB_SANITIZE=undefined >/dev/null
@@ -145,7 +139,6 @@ cmake --build build-tsan -j"$(nproc)" --target gpu_parallel_test device_fuzz_tes
 GPUDB_THREADS=8 ./build-tsan/tests/gpu_parallel_test
 GPUDB_THREADS=8 ./build-tsan/tests/device_fuzz_test --gtest_filter='FaultSweep.*'
 GPUDB_THREADS=8 ./build-tsan/tests/gpu_pool_test
-GPUDB_FAULT_SEED=20260805 GPUDB_FAULT_RATE=0.05 GPUDB_THREADS=8 \
-  ./build-tsan/tests/device_fuzz_test --gtest_filter='PoolSoak.*'
+GPUDB_THREADS=8 ./build-tsan/tests/device_fuzz_test --gtest_filter='PoolSoak.*'
 
 echo "check.sh: all green"

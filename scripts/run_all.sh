@@ -21,14 +21,9 @@ mkdir -p bench_json
 export GPUDB_BENCH_JSON_DIR=bench_json
 
 # With GPUDB_PROFILE set, run the benches under --profile so the captured
-# outputs include the gpuprof per-pass ledger (the flag alone also flips
-# the in-process default, but being explicit keeps the transcript honest
-# about which arm produced bench_output.txt).
+# outputs include the gpuprof per-pass ledger.
 bench_flags=()
 [ -n "${GPUDB_PROFILE:-}" ] && bench_flags+=(--profile)
-# Pool-aware benches pick up the device-pool size; harmless for the rest
-# (InitBench parses --devices everywhere).
-[ -n "${GPUDB_DEVICES:-}" ] && bench_flags+=(--devices="$GPUDB_DEVICES")
 
 : > bench_output.txt
 for b in build/bench/*; do

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "src/common/json.h"
 
 namespace gpudb {
 
@@ -252,49 +251,6 @@ std::string MetricsRegistry::DumpText() const {
                   h->Quantile(0.95), h->Quantile(0.99));
     out += buf;
   }
-  return out;
-}
-
-std::string MetricsRegistry::DumpJson() const {
-  MutexLock lock(&mu_);
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    if (!first) out += ",";
-    first = false;
-    out += json::Quote(name) + ":" + std::to_string(c->value());
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    if (!first) out += ",";
-    first = false;
-    out += json::Quote(name) + ":" + json::Number(g->value());
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    if (!first) out += ",";
-    first = false;
-    out += json::Quote(name) + ":{\"count\":" + std::to_string(h->count()) +
-           ",\"sum\":" + json::Number(h->sum()) +
-           ",\"min\":" + json::Number(h->min()) +
-           ",\"max\":" + json::Number(h->max()) +
-           ",\"p50\":" + json::Number(h->Quantile(0.5)) +
-           ",\"p95\":" + json::Number(h->Quantile(0.95)) +
-           ",\"p99\":" + json::Number(h->Quantile(0.99)) + ",\"buckets\":[";
-    bool first_bucket = true;
-    for (int b = 0; b < MetricHistogram::kBuckets; ++b) {
-      const uint64_t n = h->bucket_count(b);
-      if (n == 0) continue;
-      if (!first_bucket) out += ",";
-      first_bucket = false;
-      out += "{\"le\":" + json::Number(MetricHistogram::BucketUpperBound(b)) +
-             ",\"count\":" + std::to_string(n) + "}";
-    }
-    out += "]}";
-  }
-  out += "}}";
   return out;
 }
 

@@ -152,9 +152,6 @@ class MetricsRegistry {
   /// Human-readable dump, one metric per line, sorted by name.
   std::string DumpText() const;
 
-  /// JSON dump: {"counters":{...},"gauges":{...},"histograms":{...}}.
-  std::string DumpJson() const;
-
   /// Prometheus text exposition (version 0.0.4): metric names are prefixed
   /// with "gpudb_" and sanitized to [a-zA-Z0-9_]; every metric gets a
   /// `# HELP` line (carrying the original dotted name, escaped) before its

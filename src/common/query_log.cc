@@ -1,7 +1,6 @@
 #include "src/common/query_log.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "src/common/metrics.h"
@@ -12,15 +11,7 @@ QueryLog::QueryLog(size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
 QueryLog& QueryLog::Global() {
-  static QueryLog* log = [] {
-    auto* l = new QueryLog();
-    if (const char* env = std::getenv("GPUDB_SLOW_MS")) {
-      char* end = nullptr;
-      const double ms = std::strtod(env, &end);
-      if (end != env) l->set_slow_threshold_ms(ms);
-    }
-    return l;
-  }();
+  static QueryLog* log = new QueryLog();
   return *log;
 }
 
@@ -32,11 +23,6 @@ void QueryLog::set_slow_threshold_ms(double ms) {
 double QueryLog::slow_threshold_ms() const {
   MutexLock lock(&mu_);
   return slow_threshold_ms_;
-}
-
-void QueryLog::set_echo_slow_to_stderr(bool on) {
-  MutexLock lock(&mu_);
-  echo_slow_ = on;
 }
 
 uint64_t QueryLog::Add(QueryLogEntry entry) {
@@ -54,10 +40,8 @@ uint64_t QueryLog::Add(QueryLogEntry entry) {
       slow_threshold_ms_ > 0.0 && entry.wall_ms >= slow_threshold_ms_;
   if (entry.slow) {
     MetricsRegistry::Global().counter("sql.slow_queries").Increment();
-    if (echo_slow_) {
-      std::fprintf(stderr, "[slow-query] %.3f ms (threshold %.3f): %s\n",
-                   entry.wall_ms, slow_threshold_ms_, entry.sql.c_str());
-    }
+    std::fprintf(stderr, "[slow-query] %.3f ms (threshold %.3f): %s\n",
+                 entry.wall_ms, slow_threshold_ms_, entry.sql.c_str());
   }
   const uint64_t id = entry.id;
   if (ring_.size() < capacity_) {

@@ -50,10 +50,10 @@ struct QueryLogEntry {
 ///
 /// Add() keeps the newest `capacity` entries, records every statement's wall
 /// time in the "sql.query_wall_ms" histogram, and counts via "sql.queries".
-/// When a slow threshold is configured (constructor reads $GPUDB_SLOW_MS for
-/// the global instance; --slow-ms in the shell calls set_slow_threshold_ms)
-/// a statement at or above it is flagged, counted in "sql.slow_queries", and
-/// echoed to stderr -- the minimal production slow-query log.
+/// When a slow threshold is configured (--slow-ms in the shell calls
+/// set_slow_threshold_ms) a statement at or above it is flagged, counted in
+/// "sql.slow_queries", and echoed to stderr -- the minimal production
+/// slow-query log.
 class QueryLog {
  public:
   static constexpr size_t kDefaultCapacity = 256;
@@ -62,16 +62,12 @@ class QueryLog {
   QueryLog(const QueryLog&) = delete;
   QueryLog& operator=(const QueryLog&) = delete;
 
-  /// Shared process-wide log; its slow threshold is seeded from the
-  /// GPUDB_SLOW_MS environment variable (milliseconds, 0/unset = disabled).
+  /// Shared process-wide log; no slow threshold until one is set.
   static QueryLog& Global();
 
   /// Threshold in ms at or above which a statement is "slow"; <= 0 disables.
   void set_slow_threshold_ms(double ms);
   double slow_threshold_ms() const;
-
-  /// Suppresses the stderr echo of slow statements (tests).
-  void set_echo_slow_to_stderr(bool on);
 
   /// Records one statement, assigning its id; returns that id.
   uint64_t Add(QueryLogEntry entry);
@@ -99,7 +95,6 @@ class QueryLog {
   uint64_t next_id_ GUARDED_BY(mu_) = 1;
   uint64_t total_recorded_ GUARDED_BY(mu_) = 0;
   double slow_threshold_ms_ GUARDED_BY(mu_) = 0.0;
-  bool echo_slow_ GUARDED_BY(mu_) = true;
 };
 
 }  // namespace gpudb

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "src/core/depth_encoding.h"
 #include "src/cpu/aggregate.h"
 #include "src/cpu/quickselect.h"
 #include "src/cpu/scan.h"
@@ -132,26 +131,6 @@ Result<uint32_t> KthLargest(const db::Table& table, std::string_view column,
   GPUDB_ASSIGN_OR_RETURN(float v,
                          cpu::MaskedQuickSelectLargest(c.values(), mask, k));
   return static_cast<uint32_t>(v);
-}
-
-Result<uint64_t> RangeCount(const db::Table& table, std::string_view column,
-                            double low, double high) {
-  GPUDB_ASSIGN_OR_RETURN(size_t col, table.ColumnIndex(column));
-  if (low > high) {
-    return Status::InvalidArgument("range query with low > high");
-  }
-  const db::Column& c = table.column(col);
-  // Mirror the depth-bounds test exactly: compare 24-bit quantized depths,
-  // not raw floats, so fractional bounds truncate identically on both tiers.
-  const DepthEncoding enc = DepthEncoding::ForColumn(c);
-  const uint32_t lo = enc.EncodeQuantized(low);
-  const uint32_t hi = enc.EncodeQuantized(high);
-  uint64_t count = 0;
-  for (float v : c.values()) {
-    const uint32_t d = enc.EncodeQuantized(v);
-    if (d >= lo && d <= hi) ++count;
-  }
-  return count;
 }
 
 }  // namespace cpu_tier

@@ -47,11 +47,6 @@ namespace cpu_tier {
                                           std::string_view column, uint64_t k,
                                           const predicate::ExprPtr& where);
 
-/// Range count with the depth-bounds quantization mirrored exactly.
-[[nodiscard]] Result<uint64_t> RangeCount(const db::Table& table,
-                                          std::string_view column, double low,
-                                          double high);
-
 }  // namespace cpu_tier
 }  // namespace core
 }  // namespace gpudb

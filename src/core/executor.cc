@@ -160,16 +160,14 @@ Result<StencilSelection> Executor::Where(const predicate::ExprPtr& expr) {
                            Lower(cnf.ValueOrDie().clauses));
     op.AddTag("normal_form", "cnf");
     op.AddTag("clauses", clauses.size());
-    exec.plan = PlanSelectionPasses(clauses, NormalForm::kCnf,
-                                    plan_options_.fusion, use_cache);
+    exec.plan = PlanSelectionPasses(clauses, NormalForm::kCnf, use_cache);
     GPUDB_ASSIGN_OR_RETURN(sel, EvalCnf(device_, clauses, &exec));
   } else {
     GPUDB_ASSIGN_OR_RETURN(std::vector<GpuTerm> terms,
                            Lower(dnf.ValueOrDie().terms));
     op.AddTag("normal_form", "dnf");
     op.AddTag("terms", terms.size());
-    exec.plan = PlanSelectionPasses(terms, NormalForm::kDnf,
-                                    plan_options_.fusion, use_cache);
+    exec.plan = PlanSelectionPasses(terms, NormalForm::kDnf, use_cache);
     GPUDB_ASSIGN_OR_RETURN(sel, EvalDnf(device_, terms, &exec));
   }
   if (exec.plan.Rewritten()) {

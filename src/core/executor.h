@@ -25,11 +25,10 @@ namespace gpudb {
 namespace core {
 
 /// \brief Planner rewrite controls for an executor's selections (DESIGN.md
-/// §14): pass fusion is on by default (pure win, bit-exact); the depth-plane
+/// §14). Pass fusion always runs (pure win, bit-exact); the depth-plane
 /// cache is opt-in (`--plan-cache`) because it trades VRAM for repeated-query
 /// latency and needs a table identity for its keys.
 struct PlanOptions {
-  bool fusion = true;        ///< copy+compare fusion, chain collapse, fused count
   bool plane_cache = false;  ///< depth/stencil plane caching for hot columns
 };
 
@@ -137,7 +136,7 @@ class Executor {
   /// than 2x increment the `planner.misestimates` counter.
   void set_table_stats(const db::TableStats* stats) { stats_ = stats; }
 
-  /// Planner rewrite controls (fusion / plane cache) for this executor's
+  /// Planner rewrite controls (the plane cache) for this executor's
   /// selections. Never changes results -- only the pass sequence.
   void set_plan_options(const PlanOptions& options) { plan_options_ = options; }
   const PlanOptions& plan_options() const { return plan_options_; }

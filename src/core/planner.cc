@@ -11,11 +11,8 @@ namespace gpudb {
 namespace core {
 
 PassPlan PlanSelectionPasses(const std::vector<GpuClause>& groups,
-                             NormalForm form, bool fusion_enabled,
-                             bool cache_enabled) {
+                             NormalForm form, bool cache_enabled) {
   PassPlan plan;
-  if (!fusion_enabled) return plan;
-
   int depth_compares = 0;
   bool all_singletons = true;
   for (const GpuClause& group : groups) {

@@ -62,14 +62,13 @@ struct PassPlan {
 /// (core::EvalCnf) or DNF terms (core::EvalDnf).
 enum class NormalForm { kCnf, kDnf };
 
-/// Plans the pass sequence for a CNF or DNF selection. `fusion_enabled`
-/// gates every rewrite; `cache_enabled` disables per-predicate copy+compare
-/// fusion (see PassPlan::fused_compares) but keeps the chain rules. The
-/// chain rules apply to CNF only: DNF's term stamps and walk-downs need the
-/// full skeleton.
+/// Plans the pass sequence for a CNF or DNF selection. `cache_enabled`
+/// disables per-predicate copy+compare fusion (see PassPlan::fused_compares)
+/// but keeps the chain rules. The chain rules apply to CNF only: DNF's term
+/// stamps and walk-downs need the full skeleton. The unrewritten reference
+/// sequence is EvalCnf/EvalDnf with null options (or a default PassPlan).
 PassPlan PlanSelectionPasses(const std::vector<GpuClause>& groups,
-                             NormalForm form, bool fusion_enabled,
-                             bool cache_enabled);
+                             NormalForm form, bool cache_enabled);
 
 /// \brief A co-processor routing decision with its rationale.
 ///

@@ -28,6 +28,18 @@ struct ResilienceMetrics {
     static ResilienceMetrics metrics;
     return metrics;
   }
+
+  /// `pool.failovers`, bumped on every hop off a device. The pool metrics
+  /// register as a family: DevicePool::Make registers them for a pool it
+  /// builds, the first hop for a pool of one, so a single-device run
+  /// without failovers lists neither.
+  static MetricCounter& Failovers() {
+    static MetricCounter& failovers = []() -> MetricCounter& {
+      MetricsRegistry::Global().gauge("pool.device_state");
+      return MetricsRegistry::Global().counter("pool.failovers");
+    }();
+    return failovers;
+  }
 };
 
 /// Stamps a resilience event into the active trace (zero-duration span
@@ -166,7 +178,7 @@ std::invoke_result_t<const GpuOp&, Executor&> PoolExecutor::RunShard(
   const int num_candidates = shard.placement.replicated() ? 2 : 1;
   Status last_fault = Status::OK();
   auto hop_off = [&](int device_id) {
-    pool_->RecordFailover(device_id);
+    ResilienceMetrics::Failovers().Increment();
     ++last_stats_.failovers;
     if (last_stats_.first_failed_device < 0) {
       last_stats_.first_failed_device = device_id;
@@ -284,25 +296,6 @@ Result<uint64_t> PoolExecutor::Count(const predicate::ExprPtr& where) {
   return total;
 }
 
-Result<std::vector<uint8_t>> PoolExecutor::SelectBitmap(
-    const predicate::ExprPtr& where) {
-  const Statement statement(this);
-  std::vector<uint8_t> bitmap;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    GPUDB_ASSIGN_OR_RETURN(
-        std::vector<uint8_t> part,
-        RunShard(
-            i, "select_bitmap",
-            [&](Executor& exec) { return exec.SelectBitmap(where); },
-            [&](const db::Table& table) {
-              return cpu_tier::SelectionMask(table, where);
-            }));
-    if (shards_.size() == 1) return part;
-    bitmap.insert(bitmap.end(), part.begin(), part.end());
-  }
-  return bitmap;
-}
-
 Result<std::vector<uint32_t>> PoolExecutor::SelectRowIds(
     const predicate::ExprPtr& where) {
   const Statement statement(this);
@@ -322,24 +315,6 @@ Result<std::vector<uint32_t>> PoolExecutor::SelectRowIds(
     for (uint32_t local : part) rows.push_back(shards_[i].row_begin + local);
   }
   return rows;
-}
-
-Result<uint64_t> PoolExecutor::RangeCount(std::string_view column, double low,
-                                          double high) {
-  const Statement statement(this);
-  uint64_t total = 0;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    GPUDB_ASSIGN_OR_RETURN(
-        uint64_t count,
-        RunShard(
-            i, "range_count",
-            [&](Executor& exec) { return exec.RangeCount(column, low, high); },
-            [&](const db::Table& table) {
-              return cpu_tier::RangeCount(table, column, low, high);
-            }));
-    total += count;
-  }
-  return total;
 }
 
 Result<double> PoolExecutor::Aggregate(AggregateKind kind,

@@ -45,13 +45,12 @@ struct PoolQueryStats {
 /// Each decomposable operator runs shard by shard on the shard's primary
 /// device and the per-shard answers are recombined:
 ///
-///   Count / RangeCount : sum of per-shard counts
-///   SelectRowIds       : per-shard ids + row_begin, concatenated in order
-///   SelectBitmap       : per-shard bitmaps concatenated
-///   COUNT / SUM / MIN / MAX / AVG : per-shard PartialAggregates (selection
-///                        count and value from one WHERE), merged: sums of
-///                        exact integer sums, min/max over non-empty shards,
-///                        one AVG division over the totals
+///   Count        : sum of per-shard counts
+///   SelectRowIds : per-shard ids + row_begin, concatenated in order
+///   Aggregate    : COUNT / SUM / MIN / MAX / AVG as per-shard
+///                  PartialAggregates (selection count and value from one
+///                  WHERE), merged: sums of exact integer sums, min/max
+///                  over non-empty shards, one AVG division over the totals
 ///
 /// All of these are bit-exact against single-device execution: integer
 /// columns use the data-independent exact depth encoding, sums are exact
@@ -105,16 +104,12 @@ class PoolExecutor {
   };
 
   [[nodiscard]] Result<uint64_t> Count(const predicate::ExprPtr& where);
-  [[nodiscard]] Result<std::vector<uint8_t>> SelectBitmap(
-      const predicate::ExprPtr& where);
   [[nodiscard]] Result<std::vector<uint32_t>> SelectRowIds(
       const predicate::ExprPtr& where);
   [[nodiscard]] Result<double> Aggregate(AggregateKind kind,
                                          std::string_view column,
                                          const predicate::ExprPtr& where =
                                              nullptr);
-  [[nodiscard]] Result<uint64_t> RangeCount(std::string_view column,
-                                            double low, double high);
 
   // Single-device operators: one shard only.
   [[nodiscard]] Result<uint32_t> KthLargest(

@@ -1194,13 +1194,6 @@ Status Device::FinishPass(PassRecord pass) {
   return Status::OK();
 }
 
-void Device::ArmDeadline(double ms) {
-  deadline_ = std::chrono::steady_clock::now() +
-              std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double, std::milli>(ms));
-  deadline_armed_ = true;
-}
-
 Status Device::CheckInterrupt() const {
   // The deadline is the only interrupt: work stops when its statement's
   // budget runs out, never on a request from another thread, so every

@@ -273,13 +273,11 @@ class Device {
 
   // --- Deadlines -------------------------------------------------------------
 
-  /// Arms a wall-clock deadline `ms` milliseconds from now. Every pass
-  /// entry, row band, and readback checks it cooperatively; once exceeded,
-  /// device entry points return kDeadlineExceeded until DisarmDeadline().
-  void ArmDeadline(double ms);
-
-  /// Arms the deadline at an absolute expiry: a statement's one deadline,
-  /// shared by every dispatch it makes on every device.
+  /// Arms a wall-clock deadline at an absolute expiry: a statement's one
+  /// deadline, shared by every dispatch it makes on every device. Every
+  /// pass entry, row band, and readback checks it cooperatively; once
+  /// exceeded, device entry points return kDeadlineExceeded until
+  /// DisarmDeadline().
   void ArmDeadlineAt(std::chrono::steady_clock::time_point expiry) {
     deadline_ = expiry;
     deadline_armed_ = true;

@@ -1,6 +1,5 @@
 #include "src/gpu/device_pool.h"
 
-#include <cstdlib>
 #include <utility>
 
 #include "src/common/metrics.h"
@@ -10,7 +9,9 @@ namespace gpu {
 
 namespace {
 
-/// Pool metrics, cached like DeviceMetrics in device.cc.
+/// Pool metrics, cached like DeviceMetrics in device.cc. `pool.failovers`
+/// is registered here so a pool's metrics list it from the start; the
+/// dispatch ladder (core/pool_executor) bumps it on every hop.
 struct PoolMetrics {
   MetricGauge& device_state =
       MetricsRegistry::Global().gauge("pool.device_state");
@@ -148,11 +149,6 @@ void DevicePool::RecordSuccess(int id) {
   UpdateStateGaugeLocked();
 }
 
-void DevicePool::RecordFailover(int id) {
-  (void)id;
-  PoolMetrics::Get().failovers.Increment();
-}
-
 void DevicePool::ForceDeviceLost(int id) {
   MutexLock lock(&mu_);
   slots_[static_cast<size_t>(id)].forced_lost = true;
@@ -171,13 +167,6 @@ void DevicePool::Revive(int id) {
 bool DevicePool::forced_lost(int id) const {
   MutexLock lock(&mu_);
   return slots_[static_cast<size_t>(id)].forced_lost;
-}
-
-int DevicesFromEnv(int fallback) {
-  const char* devices = std::getenv("GPUDB_DEVICES");
-  if (devices == nullptr) return fallback;
-  const int n = std::atoi(devices);
-  return n >= 1 ? n : fallback;
 }
 
 }  // namespace gpu

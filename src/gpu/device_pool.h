@@ -64,8 +64,8 @@ struct DevicePoolOptions {
 /// ForceDeviceLost models pulling a card mid-flight: the device refuses all
 /// dispatches (probes included) until Revive. Metrics: the
 /// `pool.device_state` gauge is the sum of state ordinals across the pool
-/// (0 = all healthy) and `pool.failovers` counts every shard that had to
-/// move off its primary. Thread-safe.
+/// (0 = all healthy) and `pool.failovers`, bumped by the dispatch ladder,
+/// counts every shard that had to move off its primary. Thread-safe.
 class DevicePool {
  public:
   /// Consecutive device faults that quarantine a device.
@@ -137,9 +137,6 @@ class DevicePool {
   /// device that just served a probe returns to healthy).
   void RecordSuccess(int id);
 
-  /// A shard had to move off device `id` (to its replica or the CPU tier).
-  void RecordFailover(int id);
-
   /// Simulated hot-unplug: `id` refuses all dispatches until Revive.
   void ForceDeviceLost(int id);
   void Revive(int id);
@@ -180,9 +177,6 @@ class DevicePool {
   /// across a call into device, session, or catalog code.
   mutable Mutex mu_;
 };
-
-/// $GPUDB_DEVICES as an int; `fallback` when unset/invalid.
-int DevicesFromEnv(int fallback = 1);
 
 }  // namespace gpu
 }  // namespace gpudb

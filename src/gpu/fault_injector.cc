@@ -1,6 +1,5 @@
 #include "src/gpu/fault_injector.h"
 
-#include <cstdlib>
 #include <utility>
 
 #include "src/common/metrics.h"
@@ -60,17 +59,6 @@ void FaultInjector::Configure(const FaultConfig& config) {
   faults_ = 0;
 }
 
-FaultConfig FaultInjector::ConfigFromEnv() {
-  FaultConfig config;
-  if (const char* seed = std::getenv("GPUDB_FAULT_SEED")) {
-    config.seed = std::strtoull(seed, nullptr, 10);
-  }
-  if (const char* rate = std::getenv("GPUDB_FAULT_RATE")) {
-    config.rate = std::atof(rate);
-  }
-  return config;
-}
-
 bool FaultInjector::Draw() {
   const uint64_t bits =
       SplitMix64(config_.effective_seed() ^ SplitMix64(++draws_));
@@ -107,16 +95,6 @@ Status FaultInjector::OnReadback(std::string_view what) {
   if (!enabled() || !Draw()) return Status::OK();
   return Inject("readback", "injected: " + std::string(what) +
                                 " readback corruption detected");
-}
-
-uint64_t VramBudgetBytesFromEnv() {
-  const char* bytes = std::getenv("GPUDB_VRAM_BUDGET");
-  return bytes != nullptr ? std::strtoull(bytes, nullptr, 10) : 0;
-}
-
-double DeadlineMsFromEnv() {
-  const char* ms = std::getenv("GPUDB_DEADLINE_MS");
-  return ms != nullptr ? std::atof(ms) : 0.0;
 }
 
 }  // namespace gpu

@@ -62,10 +62,6 @@ class FaultInjector {
   const FaultConfig& config() const { return config_; }
   bool enabled() const { return config_.rate > 0.0; }
 
-  /// Builds a FaultConfig from $GPUDB_FAULT_SEED / $GPUDB_FAULT_RATE
-  /// (absent variables leave the disabled defaults).
-  static FaultConfig ConfigFromEnv();
-
   // --- Fault sites -------------------------------------------------------
   // Each returns OK (almost always) or kDeviceLost when the seeded draw
   // fires, after incrementing the `faults.injected` metrics.
@@ -98,12 +94,6 @@ class FaultInjector {
   uint64_t draws_ = 0;
   uint64_t faults_ = 0;
 };
-
-/// $GPUDB_VRAM_BUDGET in bytes; 0 when unset/invalid.
-uint64_t VramBudgetBytesFromEnv();
-
-/// $GPUDB_DEADLINE_MS in milliseconds; 0 when unset/invalid.
-double DeadlineMsFromEnv();
 
 }  // namespace gpu
 }  // namespace gpudb

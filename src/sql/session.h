@@ -73,8 +73,8 @@ class Session {
     return resilience_;
   }
 
-  /// Installs the planner rewrite controls (pass fusion / depth-plane
-  /// caching, DESIGN.md §14) on every executor this session creates,
+  /// Installs the planner rewrite controls (depth-plane caching,
+  /// DESIGN.md §14) on every executor this session creates,
   /// existing and future. Never changes results; `--plan-cache` flips
   /// `plane_cache` on.
   void set_plan_options(const core::PlanOptions& options)

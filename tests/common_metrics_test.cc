@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/common/json.h"
 #include "src/common/metrics.h"
 
 namespace gpudb {
@@ -204,48 +203,6 @@ TEST(MetricsRegistryTest, DumpTextListsEveryInstrument) {
   EXPECT_NE(text.find("z.counter"), std::string::npos);
   EXPECT_NE(text.find("a.gauge"), std::string::npos);
   EXPECT_NE(text.find("m.hist"), std::string::npos);
-}
-
-TEST(MetricsRegistryTest, DumpJsonParsesAndCarriesValues) {
-  MetricsRegistry registry;
-  registry.counter("queries.total").Add(17);
-  registry.gauge("memory.resident_bytes").Set(4096.0);
-  MetricHistogram& h = registry.histogram("query.latency_ms");
-  h.Record(0.5);
-  h.Record(2.0);
-
-  auto parsed = json::Parse(registry.DumpJson());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const json::Value& doc = parsed.ValueOrDie();
-
-  const json::Value* counters = doc.Find("counters");
-  ASSERT_NE(counters, nullptr);
-  const json::Value* total = counters->Find("queries.total");
-  ASSERT_NE(total, nullptr);
-  EXPECT_DOUBLE_EQ(total->as_number(), 17.0);
-
-  const json::Value* gauges = doc.Find("gauges");
-  ASSERT_NE(gauges, nullptr);
-  EXPECT_DOUBLE_EQ(gauges->Find("memory.resident_bytes")->as_number(), 4096.0);
-
-  const json::Value* histograms = doc.Find("histograms");
-  ASSERT_NE(histograms, nullptr);
-  const json::Value* hist = histograms->Find("query.latency_ms");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_DOUBLE_EQ(hist->Find("count")->as_number(), 2.0);
-  EXPECT_DOUBLE_EQ(hist->Find("sum")->as_number(), 2.5);
-  const json::Value* buckets = hist->Find("buckets");
-  ASSERT_NE(buckets, nullptr);
-  ASSERT_TRUE(buckets->is_array());
-  // Only non-empty buckets are emitted; each carries {le, count}.
-  ASSERT_EQ(buckets->as_array().size(), 2u);
-  double bucket_total = 0;
-  for (const json::Value& b : buckets->as_array()) {
-    ASSERT_NE(b.Find("le"), nullptr);
-    ASSERT_NE(b.Find("count"), nullptr);
-    bucket_total += b.Find("count")->as_number();
-  }
-  EXPECT_DOUBLE_EQ(bucket_total, 2.0);
 }
 
 TEST(MetricsRegistryTest, GlobalIsSingleton) {

@@ -47,7 +47,6 @@ TEST(QueryLogTest, RingEvictsOldestBeyondCapacity) {
 
 TEST(QueryLogTest, SlowThresholdFlagsAtOrAbove) {
   QueryLog log(8);
-  log.set_echo_slow_to_stderr(false);
   log.set_slow_threshold_ms(10.0);
   log.Add(MakeEntry("fast", 9.99));
   log.Add(MakeEntry("exactly", 10.0));
@@ -61,7 +60,6 @@ TEST(QueryLogTest, SlowThresholdFlagsAtOrAbove) {
 
 TEST(QueryLogTest, ZeroThresholdDisablesSlowDetection) {
   QueryLog log(8);
-  log.set_echo_slow_to_stderr(false);
   log.set_slow_threshold_ms(0.0);
   log.Add(MakeEntry("glacial", 1e6));
   EXPECT_TRUE(log.SlowEntries().empty());
@@ -71,7 +69,6 @@ TEST(QueryLogTest, AddFeedsMetricsRegistry) {
   const uint64_t queries_before =
       MetricsRegistry::Global().counter("sql.queries").value();
   QueryLog log(4);
-  log.set_echo_slow_to_stderr(false);
   log.Add(MakeEntry("q", 1.0));
   log.Add(MakeEntry("q", 2.0));
   EXPECT_EQ(MetricsRegistry::Global().counter("sql.queries").value(),
@@ -86,7 +83,6 @@ TEST(QueryLogTest, AddRecordsQueueAndExecSplit) {
   const double exec_sum_before = registry.histogram("sql.exec_ms").sum();
 
   QueryLog log(4);
-  log.set_echo_slow_to_stderr(false);
   QueryLogEntry e = MakeEntry("split", 5.0);
   e.queue_ms = 2.0;
   e.exec_ms = 3.0;

@@ -81,7 +81,6 @@ TEST_F(PlanSelectionPassesTest, SingletonCnfCollapsesToCountedChain) {
       {Depth(attr_, CompareOp::kNotEqual, 50)}};
   SelectionExecOptions opts;
   opts.plan = PlanSelectionPasses(clauses, NormalForm::kCnf,
-                                  /*fusion_enabled=*/true,
                                   /*cache_enabled=*/false);
   EXPECT_TRUE(opts.plan.chain);
   EXPECT_TRUE(opts.plan.fused_count);
@@ -99,7 +98,7 @@ TEST_F(PlanSelectionPassesTest, MultiPredicateClauseKeepsTheCnfSkeleton) {
        Depth(attr_, CompareOp::kGreater, 90)},
       {Depth(attr_, CompareOp::kNotEqual, 0)}};
   SelectionExecOptions opts;
-  opts.plan = PlanSelectionPasses(clauses, NormalForm::kCnf, true, false);
+  opts.plan = PlanSelectionPasses(clauses, NormalForm::kCnf, false);
   EXPECT_FALSE(opts.plan.chain);
   EXPECT_FALSE(opts.plan.fused_count);
   EXPECT_EQ(opts.plan.fused_compares, 3);
@@ -109,11 +108,11 @@ TEST_F(PlanSelectionPassesTest, MultiPredicateClauseKeepsTheCnfSkeleton) {
   EXPECT_EQ(CnfPasses(clauses, &opts), 6u);
 }
 
-TEST_F(PlanSelectionPassesTest, FusionDisabledPlansTheReferenceSequence) {
+TEST_F(PlanSelectionPassesTest, DefaultPlanIsTheReferenceSequence) {
   const std::vector<GpuClause> clauses = {
       {Depth(attr_, CompareOp::kLess, 5)}};
   SelectionExecOptions opts;
-  opts.plan = PlanSelectionPasses(clauses, NormalForm::kCnf, false, false);
+  opts.plan = PassPlan{};
   EXPECT_FALSE(opts.plan.Rewritten());
   // 1 copy + 1 compare + 1 cleanup + 1 count, with the plan or without.
   EXPECT_EQ(CnfPasses(clauses, &opts), 4u);
@@ -125,7 +124,7 @@ TEST_F(PlanSelectionPassesTest, CacheDisablesCompareFusionButKeepsTheChain) {
       {Depth(attr_, CompareOp::kGreater, 10)},
       {Depth(attr_, CompareOp::kLess, 90)}};
   const PassPlan plan =
-      PlanSelectionPasses(clauses, NormalForm::kCnf, true, true);
+      PlanSelectionPasses(clauses, NormalForm::kCnf, true);
   EXPECT_TRUE(plan.chain);
   EXPECT_TRUE(plan.fused_count);
   // Cacheable predicates keep the copy separate so the depth plane can be
@@ -140,7 +139,7 @@ TEST_F(PlanSelectionPassesTest, DnfPlanFusesComparesButNeverChains) {
       {Depth(attr_, CompareOp::kGreaterEqual, 60000),
        Depth(attr_, CompareOp::kNotEqual, 61000)}};
   SelectionExecOptions opts;
-  opts.plan = PlanSelectionPasses(terms, NormalForm::kDnf, true, false);
+  opts.plan = PlanSelectionPasses(terms, NormalForm::kDnf, false);
   EXPECT_FALSE(opts.plan.chain);
   EXPECT_FALSE(opts.plan.fused_count);
   EXPECT_EQ(opts.plan.fused_compares, 4);
@@ -153,7 +152,7 @@ TEST_F(PlanSelectionPassesTest, DnfPlanFusesComparesButNeverChains) {
   // still plan no chain.
   const std::vector<GpuTerm> singletons = {{terms[0][0]}, {terms[1][0]}};
   EXPECT_FALSE(
-      PlanSelectionPasses(singletons, NormalForm::kDnf, true, false).chain);
+      PlanSelectionPasses(singletons, NormalForm::kDnf, false).chain);
 }
 
 // ---------------------------------------------------------------------------
@@ -176,7 +175,7 @@ TEST(FusedCompareTest, MatchesUnfusedForEveryOperatorAndConstant) {
           SelectionMask(&device, ref.ValueOrDie().valid_value, kRecords);
 
       SelectionExecOptions opts;
-      opts.plan = PlanSelectionPasses(clauses, NormalForm::kCnf, true, false);
+      opts.plan = PlanSelectionPasses(clauses, NormalForm::kCnf, false);
       const uint64_t passes_before = device.counters().passes;
       auto fused = EvalCnf(&device, clauses, &opts);
       ASSERT_TRUE(fused.ok()) << fused.status().ToString();
@@ -223,7 +222,7 @@ TEST_F(PlannedEvalTest, GeneralCnfMatchesRewritesOffWithFewerPasses) {
       SelectionMask(&device_, ref.ValueOrDie().valid_value, kRecords);
 
   SelectionExecOptions opts;
-  opts.plan = PlanSelectionPasses(clauses, NormalForm::kCnf, true, false);
+  opts.plan = PlanSelectionPasses(clauses, NormalForm::kCnf, false);
   const uint64_t before = device_.counters().passes;
   auto planned = EvalCnf(&device_, clauses, &opts);
   ASSERT_TRUE(planned.ok());
@@ -251,7 +250,7 @@ TEST_F(PlannedEvalTest, SingletonChainMatchesRewritesOffCount) {
       SelectionMask(&device_, ref.ValueOrDie().valid_value, kRecords);
 
   SelectionExecOptions opts;
-  opts.plan = PlanSelectionPasses(clauses, NormalForm::kCnf, true, false);
+  opts.plan = PlanSelectionPasses(clauses, NormalForm::kCnf, false);
   ASSERT_TRUE(opts.plan.chain);
   const uint64_t before = device_.counters().passes;
   auto planned = EvalCnf(&device_, clauses, &opts);
@@ -281,7 +280,7 @@ TEST_F(PlannedEvalTest, DnfMatchesRewritesOff) {
       SelectionMask(&device_, ref.ValueOrDie().valid_value, kRecords);
 
   SelectionExecOptions opts;
-  opts.plan = PlanSelectionPasses(terms, NormalForm::kDnf, true, false);
+  opts.plan = PlanSelectionPasses(terms, NormalForm::kDnf, false);
   auto planned = EvalDnf(&device_, terms, &opts);
   ASSERT_TRUE(planned.ok());
 
@@ -307,7 +306,7 @@ class PlaneCacheExecTest : public ::testing::Test {
   SelectionExecOptions CachedOpts(const std::vector<GpuClause>& clauses,
                                   uint64_t version = 1) {
     SelectionExecOptions opts;
-    opts.plan = PlanSelectionPasses(clauses, NormalForm::kCnf, true, true);
+    opts.plan = PlanSelectionPasses(clauses, NormalForm::kCnf, true);
     opts.use_cache = true;
     opts.table = "t";
     opts.table_version = version;

@@ -9,6 +9,7 @@
 // GPUDB_SANITIZE=thread to prove the row-band dispatch is race-free.
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -285,7 +286,6 @@ Snapshot RunPlannedScenario(int threads, const std::vector<uint32_t>& ints) {
   // Fused chain with the count carried by the final pass.
   SelectionExecOptions fused;
   fused.plan = PlanSelectionPasses(clauses, NormalForm::kCnf,
-                                   /*fusion_enabled=*/true,
                                    /*cache_enabled=*/false);
   auto sel = EvalCnf(&device, clauses, &fused);
   EXPECT_OK(sel.status());
@@ -298,7 +298,7 @@ Snapshot RunPlannedScenario(int threads, const std::vector<uint32_t>& ints) {
   // Cached: cold (snapshot) then warm (restore).
   for (int round = 0; round < 2; ++round) {
     SelectionExecOptions cached;
-    cached.plan = PlanSelectionPasses(clauses, NormalForm::kCnf, true,
+    cached.plan = PlanSelectionPasses(clauses, NormalForm::kCnf,
                                       /*cache_enabled=*/true);
     cached.use_cache = true;
     cached.table = "sweep";
@@ -409,7 +409,7 @@ TEST(ParallelDeterminismTest, ArmedDeviceDeadlineFailsRoutinesCleanly) {
     ASSERT_OK(device.SetWorkerThreads(threads));
     AttributeBinding attr = UploadIntAttribute(&device, ints);
 
-    device.ArmDeadline(1e-7);
+    device.ArmDeadlineAt(std::chrono::steady_clock::now());  // expired
     auto select = CompareSelect(&device, attr, CompareOp::kGreater, 100.0);
     ASSERT_FALSE(select.ok()) << "threads=" << threads;
     EXPECT_TRUE(select.status().IsDeadlineExceeded())

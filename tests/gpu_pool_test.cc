@@ -207,12 +207,6 @@ class PoolExecutorTest : public ::testing::Test {
                          exec.SelectRowIds(where));
     EXPECT_EQ(got_rows, want_rows);
 
-    ASSERT_OK_AND_ASSIGN(const std::vector<uint8_t> want_bitmap,
-                         reference_->SelectBitmap(where));
-    ASSERT_OK_AND_ASSIGN(const std::vector<uint8_t> got_bitmap,
-                         exec.SelectBitmap(where));
-    EXPECT_EQ(got_bitmap, want_bitmap);
-
     for (const AggregateKind kind :
          {AggregateKind::kSum, AggregateKind::kAvg, AggregateKind::kMin,
           AggregateKind::kMax}) {
@@ -222,13 +216,6 @@ class PoolExecutorTest : public ::testing::Test {
                            exec.Aggregate(kind, "data_count", where));
       EXPECT_EQ(got, want) << core::ToString(kind);
     }
-
-    ASSERT_OK_AND_ASSIGN(const uint64_t want_range,
-                         reference_->RangeCount("flow_rate", 1000.0,
-                                                100000.0));
-    ASSERT_OK_AND_ASSIGN(const uint64_t got_range,
-                         exec.RangeCount("flow_rate", 1000.0, 100000.0));
-    EXPECT_EQ(got_range, want_range);
   }
 
   gpu::Device reference_device_;

@@ -27,7 +27,6 @@ namespace {
 class SessionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    QueryLog::Global().set_echo_slow_to_stderr(false);
     auto table = db::MakeUniformTable(2000, 10, /*num_columns=*/2, 7);
     ASSERT_OK(table.status());
     table_ = std::make_unique<db::Table>(std::move(table).ValueOrDie());
