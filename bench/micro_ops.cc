@@ -210,28 +210,21 @@ void BM_Pass_Stream(benchmark::State& state) {
 }
 BENCHMARK(BM_Pass_Stream)->Apply(PassRows);
 
-// Accumulate's per-bit pass over a selection (Routine 4.6).
-void BM_Pass_TestBitSelected(benchmark::State& state) {
+// Accumulate over a selection (Routine 4.6): a 19-bit SUM, the width of
+// the TPC-H Q6 column, as one bit sweep that records 19 TestBit passes.
+// Items are fragments swept, so ns/item sets it beside BM_Pass_Stream.
+void BM_Pass_TestBitSweep(benchmark::State& state) {
   PassBench p(state);
-  gpu::Device& d = p.device;
-  (void)d.BindTexture(p.attr.texture);
-  d.SetDepthTest(false, gpu::CompareOp::kAlways);
-  d.SetColorWriteMask(false);
-  d.SetAlphaTest(true, gpu::CompareOp::kGreaterEqual, 0.5f);
-  d.SetStencilTest(true, gpu::CompareOp::kEqual, 1);
-  d.SetStencilOp(gpu::StencilOp::kKeep, gpu::StencilOp::kKeep,
-                 gpu::StencilOp::kKeep);
-  const gpu::TestBitProgram program(kChannel, 7);
-  d.UseProgram(&program);
+  core::AccumulatorOptions options;
+  options.selection = core::StencilSelection{1, 0};
   for (auto _ : state) {
-    (void)d.BeginOcclusionQuery();
-    (void)d.RenderTexturedQuad();
-    benchmark::DoNotOptimize(d.EndOcclusionQuery().ValueOrDie());
+    benchmark::DoNotOptimize(
+        core::Accumulate(&p.device, p.attr.texture, kChannel, 19, options)
+            .ValueOrDie());
   }
-  d.UseProgram(nullptr);
   state.SetItemsProcessed(state.iterations() * p.pixels);
 }
-BENCHMARK(BM_Pass_TestBitSelected)->Apply(PassRows);
+BENCHMARK(BM_Pass_TestBitSweep)->Apply(PassRows);
 
 void BM_Pass_CountSelected(benchmark::State& state) {
   PassBench p(state);

@@ -10,8 +10,8 @@ $GPUDB_BENCH_JSON_DIR is set (see bench/bench_util.h). Rows are matched by
 repeats its labels, e.g. fig05's attrs=1..4, and is empty when absent; a
 file whose rows repeat a key is an error, since one of them would never be
 compared. The gate compares the *model* columns
-(gpu_model_total_ms, cpu_model_ms), which are deterministic functions of the
-pass structure -- wall-clock columns vary with the host and are reported but
+(gpu_model_total_ms, gpu_model_compute_ms, cpu_model_ms), which are
+deterministic functions of the pass structure -- wall-clock columns vary with the host and are reported but
 never gated -- and each candidate row's `check_passed`, the bench's own
 answer check.
 
@@ -26,7 +26,7 @@ import json
 import os
 import sys
 
-GATED_COLUMNS = ("gpu_model_total_ms", "cpu_model_ms")
+GATED_COLUMNS = ("gpu_model_total_ms", "gpu_model_compute_ms", "cpu_model_ms")
 
 # Wall-clock deltas are host-dependent (shared machines jitter 2x+), so
 # they are printed for the operator but never counted as regressions.

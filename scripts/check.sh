@@ -8,7 +8,8 @@
 #      rule violations fail before any build time is spent,
 #   1. the standard build + full ctest run (what CI gates on),
 #   2. a bench smoke run of every figure bench with a committed baseline,
-#      diffed against bench/baseline (model-time regression gate; see
+#      and of the Accumulator's alpha-test vs KILL ablation, diffed against
+#      bench/baseline (model-time regression gate; see
 #      scripts/bench_diff.py), then fig03 five times plain and five times
 #      under --profile, alternating, with
 #      scripts/profile_smoke.py asserting the gpuprof counters are nonzero,
@@ -61,7 +62,8 @@ smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 for bench in fig02_copy_depth fig03_predicate fig04_range fig05_multiattr \
              fig06_semilinear fig07_kth_vs_k fig08_median \
-             fig09_kth_selectivity fig10_accumulator fig_hotcolumn; do
+             fig09_kth_selectivity fig10_accumulator fig_hotcolumn \
+             ablation_accumulator_alpha; do
   GPUDB_BENCH_JSON_DIR="$smoke_dir" "./build/bench/$bench" >/dev/null
 done
 python3 scripts/bench_diff.py bench/baseline "$smoke_dir"

@@ -1,11 +1,11 @@
 #include "src/core/accumulator.h"
 
 #include <string>
+#include <vector>
 
 #include "src/common/bit_util.h"
 #include "src/core/op_span.h"
 #include "src/core/state_guard.h"
-#include "src/gpu/fragment_program.h"
 
 namespace gpudb {
 namespace core {
@@ -38,23 +38,15 @@ Result<uint64_t> Accumulate(gpu::Device* device, gpu::TextureId texture,
     device->SetStencilTest(false, gpu::CompareOp::kAlways, 0);
   }
 
+  // Lines 3-8, one TestBit pass per bit: the device sweeps the texels once
+  // and replays the passes in order (Device::CountBitPasses). Bit i's
+  // count of records with the bit set is weighted by 2^i.
+  GPUDB_ASSIGN_OR_RETURN(
+      const std::vector<uint64_t> counts,
+      device->CountBitPasses(channel, bit_width, !options.use_alpha_test));
   uint64_t sum = 0;
-  for (int i = 0; i < bit_width; ++i) {
-    // Deadline check between TestBit passes.
-    GPUDB_RETURN_NOT_OK(device->CheckInterrupt());
-    // Lines 4-8: count the records with bit i set, weight by 2^i.
-    const gpu::TestBitProgram alpha_program(channel, i);
-    const gpu::TestBitKillProgram kill_program(channel, i);
-    if (options.use_alpha_test) {
-      device->UseProgram(&alpha_program);
-    } else {
-      device->UseProgram(&kill_program);
-    }
-    GPUDB_RETURN_NOT_OK(device->BeginOcclusionQuery());
-    GPUDB_RETURN_NOT_OK(device->RenderTexturedQuad());
-    GPUDB_ASSIGN_OR_RETURN(uint64_t count, device->EndOcclusionQuery());
-    sum += count * bit_util::PowerOfTwo(i);
-    device->UseProgram(nullptr);
+  for (size_t i = 0; i < counts.size(); ++i) {
+    sum += counts[i] * bit_util::PowerOfTwo(static_cast<int>(i));
   }
   return sum;
 }

@@ -30,8 +30,9 @@ struct AccumulatorOptions {
 /// \brief Routine 4.6 (Accumulator): sums an integer attribute exactly by
 /// counting, for each bit position i, how many values have bit i set
 /// (occlusion query over the TestBit alpha-test pass) and accumulating
-/// count * 2^i. Runs `bit_width` passes; works only on integer data,
-/// as the paper states.
+/// count * 2^i. Records `bit_width` passes, run as one device sweep
+/// (gpu::Device::CountBitPasses); works only on integer data, as the
+/// paper states.
 ///
 /// Returns the exact 64-bit sum.
 [[nodiscard]] Result<uint64_t> Accumulate(gpu::Device* device, gpu::TextureId texture,

@@ -29,15 +29,11 @@ struct ResilienceMetrics {
     return metrics;
   }
 
-  /// `pool.failovers`, bumped on every hop off a device. The pool metrics
-  /// register as a family: DevicePool::Make registers them for a pool it
-  /// builds, the first hop for a pool of one, so a single-device run
-  /// without failovers lists neither.
+  /// `pool.failovers`, bumped on every hop off a device (every
+  /// gpu::DevicePool registers it when built).
   static MetricCounter& Failovers() {
-    static MetricCounter& failovers = []() -> MetricCounter& {
-      MetricsRegistry::Global().gauge("pool.device_state");
-      return MetricsRegistry::Global().counter("pool.failovers");
-    }();
+    static MetricCounter& failovers =
+        MetricsRegistry::Global().counter("pool.failovers");
     return failovers;
   }
 };

@@ -111,6 +111,21 @@ struct Coverage {
     }
   }
 
+  /// Calls rows(rect, y_begin, y_end) for the part of each rect that lies
+  /// in rows [row_begin, row_end) of the rects' concatenated row sequence:
+  /// one band's share of a pass (Device::RunBands).
+  template <typename Rows>
+  void ForBandRows(uint32_t row_begin, uint32_t row_end, Rows&& rows) const {
+    uint32_t skipped = 0;
+    for (const ScissorRect& r : *this) {
+      const uint32_t height = r.y1 - r.y0;
+      const uint32_t lo = std::max(row_begin, skipped);
+      const uint32_t hi = std::min(row_end, skipped + height);
+      if (lo < hi) rows(r, r.y0 + (lo - skipped), r.y0 + (hi - skipped));
+      skipped += height;
+    }
+  }
+
  private:
   void Add(ScissorRect rect, const RenderState& state) {
     if (state.scissor_test_enabled) {
@@ -840,6 +855,41 @@ struct TestBitAlpha {
 };
 
 #if defined(__SSE2__)
+/// Packs four 32-bit lane masks into one sixteen-byte mask; saturating
+/// packs map 0 / -1 lanes onto 0 / -1 bytes exactly.
+__m128i PackMasks(const __m128i* m) {
+  return _mm_packs_epi16(_mm_packs_epi32(m[0], m[1]),
+                         _mm_packs_epi32(m[2], m[3]));
+}
+
+/// The stencil test on sixteen stored bytes as a byte mask -- GL's
+/// (ref & mask) FUNC (stored & mask), from the func's truth table. For the
+/// bit sweep, which stores nothing; ShapeRowKernel keeps the same compare
+/// in plain locals, which its stencil stores cannot alias.
+struct StencilLanes {
+  StencilLanes(const RenderState& rs, const CompareTable& cmp)
+      : ref(Set(rs.stencil_ref & rs.stencil_value_mask)),
+        ref_b(_mm_xor_si128(ref, Set(0x80))),
+        vmask(Set(rs.stencil_value_mask)),
+        lt(Set(-cmp.lt)),
+        eq(Set(-cmp.eq)),
+        gt(Set(-cmp.gt)) {}
+
+  __m128i Pass(__m128i stored) const {
+    // Unsigned byte compares as signed ones on sign-flipped bytes.
+    const __m128i val = _mm_and_si128(stored, vmask);
+    const __m128i val_b = _mm_xor_si128(val, Set(0x80));
+    return _mm_or_si128(
+        _mm_or_si128(_mm_and_si128(_mm_cmpgt_epi8(val_b, ref_b), lt),
+                     _mm_and_si128(_mm_cmpeq_epi8(ref, val), eq)),
+        _mm_and_si128(_mm_cmpgt_epi8(ref_b, val_b), gt));
+  }
+
+  static __m128i Set(int v) { return _mm_set1_epi8(static_cast<char>(v)); }
+
+  __m128i ref, ref_b, vmask, lt, eq, gt;
+};
+
 /// The row kernel: TestFragment's test chain and writes, sixteen
 /// fragments per step over columns [rect.x0, rect.x1) (a multiple of 16
 /// wide) of rows [y_begin, y_end), with the depth from `depth_q_of` and
@@ -926,11 +976,6 @@ void ShapeRowKernel(const PassShape& s, FrameBuffer* fb,
   };
   const bool fail_keeps = keeps(fail_op);
   const bool zfail_keeps = keeps(zfail_op);
-  // Saturating packs map 0 / -1 lanes onto 0 / -1 bytes exactly.
-  const auto pack = [](const __m128i* m) {
-    return _mm_packs_epi16(_mm_packs_epi32(m[0], m[1]),
-                           _mm_packs_epi32(m[2], m[3]));
-  };
   // Byte-mask counts accumulate as two 64-bit lane sums (psadbw), which
   // baseline x86-64 does without a popcount instruction.
   const auto count = [one8](__m128i* acc, __m128i m) {
@@ -969,8 +1014,8 @@ void ShapeRowKernel(const PassShape& s, FrameBuffer* fb,
               dp32[g]);
         }
       }
-      const __m128i alive = pack(alive32);
-      const __m128i dp = pack(dp32);
+      const __m128i alive = PackMasks(alive32);
+      const __m128i dp = PackMasks(dp32);
       __m128i pass = _mm_and_si128(alive, dp);
       if (profile) count(&alive_n, alive);
       if (stencil_test) {
@@ -1097,6 +1142,212 @@ void RunShapeRows(const PassShape& s, FrameBuffer* fb, const ScissorRect& rect,
   }
 }
 
+/// The most bits one sweep tallies: Accumulate's ceiling, and the widest
+/// bit Int32Exact's argument covers.
+constexpr int kMaxSweepBits = 24;
+
+/// A bit sweep resolved once: the texel channel, TestBit pass b's alpha
+/// source for each bit (the float path of a lane that is not int32-exact)
+/// and the stencil test. Bands share it read-only.
+struct BitSweepShape {
+  BitSweepShape(const RenderState& state, const Texture& tex, int channel,
+                int bit_width, bool kill, bool tally_alive)
+      : rs(state),
+        texels(tex.data().data() + channel),
+        stride(static_cast<uint64_t>(tex.channels())),
+        bits(bit_width),
+        stencil_cmp(rs.stencil_func),
+        count_alive(tally_alive && rs.stencil_test_enabled) {
+    const CompareOp func =
+        rs.alpha_test_enabled ? rs.alpha_func : CompareOp::kAlways;
+    for (int b = 0; b < bits; ++b) {
+      // The exact reciprocal of TestBitProgram's exp2f(b + 1), as in
+      // RunShapeRows.
+      bit_alpha[static_cast<size_t>(b)] = TestBitAlpha{
+          texels, stride, 1.0f / std::exp2f(static_cast<float>(b + 1)), kill,
+          func, rs.alpha_ref, CompareTable(func)};
+    }
+  }
+
+  RenderState rs;
+  const float* texels;
+  uint64_t stride;
+  int bits;
+  std::array<TestBitAlpha, kMaxSweepBits> bit_alpha;
+  CompareTable stencil_cmp;
+  /// Tally `alive` apart from `passed`: only a profiled pass with the
+  /// stencil test on needs it (with the test off the two are equal).
+  bool count_alive;
+};
+
+/// One band's tallies, per bit.
+struct BitTally {
+  uint64_t fragments = 0;
+  /// Survived the KILL and the alpha test; counted only with count_alive.
+  std::array<uint64_t, kMaxSweepBits> alive{};
+  /// Of those, survived the stencil test: the occlusion count.
+  std::array<uint64_t, kMaxSweepBits> passed{};
+};
+
+/// Texel i's verdict word: bit b is set when TestBit pass b keeps the
+/// fragment alive. An int32-exact texel's word is int(v) itself; any
+/// other texel takes TestBitAlpha's float path, bit by bit.
+uint32_t BitSweepWord(const BitSweepShape& s, uint64_t i) {
+  int32_t n;
+  if (Int32Exact(s.texels[i * s.stride], &n)) return static_cast<uint32_t>(n);
+  uint32_t word = 0;
+  for (int b = 0; b < s.bits; ++b) {
+    word |= uint32_t{s.bit_alpha[static_cast<size_t>(b)](i).alive} << b;
+  }
+  return word;
+}
+
+#if defined(__SSE2__)
+/// The bit sweep's row kernel: sixteen fragments per step over columns
+/// [rect.x0, rect.x1) (a multiple of 16 wide) of rows [y_begin, y_end).
+/// Each texel and stencil byte is read once. A lane's word comes straight
+/// from cvttps2dq when the texel survives the int32 round trip, else from
+/// BitSweepWord; the words split into byte planes, and bit b's verdicts
+/// (ANDed with the stencil mask for `passed`) add into byte counters that
+/// psadbw flushes into 64-bit sums before they can wrap.
+void BitSweepRowKernel(const BitSweepShape& s, const uint8_t* stencil,
+                       uint32_t width, const ScissorRect& rect,
+                       uint32_t y_begin, uint32_t y_end, BitTally* out) {
+  const float* const texels = s.texels;
+  const uint64_t stride = s.stride;
+  const int planes = (s.bits + 7) / 8;
+  const bool stencil_test = s.rs.stencil_test_enabled;
+  const bool count_alive = s.count_alive;
+  const StencilLanes stencil_lanes(s.rs, s.stencil_cmp);
+  const __m128i zero = _mm_setzero_si128();
+  const __m128i one8 = _mm_set1_epi8(1);
+  const __m128i low_byte = _mm_set1_epi32(0xff);
+  const __m128i all = _mm_set1_epi32(-1);
+  __m128i passed8[kMaxSweepBits];
+  __m128i alive8[kMaxSweepBits];
+  __m128i passed64[kMaxSweepBits];
+  __m128i alive64[kMaxSweepBits];
+  for (int b = 0; b < kMaxSweepBits; ++b) {
+    passed8[b] = alive8[b] = passed64[b] = alive64[b] = zero;
+  }
+  const auto flush = [&] {
+    for (int b = 0; b < planes * 8; ++b) {
+      passed64[b] = _mm_add_epi64(passed64[b], _mm_sad_epu8(passed8[b], zero));
+      passed8[b] = zero;
+      if (!count_alive) continue;
+      alive64[b] = _mm_add_epi64(alive64[b], _mm_sad_epu8(alive8[b], zero));
+      alive8[b] = zero;
+    }
+  };
+  // Bit j of each byte of `v` added into counters[0..7]; srli_epi16
+  // shifts the high byte's bits into the low byte's top, which the
+  // low-bit mask never reaches within eight steps.
+  const auto tally = [one8](__m128i v, __m128i* counters) {
+#pragma GCC unroll 8
+    for (int j = 0; j < 8; ++j) {
+      counters[j] = _mm_add_epi8(counters[j], _mm_and_si128(v, one8));
+      v = _mm_srli_epi16(v, 1);
+    }
+  };
+  int steps = 0;  // since the last flush; a byte counter holds 255
+
+  for (uint32_t y = y_begin; y < y_end; ++y) {
+    uint64_t i = uint64_t{y} * width + rect.x0;
+    for (uint32_t x = rect.x0; x < rect.x1; x += 16, i += 16) {
+      __m128i word[4];
+      __m128i exact[4];
+#pragma GCC unroll 4
+      for (int g = 0; g < 4; ++g) {
+        const float* t = texels + (i + 4 * g) * stride;
+        const __m128 v =
+            _mm_setr_ps(t[0], t[stride], t[2 * stride], t[3 * stride]);
+        word[g] = _mm_cvttps_epi32(v);
+        exact[g] = _mm_castps_si128(_mm_cmpeq_ps(_mm_cvtepi32_ps(word[g]), v));
+      }
+      const int exact_bits = _mm_movemask_epi8(PackMasks(exact));
+      if (exact_bits != 0xffff) {
+        alignas(16) uint32_t lanes[16];
+        for (int g = 0; g < 4; ++g) {
+          _mm_store_si128(reinterpret_cast<__m128i*>(lanes) + g, word[g]);
+        }
+        for (int j = 0; j < 16; ++j) {
+          if (((exact_bits >> j) & 1) == 0) lanes[j] = BitSweepWord(s, i + j);
+        }
+        for (int g = 0; g < 4; ++g) {
+          word[g] = _mm_load_si128(reinterpret_cast<const __m128i*>(lanes) + g);
+        }
+      }
+      const __m128i sel =
+          stencil_test
+              ? stencil_lanes.Pass(_mm_loadu_si128(
+                    reinterpret_cast<const __m128i*>(stencil + i)))
+              : all;
+      for (int k = 0; k < planes; ++k) {
+        const __m128i shift = _mm_cvtsi32_si128(8 * k);
+        __m128i bytes32[4];
+        for (int g = 0; g < 4; ++g) {
+          bytes32[g] = _mm_and_si128(_mm_srl_epi32(word[g], shift), low_byte);
+        }
+        const __m128i plane =
+            _mm_packus_epi16(_mm_packs_epi32(bytes32[0], bytes32[1]),
+                             _mm_packs_epi32(bytes32[2], bytes32[3]));
+        tally(_mm_and_si128(plane, sel), passed8 + 8 * k);
+        if (count_alive) tally(plane, alive8 + 8 * k);
+      }
+      if (++steps == 255) {
+        flush();
+        steps = 0;
+      }
+    }
+  }
+  flush();
+  const auto total = [](__m128i acc) {
+    return static_cast<uint64_t>(_mm_cvtsi128_si64(acc)) +
+           static_cast<uint64_t>(
+               _mm_cvtsi128_si64(_mm_unpackhi_epi64(acc, acc)));
+  };
+  out->fragments += uint64_t{y_end - y_begin} * (rect.x1 - rect.x0);
+  for (int b = 0; b < s.bits; ++b) {
+    out->passed[static_cast<size_t>(b)] += total(passed64[b]);
+    if (count_alive) out->alive[static_cast<size_t>(b)] += total(alive64[b]);
+  }
+}
+#endif  // defined(__SSE2__)
+
+/// Runs rows [y_begin, y_end) of `rect` through the bit sweep: the row
+/// kernel over the sixteen-aligned columns, then one fragment at a time,
+/// with TestFragment's stencil compare, over the rest.
+void BitSweepRows(const BitSweepShape& s, const uint8_t* stencil,
+                  uint32_t width, ScissorRect rect, uint32_t y_begin,
+                  uint32_t y_end, BitTally* out) {
+#if defined(__SSE2__)
+  const uint32_t split = rect.x0 + (rect.x1 - rect.x0) / 16 * 16;
+  if (split > rect.x0) {
+    BitSweepRowKernel(s, stencil, width, {rect.x0, rect.y0, split, rect.y1},
+                      y_begin, y_end, out);
+  }
+  rect.x0 = split;
+#endif
+  const RenderState& rs = s.rs;
+  const auto ref = static_cast<uint8_t>(rs.stencil_ref & rs.stencil_value_mask);
+  for (uint32_t y = y_begin; y < y_end; ++y) {
+    for (uint32_t x = rect.x0; x < rect.x1; ++x) {
+      const uint64_t i = uint64_t{y} * width + x;
+      const uint32_t word = BitSweepWord(s, i);
+      const bool sok =
+          !rs.stencil_test_enabled ||
+          EvalCompare(rs.stencil_func, ref,
+                      static_cast<uint8_t>(stencil[i] & rs.stencil_value_mask));
+      ++out->fragments;
+      for (int b = 0; b < s.bits; ++b) {
+        const uint32_t bit = (word >> b) & 1;
+        if (s.count_alive) out->alive[static_cast<size_t>(b)] += bit;
+        if (sok) out->passed[static_cast<size_t>(b)] += bit;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void Device::ApplyPlaneTrafficModel(PassRecord* pass) const {
@@ -1204,7 +1455,9 @@ Status Device::CheckInterrupt() const {
   return Status::OK();
 }
 
-Status Device::RenderInternal(float quad_depth, bool textured) {
+Result<PassRecord> Device::OpenQuadPass(const FragmentProgram* program,
+                                        bool textured,
+                                        std::array<const Texture*, 4>* units) {
   // Consume the one-shot fused mark up front: if this pass faults before
   // recording, the operator-level retry re-issues the whole fused sequence
   // (re-marking included), so the flag must not leak onto an unrelated
@@ -1215,14 +1468,12 @@ Status Device::RenderInternal(float quad_depth, bool textured) {
   // injector's draw sequence is independent of the worker-thread count.
   GPUDB_RETURN_NOT_OK(CheckInterrupt());
   GPUDB_RETURN_NOT_OK(injector_.OnPass());
-  const FragmentProgram* program = textured ? program_ : nullptr;
-  std::array<const Texture*, 4> units = {nullptr, nullptr, nullptr, nullptr};
   if (textured) {
     for (int u = 0; u < kTextureUnits; ++u) {
       if (bound_units_[u] < 0) continue;
       GPUDB_RETURN_NOT_OK(EnsureResident(bound_units_[u]));
-      units[u] = &textures_[bound_units_[u]].data;
-      if (units[u]->total_texels() < viewport_pixels_) {
+      (*units)[u] = &textures_[bound_units_[u]].data;
+      if ((*units)[u]->total_texels() < viewport_pixels_) {
         return Status::FailedPrecondition(
             "bound texture has fewer texels than the viewport covers");
       }
@@ -1238,6 +1489,63 @@ Status Device::RenderInternal(float quad_depth, bool textured) {
   // One DeepProfiling() read per pass picks the kernel instantiation and
   // which PassRecords carry deep counters; a mid-pass toggle cannot tear.
   pass.profiled = DeepProfiling();
+  return pass;
+}
+
+// Tile decomposition: the pass's rows, concatenated across rects, are split
+// into `bands` contiguous, disjoint horizontal slices. Every pixel belongs to
+// exactly one band and each pass touches each pixel at most once, so
+// framebuffer writes are race-free by construction; per-band counters are
+// reduced in fixed band order afterwards so every reduction (and therefore
+// counters_, the records PassLogScopes see, and occlusion results) is
+// bit-identical to serial execution. Wall-clock band time never enters a
+// PassRecord: counters stay bit-stable across thread counts while timings
+// feed the "gpu.band_ms" histogram and trace counter track.
+template <typename Tile, typename BandFn>
+std::vector<Tile> Device::RunBands(uint32_t rows, const BandFn& band,
+                                   std::vector<double>* band_ms) {
+  const int bands =
+      std::max(1, std::min(worker_threads_, static_cast<int>(rows)));
+  std::vector<Tile> tiles(static_cast<size_t>(bands));
+  if (band_ms != nullptr) band_ms->assign(tiles.size(), 0.0);
+  const auto run_band = [&](int b) {
+    // Per-band deadline check: a band that starts after the deadline
+    // passed does no work. Bands already in their fragment loop finish
+    // normally; the caller's post-reduction check surfaces the error.
+    if (InterruptPending()) return;
+    const auto band_start = band_ms != nullptr
+                                ? std::chrono::steady_clock::now()
+                                : std::chrono::steady_clock::time_point();
+    // Tile accumulators live on the band's stack so the optimizer can keep
+    // them in registers through the fragment loop; copied into the shared
+    // tile vector once at band end.
+    Tile tile;
+    const auto n = uint64_t{rows};
+    const auto k = static_cast<uint64_t>(bands);
+    band(static_cast<uint32_t>(n * static_cast<uint64_t>(b) / k),
+         static_cast<uint32_t>(n * (static_cast<uint64_t>(b) + 1) / k),
+         &tile);
+    if (band_ms != nullptr) {
+      (*band_ms)[static_cast<size_t>(b)] =
+          std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - band_start)
+              .count();
+    }
+    tiles[static_cast<size_t>(b)] = std::move(tile);
+  };
+  if (bands == 1) {
+    run_band(0);
+  } else {
+    EnsurePool()->ParallelFor(bands, run_band, band_ms != nullptr);
+  }
+  return tiles;
+}
+
+Status Device::RenderInternal(float quad_depth, bool textured) {
+  const FragmentProgram* program = textured ? program_ : nullptr;
+  std::array<const Texture*, 4> units = {nullptr, nullptr, nullptr, nullptr};
+  GPUDB_ASSIGN_OR_RETURN(PassRecord pass,
+                         OpenQuadPass(program, textured, &units));
 
   // Each coverage rect is a screen-aligned quad at constant depth, so
   // rasterization takes the span fast path (RasterizeRectRows): the two
@@ -1245,27 +1553,10 @@ Status Device::RenderInternal(float quad_depth, bool textured) {
   // each, with the quad depth passed through bit-exactly, and emitting the
   // runs directly skips three edge-function evaluations per fragment.
   const Coverage coverage(viewport_pixels_, fb_.width(), state_);
-  const uint32_t total_rows = coverage.rows;
-
-  // Tile decomposition: the pass's rows, concatenated across rects, are
-  // split into `bands` contiguous, disjoint horizontal slices. Every pixel
-  // belongs to exactly one band and each pass touches each pixel at most
-  // once, so framebuffer writes are race-free by construction; per-band
-  // PassRecord counters and occlusion counts are reduced in fixed band
-  // order afterwards so every reduction (and therefore counters_, the
-  // records PassLogScopes see, and EndOcclusionQuery results) is
-  // bit-identical to serial execution.
-  // Wall-clock band time rides in the Tile but never enters the PassRecord:
-  // counters stay bit-stable across thread counts while timings feed the
-  // "gpu.band_ms" histogram and trace counter track.
   struct Tile {
     PassRecord pass;
     uint64_t occlusion = 0;
-    double band_ms = 0.0;
   };
-  const int bands =
-      std::max(1, std::min(worker_threads_, static_cast<int>(total_rows)));
-  std::vector<Tile> tiles(static_cast<size_t>(bands));
 
   // Resolve the pass once into its shape for the row kernel; a program
   // with no batched form runs on the per-fragment interpreter instead.
@@ -1277,73 +1568,36 @@ Status Device::RenderInternal(float quad_depth, bool textured) {
   const bool profiled = pass.profiled;
   const PassShape shape(state_, fb_, interpret ? BatchedForm{} : form,
                         units[0], quad_depth, profiled);
-  const auto run_band = [&](int band) {
-    // Per-band deadline check: a band that starts after the deadline
-    // passed does no work. Bands already in their fragment loop finish
-    // normally; the post-reduction check below surfaces the error.
-    if (InterruptPending()) return;
-    const auto band_start = profiled ? std::chrono::steady_clock::now()
-                                     : std::chrono::steady_clock::time_point();
-    // Tile accumulators live on the band's stack so the optimizer can keep
-    // them in registers through the fragment loop; copied into the shared
-    // tile vector once at band end.
-    Tile tile;
+  const auto band = [&](uint32_t row_begin, uint32_t row_end, Tile* tile) {
     PassContext ctx;
     ctx.units = units;
     ctx.program = program;
-    ctx.pass = &tile.pass;
-    ctx.occlusion = occlusion_active_ ? &tile.occlusion : nullptr;
+    ctx.pass = &tile->pass;
+    ctx.occlusion = occlusion_active_ ? &tile->occlusion : nullptr;
     ctx.profile = profiled;
     KernelOut kernel_out;
-    // Rows [row_begin, row_end) of the concatenated row sequence.
-    const auto nrows = uint64_t{total_rows};
-    const auto row_begin =
-        static_cast<uint32_t>(nrows * static_cast<uint64_t>(band) /
-                              static_cast<uint64_t>(bands));
-    const auto row_end =
-        static_cast<uint32_t>(nrows * (static_cast<uint64_t>(band) + 1) /
-                              static_cast<uint64_t>(bands));
-    uint32_t skipped = 0;
-    // Same name merge: ProcessFragment "calls" the pass-issuing
-    // Session::Execute, so this rect loop looks like an operator pass loop.
-    // It runs inside one band, and InterruptPending is checked per band.
-    // gpulint-allow(R2) per-band rect loop; interrupt checked per band
-    for (const ScissorRect& rect : coverage) {
-      const uint32_t height = rect.y1 - rect.y0;
-      const uint32_t lo = std::max(row_begin, skipped);
-      const uint32_t hi = std::min(row_end, skipped + height);
-      if (lo < hi) {
-        const uint32_t yb = rect.y0 + (lo - skipped);
-        const uint32_t ye = rect.y0 + (hi - skipped);
-        if (interpret) {
-          RasterizeRectRows(rect, quad_depth, yb, ye,
-                            [this, &ctx](const RasterFragment& frag) {
-                              ProcessFragment(frag, &ctx);
-                            });
-        } else {
-          RunShapeRows(shape, &fb_, rect, yb, ye, &kernel_out,
-                       [this, &ctx](uint64_t i, uint32_t q, AlphaVerdict a) {
-                         TestFragment(i, q, a.alive, {0, 0, 0, a.alpha}, &ctx);
-                       });
-        }
-      }
-      skipped += height;
-    }
-    kernel_out.FoldInto(state_.stencil_test_enabled, profiled, &tile.pass,
+    coverage.ForBandRows(
+        row_begin, row_end,
+        [&](const ScissorRect& rect, uint32_t yb, uint32_t ye) {
+          if (interpret) {
+            RasterizeRectRows(rect, quad_depth, yb, ye,
+                              [this, &ctx](const RasterFragment& frag) {
+                                ProcessFragment(frag, &ctx);
+                              });
+          } else {
+            RunShapeRows(shape, &fb_, rect, yb, ye, &kernel_out,
+                         [this, &ctx](uint64_t i, uint32_t q, AlphaVerdict a) {
+                           TestFragment(i, q, a.alive, {0, 0, 0, a.alpha},
+                                        &ctx);
+                         });
+          }
+        });
+    kernel_out.FoldInto(state_.stencil_test_enabled, profiled, &tile->pass,
                         ctx.occlusion);
-    if (profiled) {
-      tile.band_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - band_start)
-                         .count();
-    }
-    tiles[static_cast<size_t>(band)] = std::move(tile);
   };
-
-  if (bands == 1) {
-    run_band(0);
-  } else {
-    EnsurePool()->ParallelFor(bands, run_band, profiled);
-  }
+  std::vector<double> band_ms;
+  const std::vector<Tile> tiles =
+      RunBands<Tile>(coverage.rows, band, profiled ? &band_ms : nullptr);
 
   // An interrupt that fired mid-pass leaves partially rendered bands; the
   // pass is not recorded and the framebuffer contents are indeterminate
@@ -1361,13 +1615,127 @@ Status Device::RenderInternal(float quad_depth, bool textured) {
   }
   if (profiled) {
     ApplyPlaneTrafficModel(&pass);
-    std::vector<double> band_times;
-    band_times.reserve(tiles.size());
-    for (const Tile& tile : tiles) band_times.push_back(tile.band_ms);
-    Profiler::Global().RecordBandTimings(band_times);
+    Profiler::Global().RecordBandTimings(band_ms);
   }
 
   return FinishPass(std::move(pass));
+}
+
+Result<std::vector<uint64_t>> Device::CountBitPasses(int channel,
+                                                     int bit_width,
+                                                     bool kill) {
+  if (bit_width < 1 || bit_width > kMaxSweepBits) {
+    return Status::InvalidArgument("CountBitPasses: bit_width must be in "
+                                   "[1,24], got " +
+                                   std::to_string(bit_width));
+  }
+  const RenderState& rs = state_;
+  const bool stencil_keeps =
+      !rs.stencil_test_enabled || rs.stencil_write_mask == 0 ||
+      (rs.stencil_fail_op == StencilOp::kKeep &&
+       rs.stencil_zfail_op == StencilOp::kKeep &&
+       rs.stencil_zpass_op == StencilOp::kKeep);
+  const bool bit_test = rs.alpha_test_enabled
+                            ? rs.alpha_func == CompareOp::kGreaterEqual &&
+                                  rs.alpha_ref == 0.5f
+                            : kill;
+  if (rs.color_write_mask || rs.depth_test_enabled ||
+      rs.depth_bounds_test_enabled || !stencil_keeps || !bit_test) {
+    return Status::FailedPrecondition(
+        "CountBitPasses needs write-free TestBit passes: no color write, no "
+        "depth or depth-bounds test, KEEP stencil ops, and the alpha test "
+        "GEQUAL 0.5 (or off, with KILL)");
+  }
+  if (bound_units_[0] >= 0 &&
+      (channel < 0 || channel >= textures_[bound_units_[0]].data.channels())) {
+    return Status::InvalidArgument("CountBitPasses: texture has no channel " +
+                                   std::to_string(channel));
+  }
+
+  // The sweep runs once, after the first pass's issue checks succeed, and
+  // again only if a later pass is profiled where the first was not and
+  // needs the alive tallies.
+  const auto counts_size = static_cast<size_t>(bit_width);
+  BitTally sweep;
+  bool swept = false;
+  bool have_alive = false;
+  std::vector<double> band_ms;
+  const auto run_sweep = [&](const Texture& tex, bool tally_alive,
+                             bool timed) {
+    const BitSweepShape shape(state_, tex, channel, bit_width, kill,
+                              tally_alive);
+    const Coverage coverage(viewport_pixels_, fb_.width(), state_);
+    const uint8_t* const stencil = fb_.stencil_data();
+    const uint32_t width = fb_.width();
+    const auto band = [&](uint32_t row_begin, uint32_t row_end,
+                          BitTally* tally) {
+      coverage.ForBandRows(
+          row_begin, row_end,
+          [&](const ScissorRect& rect, uint32_t yb, uint32_t ye) {
+            BitSweepRows(shape, stencil, width, rect, yb, ye, tally);
+          });
+    };
+    sweep = BitTally();
+    for (const BitTally& tile : RunBands<BitTally>(
+             coverage.rows, band, timed ? &band_ms : nullptr)) {
+      sweep.fragments += tile.fragments;
+      for (size_t b = 0; b < counts_size; ++b) {
+        sweep.alive[b] += tile.alive[b];
+        sweep.passed[b] += tile.passed[b];
+      }
+    }
+    swept = true;
+    have_alive = shape.count_alive;
+  };
+
+  std::vector<uint64_t> counts(counts_size);
+  std::array<const Texture*, 4> units = {nullptr, nullptr, nullptr, nullptr};
+  for (int b = 0; b < bit_width; ++b) {
+    // Accumulate's deadline check between TestBit passes, then the pass as
+    // BeginOcclusionQuery / RenderTexturedQuad / EndOcclusionQuery issue it.
+    GPUDB_RETURN_NOT_OK(CheckInterrupt());
+    GPUDB_RETURN_NOT_OK(BeginOcclusionQuery());
+    if (bound_units_[0] < 0) {
+      return Status::FailedPrecondition(
+          "RenderTexturedQuad requires a bound texture");
+    }
+    const TestBitProgram bit_program(channel, b);
+    const TestBitKillProgram kill_program(channel, b);
+    GPUDB_ASSIGN_OR_RETURN(
+        PassRecord pass,
+        OpenQuadPass(kill ? static_cast<const FragmentProgram*>(&kill_program)
+                          : &bit_program,
+                     /*textured=*/true, &units));
+    const bool need_alive = pass.profiled && rs.stencil_test_enabled;
+    if (!swept || (need_alive && !have_alive)) {
+      run_sweep(*units[0], need_alive, pass.profiled);
+    }
+    // RenderInternal's post-band check: a deadline that passed during the
+    // sweep leaves this pass unrecorded.
+    GPUDB_RETURN_NOT_OK(CheckInterrupt());
+    const auto bit = static_cast<size_t>(b);
+    pass.fragments = sweep.fragments;
+    pass.fragments_passed = sweep.passed[bit];
+    if (pass.profiled) {
+      const uint64_t alive =
+          rs.stencil_test_enabled ? sweep.alive[bit] : sweep.passed[bit];
+      pass.prof.alpha_killed = pass.fragments - alive;
+      if (rs.stencil_test_enabled) {
+        pass.prof.stencil_killed = alive - pass.fragments_passed;
+      }
+      ApplyPlaneTrafficModel(&pass);
+    }
+    // The sweep's band times are recorded once, with the first pass that
+    // follows it.
+    if (!band_ms.empty()) {
+      Profiler::Global().RecordBandTimings(band_ms);
+      band_ms.clear();
+    }
+    occlusion_count_ += pass.fragments_passed;
+    GPUDB_RETURN_NOT_OK(FinishPass(std::move(pass)));
+    GPUDB_ASSIGN_OR_RETURN(counts[bit], EndOcclusionQuery());
+  }
+  return counts;
 }
 
 Status Device::DrawTriangles(const std::vector<Vertex>& vertices) {

@@ -230,6 +230,31 @@ class Device {
   /// latency to the counters.
   [[nodiscard]] Result<uint64_t> EndOcclusionQuery();
 
+  // --- Accumulator bit sweep (DESIGN.md §10) -----------------------------
+
+  /// Routine 4.6's `bit_width` passes (1..24) over channel `channel` of
+  /// the texture on unit 0: for b = 0, 1, ..., what CheckInterrupt, then
+  /// BeginOcclusionQuery / RenderTexturedQuad / EndOcclusionQuery with
+  /// TestBitProgram(channel, b) -- TestBitKillProgram when `kill` --
+  /// installed would do. Returns the occlusion counts, count[b] for bit b.
+  ///
+  /// One band-parallel sweep reads each covered texel and stencil byte
+  /// once and tallies every bit; the passes are then replayed in order
+  /// with their interrupt checks, fault sites, residency, PassRecords and
+  /// readbacks, so a fault or deadline at bit k leaves exactly k passes
+  /// recorded and returns the Status the pass loop would have. Counters,
+  /// records and counts are the pass loop's, bit for bit.
+  ///
+  /// The sweep is valid because these passes write nothing, so the
+  /// render state must say so: no color write, no depth or depth-bounds
+  /// test, stencil ops that keep, and an alpha stage that is the bit test
+  /// (alpha test GEQUAL 0.5, or off with `kill`). Any other state is
+  /// FailedPrecondition; a channel the texture lacks, or a `bit_width`
+  /// outside 1..24, is InvalidArgument.
+  [[nodiscard]] Result<std::vector<uint64_t>> CountBitPasses(int channel,
+                                                             int bit_width,
+                                                             bool kill);
+
   // --- Readback ------------------------------------------------------------
 
   /// Reads the stencil plane back to the CPU (charged as a GPU->CPU
@@ -348,6 +373,25 @@ class Device {
   /// viewport rectangles at constant depth. `textured` selects whether the
   /// fragment program runs with the bound texture.
   [[nodiscard]] Status RenderInternal(float quad_depth, bool textured);
+
+  /// The issue half of a quad pass, shared by RenderInternal and the bit
+  /// sweep's replay: consumes the one-shot fused mark, runs the per-pass
+  /// interrupt check and watchdog fault site, makes every bound unit
+  /// resident for a textured pass (filling `units`), and returns the
+  /// pass's PassRecord header for `program`.
+  [[nodiscard]] Result<PassRecord> OpenQuadPass(
+      const FragmentProgram* program, bool textured,
+      std::array<const Texture*, 4>* units);
+
+  /// Splits `rows` covered rows into contiguous bands, one per worker
+  /// thread (at most one per row), and runs band(row_begin, row_end,
+  /// &tile) for each on the pool, the calling thread working too. Returns
+  /// the tiles in band order, the fixed order every reduction walks. A
+  /// band that starts after an armed deadline has passed leaves its tile
+  /// empty. With `band_ms`, each band's wall time is stored there.
+  template <typename Tile, typename BandFn>
+  std::vector<Tile> RunBands(uint32_t rows, const BandFn& band,
+                             std::vector<double>* band_ms);
 
   /// The per-fragment interpreter: runs one rasterized fragment through
   /// the program, then TestFragment. Serves DrawTriangles and quad passes

@@ -9,9 +9,10 @@ namespace gpu {
 
 namespace {
 
-/// Pool metrics, cached like DeviceMetrics in device.cc. `pool.failovers`
-/// is registered here so a pool's metrics list it from the start; the
-/// dispatch ladder (core/pool_executor) bumps it on every hop.
+/// Pool metrics, cached like DeviceMetrics in device.cc. Every pool, a
+/// borrowed pool of one included, registers both when it is built, so the
+/// registry lists the same rows whatever the fault history; the dispatch
+/// ladder (core/pool_executor) bumps `pool.failovers` on every hop.
 struct PoolMetrics {
   MetricGauge& device_state =
       MetricsRegistry::Global().gauge("pool.device_state");
@@ -77,6 +78,10 @@ std::unique_ptr<DevicePool> DevicePool::Borrow(Device* device) {
   pool->slots_.resize(1);
   pool->slots_[0].device = device;
   pool->slots_[0].exec_mu = std::make_unique<std::mutex>();
+  {
+    MutexLock lock(&pool->mu_);
+    pool->UpdateStateGaugeLocked();
+  }
   return pool;
 }
 
@@ -107,7 +112,6 @@ DeviceHealth DevicePool::HealthLocked(const Slot& slot) const {
 }
 
 void DevicePool::UpdateStateGaugeLocked() {
-  if (slots_.front().owned == nullptr) return;  // borrowed: not the gauge's
   double total = 0.0;
   for (const Slot& slot : slots_) {
     total += static_cast<double>(HealthLocked(slot));

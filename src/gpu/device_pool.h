@@ -78,9 +78,8 @@ class DevicePool {
 
   /// A pool of one over `device`, which stays the caller's and must outlive
   /// the pool: the health gate and lease of the single-device route. The
-  /// device keeps its own fault configuration and worker threads, and the
-  /// pool leaves the `pool.device_state` gauge to the pools that own their
-  /// devices.
+  /// device keeps its own fault configuration and worker threads; the
+  /// pool's health sets the `pool.device_state` gauge as any pool's does.
   [[nodiscard]] static std::unique_ptr<DevicePool> Borrow(Device* device);
 
   DevicePool(const DevicePool&) = delete;

@@ -187,6 +187,21 @@ inline float FloorF32(float x) {
   return small && x != 0.0f ? f : x;
 }
 
+/// The bit sweep's lane rule (Device::CountBitPasses): true, with `*n` =
+/// int(v), when v survives the int32 round trip -- the scalar form of
+/// cvttps2dq then cvtdq2ps comparing equal to v. For such a v and any
+/// bit b <= 23, TestBit's frac(v / 2^(b+1)) is exactly
+/// (n & (2^(b+1) - 1)) / 2^(b+1): the scaling, the floor and the
+/// subtraction are all exact, and the result has at most 24 significant
+/// bits. So its alpha is >= 0.5 exactly when bit b of n is set (two's
+/// complement for negative v). False for fractions, subnormals, NaN, the
+/// infinities and |v| >= 2^31 (bar -2^31 itself, which is exact).
+inline bool Int32Exact(float v, int32_t* n) {
+  if (!(v >= -2147483648.0f && v < 2147483648.0f)) return false;
+  *n = static_cast<int32_t>(v);
+  return static_cast<float>(*n) == v;
+}
+
 /// \brief Ablation variant of TestBit that rejects failing fragments with
 /// KILL inside the program instead of relying on the alpha test. The paper
 /// observes this is slower in practice (Section 4.3.3); the extra

@@ -345,6 +345,164 @@ TEST(FaultSweep, PlannerRewritesMatchClassicPlansUnderFaults) {
 }
 
 // ---------------------------------------------------------------------------
+// Accumulate's bit sweep (Device::CountBitPasses) under faults and
+// deadlines: wherever an injected fault or an expired deadline stops it,
+// the sweep leaves what the Begin/Render/End pass loop it replaced leaves
+// -- the same Status, the same recorded passes, the same counters, the
+// same number of injector draws and the same open occlusion query.
+// ---------------------------------------------------------------------------
+
+struct BitPassOutcome {
+  std::string status;
+  std::vector<uint64_t> counts;
+  std::vector<PassRecord> passes;
+  DeviceCounters counters;
+  uint64_t draws = 0;
+  bool query_left_open = false;
+};
+
+/// Accumulate's pass loop as it stood before the sweep: a deadline check,
+/// then one occlusion-counted TestBit pass per bit.
+Status ReferenceBitPasses(Device* dev, int bits, bool kill,
+                          std::vector<uint64_t>* counts) {
+  for (int b = 0; b < bits; ++b) {
+    GPUDB_RETURN_NOT_OK(dev->CheckInterrupt());
+    const TestBitProgram bit_program(0, b);
+    const TestBitKillProgram kill_program(0, b);
+    dev->UseProgram(kill ? static_cast<const FragmentProgram*>(&kill_program)
+                         : &bit_program);
+    GPUDB_RETURN_NOT_OK(dev->BeginOcclusionQuery());
+    GPUDB_RETURN_NOT_OK(dev->RenderTexturedQuad());
+    GPUDB_ASSIGN_OR_RETURN(uint64_t count, dev->EndOcclusionQuery());
+    counts->push_back(count);
+    dev->UseProgram(nullptr);
+  }
+  return Status::OK();
+}
+
+constexpr int kSumBits = 19;
+
+BitPassOutcome RunBitPasses(uint64_t seed, double rate, int threads,
+                            bool kill, bool profile, bool expired_deadline,
+                            bool sweep) {
+  BitPassOutcome out;
+  Device dev(64, 64);
+  EXPECT_TRUE(dev.SetWorkerThreads(threads).ok());
+  Random rng(seed);
+  std::vector<float> values(3000);
+  for (float& v : values) {
+    v = static_cast<float>(rng.NextUint64(uint64_t{1} << kSumBits));
+  }
+  auto tex = Texture::FromColumns({&values}, 64);
+  EXPECT_TRUE(tex.ok());
+  auto id = dev.UploadTexture(std::move(tex).ValueOrDie());
+  EXPECT_TRUE(id.ok());
+  EXPECT_TRUE(dev.BindTexture(id.ValueOrDie()).ok());
+  EXPECT_TRUE(dev.SetViewport(values.size()).ok());
+  for (uint64_t i = 0; i < values.size(); ++i) {
+    dev.framebuffer().set_stencil(i, static_cast<uint8_t>(rng.NextUint64(2)));
+  }
+  // Accumulate's state over a selection.
+  dev.SetDepthTest(false, CompareOp::kAlways);
+  dev.SetColorWriteMask(false);
+  dev.SetAlphaTest(!kill, CompareOp::kGreaterEqual, 0.5f);
+  dev.SetStencilTest(true, CompareOp::kEqual, 1);
+  dev.SetStencilOp(StencilOp::kKeep, StencilOp::kKeep, StencilOp::kKeep);
+  dev.ConfigureFaults({seed, rate});
+  if (expired_deadline) dev.ArmDeadlineAt(std::chrono::steady_clock::now());
+
+  PassLogScope log(&dev, profile);
+  Status status;
+  if (sweep) {
+    auto counts = dev.CountBitPasses(0, kSumBits, kill);
+    status = counts.status();
+    if (counts.ok()) out.counts = counts.ValueOrDie();
+  } else {
+    status = ReferenceBitPasses(&dev, kSumBits, kill, &out.counts);
+    dev.UseProgram(nullptr);
+    if (!status.ok()) out.counts.clear();
+  }
+  out.status = status.ToString();
+  out.passes = log.records();
+  out.counters = dev.counters();
+  out.draws = dev.fault_injector().draws();
+  dev.DisarmDeadline();
+  out.query_left_open = !dev.BeginOcclusionQuery().ok();
+  return out;
+}
+
+void ExpectSameBitPassOutcome(const BitPassOutcome& sweep,
+                              const BitPassOutcome& ref,
+                              const std::string& what) {
+  EXPECT_EQ(sweep.status, ref.status) << what;
+  EXPECT_EQ(sweep.counts, ref.counts) << what;
+  EXPECT_EQ(sweep.draws, ref.draws) << what;
+  EXPECT_EQ(sweep.query_left_open, ref.query_left_open) << what;
+  bool same_counters = true;
+  DeviceCounters counters = sweep.counters;
+  counters.ZipWith(ref.counters, [&](uint64_t& mine, uint64_t theirs) {
+    same_counters = same_counters && mine == theirs;
+  });
+  EXPECT_TRUE(same_counters) << what;
+  ASSERT_EQ(sweep.passes.size(), ref.passes.size()) << what;
+  for (size_t i = 0; i < sweep.passes.size(); ++i) {
+    const PassRecord& a = sweep.passes[i];
+    const PassRecord& b = ref.passes[i];
+    const std::string at = what + " pass " + std::to_string(i);
+    EXPECT_EQ(a.label, b.label) << at;
+    EXPECT_EQ(a.fragments, b.fragments) << at;
+    EXPECT_EQ(a.fp_instructions, b.fp_instructions) << at;
+    EXPECT_EQ(a.fragments_passed, b.fragments_passed) << at;
+    EXPECT_EQ(a.in_occlusion_query, b.in_occlusion_query) << at;
+    EXPECT_EQ(a.profiled, b.profiled) << at;
+    EXPECT_EQ(a.prof, b.prof) << at;
+  }
+}
+
+TEST(FaultSweep, BitSweepFailsWhereThePassLoopFails) {
+  int pass_faults = 0;
+  int readback_faults = 0;
+  for (uint64_t seed = 1; seed <= 48; ++seed) {
+    const double rate = 0.01 * static_cast<double>(1 + seed % 4);
+    const bool kill = seed % 3 == 0;
+    const bool profile = seed % 2 == 0;
+    const BitPassOutcome ref =
+        RunBitPasses(seed, rate, 1, kill, profile, false, /*sweep=*/false);
+    for (int threads : {1, 4}) {
+      ExpectSameBitPassOutcome(
+          RunBitPasses(seed, rate, threads, kill, profile, false, true), ref,
+          "seed " + std::to_string(seed) + " threads " +
+              std::to_string(threads));
+    }
+    // Count the faults that stopped the loop part-way, after some passes.
+    if (!ref.passes.empty() && ref.passes.size() < kSumBits) {
+      if (ref.status.find("watchdog") != std::string::npos) ++pass_faults;
+      if (ref.status.find("occlusion") != std::string::npos) {
+        ++readback_faults;
+      }
+    }
+  }
+  // The sweep must have been stopped mid-Accumulate at both fault sites.
+  EXPECT_GT(pass_faults, 0);
+  EXPECT_GT(readback_faults, 0);
+}
+
+TEST(FaultSweep, BitSweepHonoursAnExpiredDeadlineLikeThePassLoop) {
+  for (const bool kill : {false, true}) {
+    const BitPassOutcome ref = RunBitPasses(7, 0.0, 1, kill, false, true,
+                                            /*sweep=*/false);
+    EXPECT_NE(ref.status.find("Deadline"), std::string::npos) << ref.status;
+    EXPECT_TRUE(ref.passes.empty());
+    for (int threads : {1, 4}) {
+      ExpectSameBitPassOutcome(
+          RunBitPasses(7, 0.0, threads, kill, false, true, true), ref,
+          "kill " + std::to_string(kill) + " threads " +
+              std::to_string(threads));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Pool soak (DESIGN.md §15): 16 concurrent sessions over one shared catalog,
 // device pool, and admission controller, sweeping 64 fault seeds split
 // across the sessions while a chaos thread hot-unplugs and revives a device.

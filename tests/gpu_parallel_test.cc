@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/metrics.h"
 #include "src/common/profile.h"
 #include "src/core/accumulator.h"
 #include "src/core/compare.h"
@@ -262,6 +263,34 @@ TEST(ParallelDeterminismTest, ProfiledCountersBitIdenticalAcrossThreadCounts) {
   EXPECT_GT(total.occlusion_samples, 0u);
   EXPECT_GT(total.plane_bytes_read, 0u);
   EXPECT_GT(total.plane_bytes_written, 0u);
+}
+
+// Accumulate is one bit sweep (Device::CountBitPasses) at every thread
+// count: its bit_width passes are all recorded, but the pixel engines run
+// once, so a profiled call adds one set of band timings -- one gpu.band_ms
+// sample per band -- where bit_width lone passes would add bit_width sets.
+TEST(ParallelDeterminismTest, AccumulateSweepsOnceAtEveryThreadCount) {
+  const bool was_enabled = Profiler::Global().enabled();
+  Profiler::Global().set_enabled(true);
+  MetricHistogram& band_ms = MetricsRegistry::Global().histogram("gpu.band_ms");
+  const std::vector<uint32_t> ints = RandomInts(kRecords, kBitWidth, 20260809);
+  uint64_t want = 0;
+  for (const uint32_t v : ints) want += v;
+  for (int threads : {1, 2, 4, 8}) {
+    gpu::Device device(100, 100);
+    ASSERT_OK(device.SetWorkerThreads(threads));
+    AttributeBinding attr = UploadIntAttribute(&device, ints);
+    gpu::PassLogScope log(&device);
+    const uint64_t before = band_ms.count();
+    auto sum = Accumulate(&device, attr.texture, attr.channel, kBitWidth);
+    ASSERT_OK(sum.status());
+    EXPECT_EQ(sum.ValueOrDie(), want);
+    EXPECT_EQ(log.records().size(), static_cast<size_t>(kBitWidth));
+    // 3000 records on a 100-wide screen are 30 rows: a band per thread.
+    EXPECT_EQ(band_ms.count() - before, static_cast<uint64_t>(threads))
+        << "threads=" << threads;
+  }
+  Profiler::Global().set_enabled(was_enabled);
 }
 
 /// Fused/cached scenario: the planner-rewritten selections (DESIGN.md §14)
