@@ -255,6 +255,36 @@ void BM_Pass_FusedCompareChain(benchmark::State& state) {
 }
 BENCHMARK(BM_Pass_FusedCompareChain)->Apply(PassRows);
 
+// An attribute-attribute link of the selection chain, `a < b` over a
+// two-channel texture (perfbench's attr_compare shape): color writes off as
+// EvalCnf sets them, stencil EQUAL 1 / zpass INCR around a SemilinearFP
+// pass (Routine 4.2), the selection restored between passes.
+void BM_Pass_Semilinear(benchmark::State& state) {
+  PassBench p(state);
+  gpu::Device& d = p.device;
+  const std::vector<float> a = p.device.ReadTexture(p.attr.texture, 0)
+                                   .ValueOrDie();
+  const std::vector<float> b = p.device.ReadTexture(p.attr.texture, 1)
+                                   .ValueOrDie();
+  const gpu::TextureId pair =
+      d.UploadTexture(gpu::Texture::FromColumns({&a, &b}, p.side).ValueOrDie())
+          .ValueOrDie();
+  const core::SemilinearQuery query =
+      core::SemilinearQuery::AttrCompare(0, gpu::CompareOp::kLess, 1);
+  d.SetColorWriteMask(false);
+  d.SetStencilTest(true, gpu::CompareOp::kEqual, 1);
+  d.SetStencilOp(gpu::StencilOp::kKeep, gpu::StencilOp::kKeep,
+                 gpu::StencilOp::kIncr);
+  for (auto _ : state) {
+    (void)core::SemilinearQuad(&d, pair, query);
+    state.PauseTiming();
+    p.RestoreSelection();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * p.pixels);
+}
+BENCHMARK(BM_Pass_Semilinear)->Apply(PassRows);
+
 void BM_Pass_CopyToDepth(benchmark::State& state) {
   PassBench p(state);
   for (auto _ : state) {

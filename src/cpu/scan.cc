@@ -86,28 +86,6 @@ uint64_t SemilinearScan(const std::vector<const std::vector<float>*>& columns,
   return count;
 }
 
-uint64_t PolynomialScan(const std::vector<const std::vector<float>*>& columns,
-                        const std::array<float, 4>& weights,
-                        const std::array<int, 4>& exponents, gpu::CompareOp op,
-                        float b, std::vector<uint8_t>* out) {
-  const size_t n = columns.empty() ? 0 : columns[0]->size();
-  out->assign(n, 0);
-  uint64_t count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    float poly = 0.0f;
-    for (size_t c = 0; c < columns.size(); ++c) {
-      if (weights[c] == 0.0f) continue;
-      float power = 1.0f;
-      for (int e = 0; e < exponents[c]; ++e) power *= (*columns[c])[i];
-      poly += weights[c] * power;
-    }
-    const uint8_t m = gpu::EvalCompare(op, poly, b) ? 1 : 0;
-    (*out)[i] = m;
-    count += m;
-  }
-  return count;
-}
-
 Result<uint64_t> CnfScan(const db::Table& table, const predicate::Cnf& cnf,
                          std::vector<uint8_t>* out) {
   const size_t n = table.num_rows();

@@ -42,13 +42,6 @@ uint64_t SemilinearScan(const std::vector<const std::vector<float>*>& columns,
                         const std::array<float, 4>& weights, gpu::CompareOp op,
                         float b, std::vector<uint8_t>* out);
 
-/// Polynomial query `sum_c w_c * col_c^e_c op b` (the Section 4.1.2
-/// extension; reference for core::PolynomialSelect).
-uint64_t PolynomialScan(const std::vector<const std::vector<float>*>& columns,
-                        const std::array<float, 4>& weights,
-                        const std::array<int, 4>& exponents, gpu::CompareOp op,
-                        float b, std::vector<uint8_t>* out);
-
 /// Full CNF evaluation over a table; the reference the GPU path is
 /// cross-checked against in every test.
 Result<uint64_t> CnfScan(const db::Table& table, const predicate::Cnf& cnf,

@@ -146,7 +146,12 @@ struct Coverage {
 Device::Device(uint32_t width, uint32_t height, int depth_bits)
     : fb_(width, height, depth_bits),
       viewport_pixels_(uint64_t{width} * height),
-      worker_threads_(ThreadPool::DefaultThreads()) {}
+      worker_threads_(ThreadPool::DefaultThreads()) {
+  // ThreadPool records engine busy time only where a profiled pass ran on
+  // several engines; registering it with every device lists the row at
+  // any thread count, a device that never builds a pool included.
+  MetricsRegistry::Global().histogram("gpu.engine_busy_ms");
+}
 
 Status Device::SetWorkerThreads(int n) {
   if (n < 1) {
@@ -666,15 +671,25 @@ struct CompareTable {
   uint8_t lt, eq, gt, un;
 };
 
+/// One bound unit of a dot-product pass: its texels, its channel count
+/// and the weights of its channels.
+struct DotUnit {
+  const float* texels = nullptr;
+  int channels = 0;
+  std::array<float, 4> weights = {};
+};
+
 /// One quad pass, resolved once from the render state and the bound
 /// program into what its fragments can vary on: the depth source (the
 /// constant quad depth, or CopyToDepth's affine texel fetch), the alpha
-/// source (constant 1.0, or TestBit's fetched bit), the tests as truth
-/// tables (ALWAYS when off), the stencil ops and the write set (read from
-/// `rs` by the kernel). Bands share it read-only.
+/// source (constant 1.0, TestBit's fetched bit, or Semilinear's dot
+/// product and KILL), the tests as truth tables (ALWAYS when off), the
+/// stencil ops and the write set (read from `rs` by the kernel). Bands
+/// share it read-only.
 struct PassShape {
   PassShape(const RenderState& state, const FrameBuffer& fb,
-            const BatchedForm& batched, const Texture* tex0, float quad_depth,
+            const BatchedForm& batched,
+            const std::array<const Texture*, 4>& units, float quad_depth,
             bool profiled)
       : rs(state),
         form(batched),
@@ -687,9 +702,18 @@ struct PassShape {
     if (rs.alpha_test_enabled) alpha_cmp = CompareTable(rs.alpha_func);
     if (rs.depth_test_enabled) depth_cmp = CompareTable(rs.depth_func);
     stencil_cmp = CompareTable(rs.stencil_func);
-    if (form.kind != BatchedForm::Kind::kNone) {
-      texels = tex0->data().data() + form.channel;
-      texel_stride = static_cast<uint64_t>(tex0->channels());
+    if (form.kind == BatchedForm::Kind::kDepthCopy ||
+        form.kind == BatchedForm::Kind::kTestBit) {
+      texels = units[0]->data().data() + form.channel;
+      texel_stride = static_cast<uint64_t>(units[0]->channels());
+    }
+    for (int u = 0; u < form.dot_units; ++u) {
+      const Texture* tex = units[static_cast<size_t>(u)];
+      if (tex == nullptr) continue;
+      DotUnit& d = dot[static_cast<size_t>(dot_count++)];
+      d.texels = tex->data().data();
+      d.channels = tex->channels();
+      std::copy_n(form.weights.begin() + 4 * u, 4, d.weights.begin());
     }
   }
 
@@ -705,6 +729,8 @@ struct PassShape {
   CompareTable stencil_cmp;
   const float* texels = nullptr;  // tex0 data + the program's channel
   uint64_t texel_stride = 0;
+  std::array<DotUnit, 2> dot;  // the dot product's bound units, in order
+  int dot_count = 0;
 };
 
 /// A band's counters from the sixteen-wide lane, folded into its
@@ -734,9 +760,26 @@ struct KernelOut {
 };
 
 struct AlphaVerdict {
-  bool alive;   // survived the KILL and the alpha test
-  float alpha;  // the fragment's output alpha
+  bool alive;                  // survived the KILL and the alpha test
+  std::array<float, 4> color;  // the fragment's output color
 };
+
+#if defined(__SSE2__)
+/// A float lane mask: all ones when `on`, else all zeros.
+__m128 LaneMask(bool on) {
+  return _mm_castsi128_ps(_mm_set1_epi32(on ? -1 : 0));
+}
+
+/// EvalCompare(op, x, r) on four lanes, from op's truth table; a NaN on
+/// either side takes the unordered row.
+__m128 CompareLanes(const CompareTable& cmp, __m128 x, __m128 r) {
+  return _mm_or_ps(
+      _mm_or_ps(_mm_and_ps(_mm_cmplt_ps(x, r), LaneMask(cmp.lt)),
+                _mm_and_ps(_mm_cmpeq_ps(x, r), LaneMask(cmp.eq))),
+      _mm_or_ps(_mm_and_ps(_mm_cmpgt_ps(x, r), LaneMask(cmp.gt)),
+                _mm_and_ps(_mm_cmpunord_ps(x, r), LaneMask(cmp.un))));
+}
+#endif
 
 // The depth and alpha sources, one fragment at a time (operator()) and,
 // for the SSE2 lane, four at a time (Lanes: depth codes as uint32 lanes,
@@ -799,7 +842,9 @@ struct TexelDepth {
 /// Constant alpha source: 1.0, with the alpha test resolved once per pass.
 struct ConstAlpha {
   bool alive;
-  AlphaVerdict operator()(uint64_t /*i*/) const { return {alive, 1.0f}; }
+  AlphaVerdict operator()(uint64_t /*i*/) const {
+    return {alive, {0.0f, 0.0f, 0.0f, 1.0f}};
+  }
 #if defined(__SSE2__)
   __m128i Lanes(uint64_t /*i*/) const { return _mm_set1_epi32(-alive); }
 #endif
@@ -818,7 +863,8 @@ struct TestBitAlpha {
   AlphaVerdict operator()(uint64_t i) const {
     const float scaled = texels[i * stride] * bit_scale;
     const float frac = scaled - FloorF32(scaled);
-    return {(!kill || !(frac < 0.5f)) && EvalCompare(func, frac, ref), frac};
+    return {(!kill || !(frac < 0.5f)) && EvalCompare(func, frac, ref),
+            {0.0f, 0.0f, 0.0f, frac}};
   }
 #if defined(__SSE2__)
   __m128i Lanes(uint64_t i) const {
@@ -838,18 +884,81 @@ struct TestBitAlpha {
         _mm_and_ps(small, _mm_cmpneq_ps(scaled, _mm_setzero_ps()));
     const __m128 frac = _mm_sub_ps(
         scaled, _mm_or_ps(_mm_and_ps(use_f, f), _mm_andnot_ps(use_f, scaled)));
-    const __m128 r = _mm_set1_ps(ref);
-    const auto mask = [](bool on) {
-      return _mm_castsi128_ps(_mm_set1_epi32(on ? -1 : 0));
-    };
-    const __m128 verdict = _mm_or_ps(
-        _mm_or_ps(_mm_and_ps(_mm_cmplt_ps(frac, r), mask(cmp.lt)),
-                  _mm_and_ps(_mm_cmpeq_ps(frac, r), mask(cmp.eq))),
-        _mm_or_ps(_mm_and_ps(_mm_cmpgt_ps(frac, r), mask(cmp.gt)),
-                  _mm_and_ps(_mm_cmpunord_ps(frac, r), mask(cmp.un))));
-    const __m128 kept =
-        _mm_or_ps(_mm_cmpnlt_ps(frac, _mm_set1_ps(0.5f)), mask(!kill));
-    return _mm_castps_si128(_mm_and_ps(kept, verdict));
+    const __m128 kept = _mm_or_ps(_mm_cmpnlt_ps(frac, _mm_set1_ps(0.5f)),
+                                  LaneMask(!kill));
+    return _mm_castps_si128(
+        _mm_and_ps(kept, CompareLanes(cmp, frac, _mm_set1_ps(ref))));
+  }
+#endif
+};
+
+/// Dot-product alpha source: SemilinearProgram::Execute and
+/// WideSemilinearProgram::Execute. In float32 from 0.0f, dot += w * texel
+/// over every channel of each bound unit in order, zero weights included
+/// (0 * inf is NaN) and each product rounded before its add; then the KILL
+/// where `dot op b` fails. Survivors' alpha is 1.0, so the alpha test is
+/// the pass constant `alive`.
+struct DotAlpha {
+  std::array<DotUnit, 2> units;
+  int count;
+  CompareOp op;
+  float b;
+  CompareTable cmp;
+  bool alive;
+  AlphaVerdict operator()(uint64_t i) const {
+    float dot = 0.0f;
+    for (int u = 0; u < count; ++u) {
+      const DotUnit& d = units[static_cast<size_t>(u)];
+      const float* t = d.texels + i * static_cast<uint64_t>(d.channels);
+      for (int c = 0; c < d.channels; ++c) {
+        dot += d.weights[static_cast<size_t>(c)] * t[c];
+      }
+    }
+    return {alive && EvalCompare(op, dot, b), {dot, 0.0f, 0.0f, 1.0f}};
+  }
+#if defined(__SSE2__)
+  __m128i Lanes(uint64_t i) const {
+    __m128 dot = _mm_setzero_ps();
+    for (int u = 0; u < count; ++u) {
+      const DotUnit& d = units[static_cast<size_t>(u)];
+      __m128 ch[4];
+      LoadChannels(d.texels + i * static_cast<uint64_t>(d.channels),
+                   d.channels, ch);
+      for (int c = 0; c < d.channels; ++c) {
+        dot = _mm_add_ps(
+            dot, _mm_mul_ps(_mm_set1_ps(d.weights[static_cast<size_t>(c)]),
+                            ch[c]));
+      }
+    }
+    return _mm_castps_si128(
+        _mm_and_ps(LaneMask(alive), CompareLanes(cmp, dot, _mm_set1_ps(b))));
+  }
+
+  /// Texels t[0..3] of a `channels`-channel texture, de-interleaved into
+  /// one vector per channel.
+  static void LoadChannels(const float* t, int channels, __m128* ch) {
+    switch (channels) {
+      case 1:
+        ch[0] = _mm_loadu_ps(t);
+        return;
+      case 2: {
+        const __m128 lo = _mm_loadu_ps(t);
+        const __m128 hi = _mm_loadu_ps(t + 4);
+        ch[0] = _mm_shuffle_ps(lo, hi, _MM_SHUFFLE(2, 0, 2, 0));
+        ch[1] = _mm_shuffle_ps(lo, hi, _MM_SHUFFLE(3, 1, 3, 1));
+        return;
+      }
+      case 4:
+        for (int c = 0; c < 4; ++c) ch[c] = _mm_loadu_ps(t + 4 * c);
+        _MM_TRANSPOSE4_PS(ch[0], ch[1], ch[2], ch[3]);
+        return;
+      default:
+        for (int c = 0; c < channels; ++c) {
+          ch[c] = _mm_setr_ps(t[c], t[channels + c], t[2 * channels + c],
+                              t[3 * channels + c]);
+        }
+        return;
+    }
   }
 #endif
 };
@@ -1062,8 +1171,8 @@ void ShapeRowKernel(const PassShape& s, FrameBuffer* fb,
       }
       for (int j = 0; write_color && j < 16; ++j) {
         if (((pass_bits >> j) & 1) == 0) continue;
-        const float rgba[4] = {0.0f, 0.0f, 0.0f, alpha_of(i + j).alpha};
-        std::copy(rgba, rgba + 4, color + (i + j) * 4);
+        const std::array<float, 4> rgba = alpha_of(i + j).color;
+        std::copy(rgba.begin(), rgba.end(), color + (i + j) * 4);
       }
     }
   }
@@ -1107,9 +1216,10 @@ void RunSourceRows(const PassShape& s, FrameBuffer* fb, ScissorRect rect,
   }
 }
 
-/// Runs rows [y_begin, y_end) of `rect` for a resolved pass shape.
+/// Runs rows [y_begin, y_end) of `rect` for a resolved pass shape. Forced
+/// inline into the band: out of line, the call costs a small pass ~5%.
 template <typename TestFn>
-void RunShapeRows(const PassShape& s, FrameBuffer* fb, const ScissorRect& rect,
+GPUDB_ALWAYS_INLINE void RunShapeRows(const PassShape& s, FrameBuffer* fb, const ScissorRect& rect,
                   uint32_t y_begin, uint32_t y_end, KernelOut* out,
                   TestFn test) {
   const ConstDepth quad_depth{s.quad_depth_q};
@@ -1138,6 +1248,12 @@ void RunShapeRows(const PassShape& s, FrameBuffer* fb, const ScissorRect& rect,
                                                : CompareOp::kAlways,
                        s.rs.alpha_ref, s.alpha_cmp},
           out, test);
+      break;
+    case BatchedForm::Kind::kDot:
+      RunSourceRows(s, fb, rect, y_begin, y_end, quad_depth,
+                    DotAlpha{s.dot, s.dot_count, s.form.op, s.form.b,
+                             CompareTable(s.form.op), s.const_alive},
+                    out, test);
       break;
   }
 }
@@ -1566,8 +1682,8 @@ Status Device::RenderInternal(float quad_depth, bool textured) {
                          (form.kind == BatchedForm::Kind::kNone ||
                           units[0] == nullptr);
   const bool profiled = pass.profiled;
-  const PassShape shape(state_, fb_, interpret ? BatchedForm{} : form,
-                        units[0], quad_depth, profiled);
+  const PassShape shape(state_, fb_, interpret ? BatchedForm{} : form, units,
+                        quad_depth, profiled);
   const auto band = [&](uint32_t row_begin, uint32_t row_end, Tile* tile) {
     PassContext ctx;
     ctx.units = units;
@@ -1587,8 +1703,7 @@ Status Device::RenderInternal(float quad_depth, bool textured) {
           } else {
             RunShapeRows(shape, &fb_, rect, yb, ye, &kernel_out,
                          [this, &ctx](uint64_t i, uint32_t q, AlphaVerdict a) {
-                           TestFragment(i, q, a.alive, {0, 0, 0, a.alpha},
-                                        &ctx);
+                           TestFragment(i, q, a.alive, a.color, &ctx);
                          });
           }
         });

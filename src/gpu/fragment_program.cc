@@ -38,6 +38,16 @@ void SemilinearProgram::Execute(const FragmentInput& in,
   out->color = {dot, 0.0f, 0.0f, 1.0f};
 }
 
+BatchedForm SemilinearProgram::batched_form() const {
+  BatchedForm form;
+  form.kind = BatchedForm::Kind::kDot;
+  form.dot_units = 1;
+  std::copy(weights_.begin(), weights_.end(), form.weights.begin());
+  form.op = op_;
+  form.b = b_;
+  return form;
+}
+
 void TestBitProgram::Execute(const FragmentInput& in,
                              FragmentOutput* out) const {
   const float v = in.tex0->At(in.texel_index, channel_);
@@ -86,37 +96,14 @@ void WideSemilinearProgram::Execute(const FragmentInput& in,
   out->color = {dot, 0.0f, 0.0f, 1.0f};
 }
 
-PolynomialProgram::PolynomialProgram(const std::array<float, 4>& weights,
-                                     const std::array<int, 4>& exponents,
-                                     CompareOp op, float b)
-    : weights_(weights), exponents_(exponents), op_(op), b_(b) {
-  // Fetch + final compare/KILL, plus per active term: the MULs for the
-  // power expansion and one MAD to accumulate.
-  instruction_count_ = 2;
-  for (int c = 0; c < 4; ++c) {
-    if (weights_[c] != 0.0f) {
-      instruction_count_ += 1 + std::max(0, exponents_[c] - 1);
-    }
-  }
-}
-
-void PolynomialProgram::Execute(const FragmentInput& in,
-                                FragmentOutput* out) const {
-  const Texture& tex = *in.tex0;
-  float poly = 0.0f;
-  for (int c = 0; c < tex.channels(); ++c) {
-    if (weights_[c] == 0.0f) continue;
-    float power = 1.0f;
-    for (int e = 0; e < exponents_[c]; ++e) {
-      power *= tex.At(in.texel_index, c);
-    }
-    poly += weights_[c] * power;
-  }
-  if (!EvalCompare(op_, poly, b_)) {
-    out->discarded = true;
-    return;
-  }
-  out->color = {poly, 0.0f, 0.0f, 1.0f};
+BatchedForm WideSemilinearProgram::batched_form() const {
+  BatchedForm form;
+  form.kind = BatchedForm::Kind::kDot;
+  form.dot_units = 2;
+  form.weights = weights_;
+  form.op = op_;
+  form.b = b_;
+  return form;
 }
 
 void BitonicStepProgram::Execute(const FragmentInput& in,

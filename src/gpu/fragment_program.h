@@ -46,6 +46,7 @@ struct BatchedForm {
     kNone,       ///< No batched form: the device interprets Execute.
     kDepthCopy,  ///< depth = (tex0[channel] - offset) * scale, in double.
     kTestBit,    ///< alpha = frac(tex0[channel] / 2^(bit+1)), in float32.
+    kDot,        ///< KILL unless dot(weights, texels) op b, in float32.
   };
   Kind kind = Kind::kNone;
   int channel = 0;
@@ -53,6 +54,13 @@ struct BatchedForm {
   double offset = 0.0;  ///< kDepthCopy
   int bit = 0;          ///< kTestBit
   bool kill = false;    ///< kTestBit: KILL fragments whose alpha is < 0.5.
+  /// kDot: the dot product reads units [0, dot_units), skipping an unbound
+  /// one, and every channel of each; weights[4 * u + c] weights unit u's
+  /// channel c. Survivors output color {dot, 0, 0, 1}.
+  int dot_units = 0;
+  std::array<float, 8> weights = {};
+  CompareOp op = CompareOp::kAlways;  ///< kDot
+  float b = 0.0f;                     ///< kDot
 };
 
 /// \brief A programmable pixel-processing-engine program (Section 3.1).
@@ -78,7 +86,8 @@ class FragmentProgram {
 
   /// The program's batched form; kNone (the default) keeps the program on
   /// the per-fragment interpreter. A program declaring a form must leave
-  /// the output color at its default apart from the TestBit alpha.
+  /// the output color at its default apart from the TestBit alpha and the
+  /// dot product's red.
   virtual BatchedForm batched_form() const { return {}; }
 };
 
@@ -140,6 +149,7 @@ class SemilinearProgram final : public FragmentProgram {
   // DP4 + compare/KILL sequence: fetch, dot product, set-on-compare, kill.
   int instruction_count() const override { return 4; }
   std::string_view name() const override { return "SemilinearFP"; }
+  BatchedForm batched_form() const override;
 
  private:
   std::array<float, 4> weights_;
@@ -235,36 +245,12 @@ class WideSemilinearProgram final : public FragmentProgram {
   void Execute(const FragmentInput& in, FragmentOutput* out) const override;
   int instruction_count() const override { return 6; }
   std::string_view name() const override { return "WideSemilinearFP"; }
+  BatchedForm batched_form() const override;
 
  private:
   std::array<float, 8> weights_;
   CompareOp op_;
   float b_;
-};
-
-/// \brief PolynomialFP: evaluates sum_c w_c * a_c^e_c and KILLs fragments
-/// failing `poly op b` -- the polynomial-query extension of Semilinear the
-/// paper notes in Section 4.1.2 ("This algorithm can also be extended for
-/// evaluating polynomial queries").
-///
-/// Exponents are small non-negative integers; each power is expanded to
-/// repeated multiplies, as a 2004 fragment program (no loops) would be.
-class PolynomialProgram final : public FragmentProgram {
- public:
-  PolynomialProgram(const std::array<float, 4>& weights,
-                    const std::array<int, 4>& exponents, CompareOp op,
-                    float b);
-
-  void Execute(const FragmentInput& in, FragmentOutput* out) const override;
-  int instruction_count() const override { return instruction_count_; }
-  std::string_view name() const override { return "PolynomialFP"; }
-
- private:
-  std::array<float, 4> weights_;
-  std::array<int, 4> exponents_;
-  CompareOp op_;
-  float b_;
-  int instruction_count_;
 };
 
 /// \brief One step of the bitonic sorting network (Batcher), executed as a

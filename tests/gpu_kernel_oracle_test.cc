@@ -75,11 +75,39 @@ float RandomTexel(Random* rng) {
   }
 }
 
+/// Channel values whose dot products round differently in a different
+/// summation order: each texel shares one large magnitude across both
+/// units, its channels take it or a small fraction with either sign, so
+/// with +-1 weights `big + small - big` cancels to 0 or to `small`
+/// depending on which add comes first.
+void CancellingTexels(Random* rng, std::vector<float>* t0,
+                      std::vector<float>* t1) {
+  for (uint64_t i = 0; i < kPixels; ++i) {
+    const float big = static_cast<float>(1 + rng->NextUint64(1 << 20)) * 1024;
+    const float small = static_cast<float>(rng->NextDouble() * 8.0 - 4.0);
+    for (std::vector<float>* t : {t0, t1}) {
+      for (uint64_t c = 0; c < 4; ++c) {
+        const float picks[] = {big, -big, small, -small, RandomTexel(rng)};
+        (*t)[i * 4 + c] = picks[rng->NextUint64(5)];
+      }
+    }
+  }
+}
+
 /// One random pass: render state, program, viewport and query setup.
 struct PassCase {
-  enum class Program { kNone, kTestBit, kTestBitKill, kCopyToDepth, kFused };
+  enum class Program {
+    kNone,
+    kTestBit,
+    kTestBitKill,
+    kCopyToDepth,
+    kFused,
+    kSemilinear,
+    kWideSemilinear,
+  };
   Program program = Program::kNone;
   int channels = 4;  // of the bound texture
+  int channels1 = 0;  // of a texture on unit 1; 0 leaves the unit unbound
   int channel = 0;
   int bit = 0;
   int depth_bits = kDepthBits;
@@ -93,11 +121,19 @@ struct PassCase {
   RenderState state;
   float bounds_min = 0.0f;
   float bounds_max = 1.0f;
+  // Semilinear: weights[0..3] for unit 0's channels, [4..7] for unit 1's.
+  std::array<float, 8> weights = {};
+  CompareOp op = CompareOp::kAlways;
+  float b = 0.0f;
 
   std::string Describe() const {
+    std::string w;
+    for (const float x : weights) w += " " + std::to_string(x);
     return "program=" + std::to_string(static_cast<int>(program)) +
            " channel=" + std::to_string(channel) + "/" +
-           std::to_string(channels) +
+           std::to_string(channels) + " unit1=" + std::to_string(channels1) +
+           " weights=" + w + " " + std::string(ToString(op)) + " " +
+           std::to_string(b) +
            " depth_bits=" + std::to_string(depth_bits) +
            " bit=" + std::to_string(bit) +
            " viewport=" + std::to_string(viewport) +
@@ -123,8 +159,20 @@ struct PassCase {
 
 PassCase RandomCase(Random* rng) {
   PassCase c;
-  c.program = static_cast<PassCase::Program>(rng->NextUint64(5));
+  c.program = static_cast<PassCase::Program>(rng->NextUint64(7));
   c.channels = 1 + static_cast<int>(rng->NextUint64(4));
+  c.channels1 = static_cast<int>(rng->NextUint64(5));
+  // Weights of 0, +-1 (the attribute-attribute shape) and arbitrary
+  // values, compared against +0, -0 or an arbitrary b.
+  for (float& w : c.weights) {
+    const float picks[] = {0.0f, 1.0f, -1.0f,
+                           static_cast<float>(rng->NextDouble() * 8.0 - 4.0)};
+    w = picks[rng->NextUint64(4)];
+  }
+  c.op = kOps[rng->NextUint64(8)];
+  const float bs[] = {0.0f, -0.0f,
+                      static_cast<float>(rng->NextDouble() * 64.0 - 32.0)};
+  c.b = bs[rng->NextUint64(3)];
   c.channel = static_cast<int>(rng->NextUint64(c.channels));
   c.depth_bits = rng->NextUint64(4) == 0 ? 16 : kDepthBits;
   c.bit = static_cast<int>(rng->NextUint64(25));
@@ -216,6 +264,13 @@ std::unique_ptr<FragmentProgram> MakeProgram(const PassCase& c) {
     case PassCase::Program::kFused:
       return std::make_unique<FusedCompareProgram>(c.channel, c.scale,
                                                    c.offset);
+    case PassCase::Program::kSemilinear:
+      return std::make_unique<SemilinearProgram>(
+          std::array<float, 4>{c.weights[0], c.weights[1], c.weights[2],
+                               c.weights[3]},
+          c.op, c.b);
+    case PassCase::Program::kWideSemilinear:
+      return std::make_unique<WideSemilinearProgram>(c.weights, c.op, c.b);
   }
   return nullptr;
 }
@@ -248,27 +303,39 @@ struct Outcome {
   uint64_t occlusion = 0;
 };
 
-/// Prepares a device with the case's texture, planes and render state,
-/// draws the pass through the kernels (`through_kernels`) or the
-/// interpreter, and captures the outcome.
+/// Uploads the first `channels` of every four values of `texels` as a
+/// kWidth x kHeight texture.
+TextureId UploadTexels(Device* device, int channels,
+                       const std::vector<float>& texels) {
+  auto tex = Texture::Make(kWidth, kHeight, channels);
+  EXPECT_OK(tex.status());
+  Texture texture = std::move(tex).ValueOrDie();
+  for (uint64_t i = 0; i < kPixels; ++i) {
+    for (int ch = 0; ch < channels; ++ch) {
+      texture.Set(i, ch, texels[i * 4 + ch]);
+    }
+  }
+  auto id = device->UploadTexture(std::move(texture));
+  EXPECT_OK(id.status());
+  return id.ok() ? id.ValueOrDie() : -1;
+}
+
+/// Prepares a device with the case's textures (unit 1's from `texels1`),
+/// planes and render state, draws the pass through the kernels
+/// (`through_kernels`) or the interpreter, and captures the outcome.
 Outcome RunCase(const PassCase& c, const std::vector<float>& texels,
+                const std::vector<float>& texels1,
                 const std::vector<uint32_t>& depth,
                 const std::vector<uint8_t>& stencil,
                 const std::vector<float>& color, bool through_kernels) {
   Outcome out;
   Device device(kWidth, kHeight, c.depth_bits);
   EXPECT_OK(device.SetWorkerThreads(through_kernels ? c.threads : 1));
-  auto tex = Texture::Make(kWidth, kHeight, c.channels);
-  EXPECT_OK(tex.status());
-  Texture texture = std::move(tex).ValueOrDie();
-  for (uint64_t i = 0; i < kPixels; ++i) {
-    for (int ch = 0; ch < c.channels; ++ch) {
-      texture.Set(i, ch, texels[i * 4 + ch]);
-    }
+  EXPECT_OK(device.BindTexture(UploadTexels(&device, c.channels, texels)));
+  if (c.channels1 > 0) {
+    EXPECT_OK(device.BindTextureUnit(
+        1, UploadTexels(&device, c.channels1, texels1)));
   }
-  auto id = device.UploadTexture(std::move(texture));
-  EXPECT_OK(id.status());
-  EXPECT_OK(device.BindTexture(id.ValueOrDie()));
   EXPECT_OK(device.SetViewport(c.viewport));
 
   FrameBuffer& fb = device.framebuffer();
@@ -350,6 +417,9 @@ TEST(KernelOracleTest, RandomPassShapesMatchTheInterpreter) {
     const PassCase c = RandomCase(&rng);
     std::vector<float> texels(kPixels * 4);
     for (float& t : texels) t = RandomTexel(&rng);
+    std::vector<float> texels1(kPixels * 4);
+    for (float& t : texels1) t = RandomTexel(&rng);
+    if (rng.NextUint64(2) == 0) CancellingTexels(&rng, &texels, &texels1);
     std::vector<uint32_t> depth(kPixels);
     std::vector<uint8_t> stencil(kPixels);
     std::vector<float> color(kPixels * 4);
@@ -375,8 +445,10 @@ TEST(KernelOracleTest, RandomPassShapesMatchTheInterpreter) {
       stencil[i] = stencils[rng.NextUint64(6)];
     }
     for (float& v : color) v = static_cast<float>(rng.NextDouble());
-    const Outcome kernel = RunCase(c, texels, depth, stencil, color, true);
-    const Outcome oracle = RunCase(c, texels, depth, stencil, color, false);
+    const Outcome kernel =
+        RunCase(c, texels, texels1, depth, stencil, color, true);
+    const Outcome oracle =
+        RunCase(c, texels, texels1, depth, stencil, color, false);
     ExpectSameOutcome(kernel, oracle,
                       "round " + std::to_string(round) + ": " + c.Describe());
     if (HasFailure()) return;  // one diagnosed case beats a thousand

@@ -26,6 +26,7 @@
 #include "src/core/pool_executor.h"
 #include "src/core/range.h"
 #include "src/core/resilience.h"
+#include "src/core/semilinear.h"
 #include "src/db/datagen.h"
 #include "src/db/table.h"
 #include "src/gpu/device.h"
@@ -361,6 +362,77 @@ TEST(ParallelDeterminismTest, FusedAndCachedPlansBitIdenticalAcrossThreads) {
   for (int threads : {2, 4, 8}) {
     ExpectBitIdentical(serial, RunPlannedScenario(threads, ints),
                        "planned, threads=" + std::to_string(threads));
+  }
+}
+
+/// Attribute-attribute scenario: a CNF chain whose clauses mix `a < b`
+/// and `b >= a` (Semilinear passes over a two-channel texture) with depth
+/// compares on `a`, then the wide program over both textures with color
+/// writes on, so the survivors' dot products land in the color plane.
+Snapshot RunAttrCompareScenario(int threads, const std::vector<uint32_t>& a,
+                                const std::vector<uint32_t>& b) {
+  Snapshot snap;
+  gpu::Device device(100, 100);
+  EXPECT_OK(device.SetWorkerThreads(threads));
+  gpu::PassLogScope log(&device);
+  AttributeBinding attr = UploadIntAttribute(&device, a);
+  const std::vector<float> fa = testing_util::ToFloats(a);
+  const std::vector<float> fb = testing_util::ToFloats(b);
+  auto tex = gpu::Texture::FromColumns({&fa, &fb}, 100);
+  EXPECT_OK(tex.status());
+  auto pair = device.UploadTexture(std::move(tex).ValueOrDie());
+  EXPECT_OK(pair.status());
+  const auto domain = static_cast<double>(uint64_t{1} << kBitWidth);
+
+  const std::vector<GpuClause> clauses = {
+      {GpuPredicate::Semilinear(
+           pair.ValueOrDie(),
+           SemilinearQuery::AttrCompare(0, CompareOp::kLess, 1)),
+       GpuPredicate::DepthCompare(attr, CompareOp::kGreater, domain * 0.8)},
+      {GpuPredicate::DepthCompare(attr, CompareOp::kNotEqual, 0.0)},
+      {GpuPredicate::Semilinear(
+          pair.ValueOrDie(),
+          SemilinearQuery::AttrCompare(1, CompareOp::kGreaterEqual, 0))},
+  };
+  auto cnf = EvalCnf(&device, clauses);
+  EXPECT_OK(cnf.status());
+  if (cnf.ok()) {
+    snap.results.push_back(cnf.ValueOrDie().count);
+    snap.results.push_back(cnf.ValueOrDie().valid_value);
+  }
+
+  device.SetColorWriteMask(true);
+  auto wide = SemilinearSelectWide(
+      &device, pair.ValueOrDie(), attr.texture,
+      {1.0f, -0.5f, 0, 0, 0.25f, 0, 0, 0}, CompareOp::kGreater, 0.0f);
+  EXPECT_OK(wide.status());
+  if (wide.ok()) snap.results.push_back(wide.ValueOrDie());
+
+  const gpu::FrameBuffer& fbuf = device.framebuffer();
+  snap.depth = fbuf.depth_plane();
+  snap.stencil = fbuf.stencil_plane();
+  snap.color.reserve(fbuf.pixel_count() * 4);
+  for (uint64_t i = 0; i < fbuf.pixel_count(); ++i) {
+    const float* rgba = fbuf.color(i);
+    snap.color.insert(snap.color.end(), rgba, rgba + 4);
+  }
+  snap.counters = device.counters();
+  snap.passes = log.records();
+  return snap;
+}
+
+TEST(ParallelDeterminismTest, AttrCompareChainBitIdenticalAcrossThreads) {
+  const std::vector<uint32_t> a = RandomInts(kRecords, kBitWidth, 20261020);
+  const std::vector<uint32_t> b = RandomInts(kRecords, kBitWidth, 20261021);
+  const Snapshot serial = RunAttrCompareScenario(1, a, b);
+  ASSERT_EQ(serial.results.size(), 3u);
+  const auto semilinear_passes = std::count_if(
+      serial.passes.begin(), serial.passes.end(),
+      [](const gpu::PassRecord& p) { return p.label == "SemilinearFP"; });
+  EXPECT_EQ(semilinear_passes, 2);
+  for (int threads : {2, 4, 8}) {
+    ExpectBitIdentical(serial, RunAttrCompareScenario(threads, a, b),
+                       "attr compare, threads=" + std::to_string(threads));
   }
 }
 
