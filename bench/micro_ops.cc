@@ -14,6 +14,7 @@
 #include "src/core/count.h"
 #include "src/core/executor.h"
 #include "src/core/kth_largest.h"
+#include "src/core/pool_executor.h"
 #include "src/core/range.h"
 #include "src/core/semilinear.h"
 #include "src/cpu/aggregate.h"
@@ -21,7 +22,9 @@
 #include "src/cpu/scan.h"
 #include "src/common/random.h"
 #include "src/db/datagen.h"
+#include "src/db/sharding.h"
 #include "src/gpu/device.h"
+#include "src/gpu/device_pool.h"
 #include "src/gpu/fragment_program.h"
 #include "src/predicate/expr.h"
 
@@ -351,6 +354,72 @@ void BM_ViewportCount(benchmark::State& state) {
                           static_cast<int64_t>(table->num_rows()));
 }
 BENCHMARK(BM_ViewportCount)->Arg(256)->Arg(1000)->Unit(benchmark::kMicrosecond);
+
+// --- One pooled statement at a time ----------------------------------------
+//
+// perfbench pool_contended's shape: 262,144 rows in 4 shards over a 2-device
+// pool of 1000x1000 frames with one pixel-engine worker each, but a single
+// client. Each device runs its two shards while the other runs its own, so
+// a statement costs about two shards' time, not four.
+struct PoolBench {
+  PoolBench()
+      : table(db::MakeTcpIpTable(262'144).ValueOrDie()),
+        sharded(db::ShardedTable::Make(table, 4, 2).ValueOrDie()) {
+    gpu::DevicePoolOptions options;
+    options.devices = 2;
+    options.width = options.height = 1000;
+    options.worker_threads = 1;
+    pool = gpu::DevicePool::Make(options).ValueOrDie();
+    exec = core::PoolExecutor::Make(pool.get(), &sharded).ValueOrDie();
+  }
+
+  /// The value of column `col` at quantile `q`.
+  float Quantile(size_t col, double q) const {
+    std::vector<float> values = table.column(col).values();
+    const size_t at = static_cast<size_t>(q * (values.size() - 1));
+    std::nth_element(values.begin(), values.begin() + at, values.end());
+    return values[at];
+  }
+
+  db::Table table;
+  db::ShardedTable sharded;
+  std::unique_ptr<gpu::DevicePool> pool;
+  std::unique_ptr<core::PoolExecutor> exec;
+};
+
+PoolBench& Pool() {
+  static PoolBench* bench = new PoolBench();
+  return *bench;
+}
+
+// SELECT COUNT(*) WHERE data_count > its median (count_1pred).
+void BM_Pool_Count(benchmark::State& state) {
+  PoolBench& p = Pool();
+  const predicate::ExprPtr where = predicate::Expr::Pred(
+      0, gpu::CompareOp::kGreater, p.Quantile(0, 0.5));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(p.exec->Count(where).ValueOrDie());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(p.table.num_rows()));
+}
+BENCHMARK(BM_Pool_Count)->Unit(benchmark::kMicrosecond);
+
+// SELECT MAX(data_count) WHERE flow_rate BETWEEN its 40th and 50th
+// percentiles (max_between).
+void BM_Pool_MaxBetween(benchmark::State& state) {
+  PoolBench& p = Pool();
+  const predicate::ExprPtr where = predicate::Expr::Between(
+      2, p.Quantile(2, 0.4), p.Quantile(2, 0.5));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        p.exec->Aggregate(core::AggregateKind::kMax, "data_count", where)
+            .ValueOrDie());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(p.table.num_rows()));
+}
+BENCHMARK(BM_Pool_MaxBetween)->Unit(benchmark::kMicrosecond);
 
 void BM_CpuStdSort(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));

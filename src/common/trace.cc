@@ -197,6 +197,31 @@ TraceCapture::~TraceCapture() {
   if (outer_->enabled()) outer_->Append(tracer_);
 }
 
+TraceContext TraceContext::Current() {
+  const std::vector<uint64_t>& stack = ThreadSpanStack();
+  return {&Tracer::Current(), stack.empty() ? 0 : stack.back()};
+}
+
+TraceAdoption::TraceAdoption(const TraceContext& context)
+    : saved_(current_tracer), parent_id_(context.parent_id) {
+  current_tracer =
+      context.tracer == &Tracer::Global() ? nullptr : context.tracer;
+  if (parent_id_ != 0) ThreadSpanStack().push_back(parent_id_);
+}
+
+TraceAdoption::~TraceAdoption() {
+  if (parent_id_ != 0) {
+    std::vector<uint64_t>& stack = ThreadSpanStack();
+    for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
+      if (*it == parent_id_) {
+        stack.erase(std::next(it).base());
+        break;
+      }
+    }
+  }
+  current_tracer = saved_;
+}
+
 void TraceSpan::AddTag(std::string_view key, std::string_view value) {
   if (!active()) return;
   TraceTag tag;

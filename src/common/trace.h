@@ -180,6 +180,36 @@ class TraceSpan {
   std::vector<TraceTag> tags_;
 };
 
+/// \brief Where a thread's spans go: its Tracer::Current() and its innermost
+/// open span. Both live in thread-local state, so a helper thread that runs
+/// part of another thread's work captures the caller's context there and
+/// adopts it (TraceAdoption) for the work's duration.
+struct TraceContext {
+  Tracer* tracer = nullptr;
+  uint64_t parent_id = 0;  ///< 0 = no open span.
+
+  /// The calling thread's context.
+  static TraceContext Current();
+};
+
+/// \brief Lends this thread another thread's TraceContext for the scope's
+/// lifetime: Tracer::Current() is the context's tracer, and spans opened
+/// here name the context's span as their parent. Restores this thread's
+/// own context on close. The lending thread's span must stay open until
+/// the adoption closes.
+class TraceAdoption {
+ public:
+  explicit TraceAdoption(const TraceContext& context);
+  ~TraceAdoption();
+
+  TraceAdoption(const TraceAdoption&) = delete;
+  TraceAdoption& operator=(const TraceAdoption&) = delete;
+
+ private:
+  Tracer* saved_;       ///< This thread's capture tracer before (null = none).
+  uint64_t parent_id_;  ///< The span pushed onto this thread's stack, or 0.
+};
+
 /// \brief Statement-scoped trace capture (EXPLAIN ANALYZE).
 ///
 /// While open, Tracer::Current() on the opening thread is the capture's own
@@ -187,7 +217,9 @@ class TraceSpan {
 /// spans never mix in, and everything is freed with the capture. On close,
 /// the capture is appended to the tracer that was current before if that
 /// one is enabled (sql_shell --trace, an enclosing capture), so its trace
-/// stays complete. A capture belongs to the thread that opened it.
+/// stays complete. A capture belongs to the thread that opened it; a
+/// helper thread records into it only while it adopts that thread's
+/// TraceContext (TraceAdoption), which must end before the capture closes.
 class TraceCapture {
  public:
   TraceCapture();

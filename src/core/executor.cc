@@ -71,16 +71,16 @@ Result<AttributeBinding> Executor::BindingFor(size_t column_index) {
   return binding;
 }
 
-Result<gpu::TextureId> Executor::PairTexture(size_t a, size_t b) {
-  const auto key = std::make_pair(a, b);
-  auto it = pair_textures_.find(key);
-  if (it != pair_textures_.end()) return it->second;
+Result<gpu::TextureId> Executor::PackedTexture(
+    const std::vector<size_t>& columns) {
+  auto it = packed_textures_.find(columns);
+  if (it != packed_textures_.end()) return it->second;
   const uint32_t width = static_cast<uint32_t>(
       std::min<uint64_t>(table_->num_rows(), db::kDefaultTextureWidth));
-  GPUDB_ASSIGN_OR_RETURN(gpu::Texture tex, table_->ToTexture({a, b}, width));
+  GPUDB_ASSIGN_OR_RETURN(gpu::Texture tex, table_->ToTexture(columns, width));
   GPUDB_ASSIGN_OR_RETURN(gpu::TextureId id,
                          device_->UploadTexture(std::move(tex)));
-  pair_textures_.emplace(key, id);
+  packed_textures_.emplace(columns, id);
   return id;
 }
 
@@ -96,7 +96,7 @@ Result<std::vector<GpuClause>> Executor::Lower(
         // a_i op a_j  ->  a_i - a_j op 0 as a semi-linear query (Section
         // 4.1.2) over a two-channel texture.
         GPUDB_ASSIGN_OR_RETURN(gpu::TextureId tex,
-                               PairTexture(p.attr, p.rhs_attr));
+                               PackedTexture({p.attr, p.rhs_attr}));
         lowered.push_back(GpuPredicate::Semilinear(
             tex, SemilinearQuery::AttrCompare(0, p.op, 1)));
       } else {
@@ -383,9 +383,6 @@ Result<uint64_t> Executor::SemilinearCount(
     GPUDB_ASSIGN_OR_RETURN(size_t col, table_->ColumnIndex(name));
     cols.push_back(col);
   }
-  const uint32_t width = static_cast<uint32_t>(
-      std::min<uint64_t>(table_->num_rows(), db::kDefaultTextureWidth));
-
   if (weighted_columns.size() <= static_cast<size_t>(gpu::kMaxChannels)) {
     SemilinearQuery query;
     query.op = op;
@@ -393,9 +390,7 @@ Result<uint64_t> Executor::SemilinearCount(
     for (size_t i = 0; i < weighted_columns.size(); ++i) {
       query.weights[i] = weighted_columns[i].second;
     }
-    GPUDB_ASSIGN_OR_RETURN(gpu::Texture tex, table_->ToTexture(cols, width));
-    GPUDB_ASSIGN_OR_RETURN(gpu::TextureId id,
-                           device_->UploadTexture(std::move(tex)));
+    GPUDB_ASSIGN_OR_RETURN(gpu::TextureId id, PackedTexture(cols));
     return SemilinearSelect(device_, id, query);
   }
 
@@ -406,12 +401,8 @@ Result<uint64_t> Executor::SemilinearCount(
   for (size_t i = 0; i < weighted_columns.size(); ++i) {
     weights[i] = weighted_columns[i].second;
   }
-  GPUDB_ASSIGN_OR_RETURN(gpu::Texture tex_a, table_->ToTexture(first, width));
-  GPUDB_ASSIGN_OR_RETURN(gpu::Texture tex_b, table_->ToTexture(second, width));
-  GPUDB_ASSIGN_OR_RETURN(gpu::TextureId id_a,
-                         device_->UploadTexture(std::move(tex_a)));
-  GPUDB_ASSIGN_OR_RETURN(gpu::TextureId id_b,
-                         device_->UploadTexture(std::move(tex_b)));
+  GPUDB_ASSIGN_OR_RETURN(gpu::TextureId id_a, PackedTexture(first));
+  GPUDB_ASSIGN_OR_RETURN(gpu::TextureId id_b, PackedTexture(second));
   return SemilinearSelectWide(device_, id_a, id_b, weights, op, b);
 }
 

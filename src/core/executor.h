@@ -38,8 +38,9 @@ struct PlanOptions {
 ///
 /// The executor owns the table's GPU residency: each referenced column is
 /// uploaded once as a single-channel texture (lazily, cached), and each
-/// attribute pair referenced by an attribute-attribute predicate gets a
-/// two-channel texture for the semi-linear rewrite. It runs the GPU
+/// column list a semi-linear pass reads (an attribute-attribute
+/// predicate's pair, a SemilinearCount's columns) is packed into one
+/// multi-channel texture once. It runs the GPU
 /// operators only: a device fault comes back as a Status. Retry, quarantine
 /// and the CPU tier are core::PoolExecutor's dispatch ladder.
 ///
@@ -167,8 +168,11 @@ class Executor {
                      static_cast<double>(table_->num_rows());
   }
 
-  /// Texture holding the (a, b) column pair in channels 0/1.
-  [[nodiscard]] Result<gpu::TextureId> PairTexture(size_t a, size_t b);
+  /// Texture holding `columns` in channels 0.. in order (at most four),
+  /// packed and uploaded on first use: an attribute pair's for the
+  /// semi-linear rewrite, a SemilinearCount's one or two.
+  [[nodiscard]] Result<gpu::TextureId> PackedTexture(
+      const std::vector<size_t>& columns);
 
   /// Lowers CNF clauses / DNF terms into GPU predicates (the per-predicate
   /// lowering is identical for both normal forms).
@@ -182,7 +186,7 @@ class Executor {
   std::string table_name_;      ///< catalog identity for plane-cache keys
   uint64_t table_version_ = 0;  ///< catalog version at SetTableIdentity time
   std::vector<gpu::TextureId> column_textures_;  // -1 = not uploaded yet
-  std::map<std::pair<size_t, size_t>, gpu::TextureId> pair_textures_;
+  std::map<std::vector<size_t>, gpu::TextureId> packed_textures_;
 };
 
 }  // namespace core

@@ -3,8 +3,8 @@
 
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <type_traits>
 #include <utility>
@@ -36,14 +36,17 @@ struct PoolQueryStats {
   gpu::DeviceCounters counters;
 };
 
+/// Helper threads of a multi-device scatter (pool_executor.cc).
+class ScatterHelpers;
+
 /// \brief The executor behind every sql::Session statement: scatter/gather
 /// over the shards of a table on a DevicePool, each dispatch walking the one
 /// degradation ladder (DESIGN.md §11, §15). A single device is a pool of one
 /// (gpu::DevicePool::Borrow) running a one-shard executor over the whole,
 /// uncopied table.
 ///
-/// Each decomposable operator runs shard by shard on the shard's primary
-/// device and the per-shard answers are recombined:
+/// Each decomposable operator runs on every shard and the per-shard answers
+/// are recombined in shard order:
 ///
 ///   Count        : sum of per-shard counts
 ///   SelectRowIds : per-shard ids + row_begin, concatenated in order
@@ -68,10 +71,21 @@ struct PoolQueryStats {
 /// `pool.failovers`. User errors and the deadline propagate at once: a
 /// replica holds an identical copy and cannot beat the clock.
 ///
-/// Thread model: one PoolExecutor serves one session (its executor cache is
-/// not locked); devices are shared across sessions and every dispatch holds
-/// the pool's per-device lease, so concurrent sessions interleave at shard
-/// granularity.
+/// Thread model: one PoolExecutor serves one session, one statement at a
+/// time. A multi-device statement scatters in two phases (DESIGN.md §15).
+/// Phase 1 runs the shards as one group per primary device, every group at
+/// once and each in shard order: the statement's thread runs the first
+/// group, ScatterHelpers threads the others, and each shard gets its
+/// primary attempt with its in-place retries. A user error or the deadline
+/// stops its group. Phase 2, after the join, runs on the statement's
+/// thread in shard order: it takes the refused and faulted shards to their
+/// replica, then the CPU tier, and gathers answers and per-shard stats, so
+/// every device sees a fixed dispatch order for a given fault seed and the
+/// statement returns the lowest-index failing shard's status. Devices are
+/// shared across sessions; every dispatch holds the pool's per-device
+/// lease, and the executor cache has one slot per (shard, device) that is
+/// touched only under that device's lease. A one-shard executor runs its
+/// shard inline and starts no thread.
 class PoolExecutor {
  public:
   /// Both pointers must outlive the executor. Every shard must fit the
@@ -84,6 +98,10 @@ class PoolExecutor {
   /// the executor.
   [[nodiscard]] static Result<std::unique_ptr<PoolExecutor>> Make(
       gpu::DevicePool* pool, const db::Table* table);
+
+  ~PoolExecutor();
+  PoolExecutor(const PoolExecutor&) = delete;
+  PoolExecutor& operator=(const PoolExecutor&) = delete;
 
   /// \brief Scope of one statement: clears last_stats() and arms the
   /// statement's deadline (`deadline_ms` from now, as an absolute expiry).
@@ -163,28 +181,60 @@ class PoolExecutor {
     db::ShardPlacement placement;
   };
 
-  PoolExecutor(gpu::DevicePool* pool, std::vector<ShardRef> shards)
-      : pool_(pool), shards_(std::move(shards)) {}
+  PoolExecutor(gpu::DevicePool* pool, std::vector<ShardRef> shards);
 
   /// kDeadlineExceeded once the statement's expiry has passed, read
   /// without any device's lease.
   [[nodiscard]] Status CheckInterrupt() const;
 
-  /// Runs one shard's dispatch through the ladder: `gpu_op(Executor&)` on a
-  /// device, else `cpu_op(const db::Table&)`, the CPU tier's equivalent
-  /// (nullptr for operators that have none). Both return the same Result.
+  /// Runs `gpu_op` on every shard and hands each shard's answer to
+  /// `gather(shard_index, answer)` in shard order; the two phases of the
+  /// thread model above. Returns the lowest-index failing shard's status.
+  template <typename GpuOp, typename CpuOp, typename Gather>
+  [[nodiscard]] Status Scatter(const char* op_name, const GpuOp& gpu_op,
+                               const CpuOp& cpu_op, const Gather& gather);
+
+  /// Runs one shard's dispatch through the whole ladder on this thread:
+  /// `gpu_op(Executor&)` on a device, else `cpu_op(const db::Table&)`, the
+  /// CPU tier's equivalent (nullptr for operators that have none). Both
+  /// return the same Result. What the dispatch causes is merged into
+  /// `*stats`.
   template <typename GpuOp, typename CpuOp>
   [[nodiscard]] std::invoke_result_t<const GpuOp&, Executor&> RunShard(
       size_t shard_index, const char* op_name, const GpuOp& gpu_op,
-      const CpuOp& cpu_op);
+      const CpuOp& cpu_op, PoolQueryStats* stats);
+
+  /// The ladder past the primary: the replica, then the CPU tier. `fault`
+  /// is the device fault the shard last hopped off with (OK if refused).
+  template <typename GpuOp, typename CpuOp>
+  [[nodiscard]] std::invoke_result_t<const GpuOp&, Executor&> RunFallback(
+      size_t shard_index, const char* op_name, const GpuOp& gpu_op,
+      const CpuOp& cpu_op, PoolQueryStats* stats, Status fault);
+
+  /// One placement of a shard (`hop` 0 = primary, 1 = replica): the
+  /// deadline check (primary only), health gate, lease, attempt with
+  /// in-place retries, health record. Returns the answer or a status that
+  /// ends the shard, or nullopt when the shard hops off the device; then
+  /// `*fault` holds the device fault, if any.
+  template <typename GpuOp>
+  [[nodiscard]] std::optional<std::invoke_result_t<const GpuOp&, Executor&>>
+  TryPlacement(size_t shard_index, int hop, const char* op_name,
+               const GpuOp& gpu_op, PoolQueryStats* stats, Status* fault);
 
   gpu::DevicePool* pool_;
   std::vector<ShardRef> shards_;
+  /// Shard indices grouped by primary device, in device order and each in
+  /// shard order: phase 1's unit of concurrency.
+  std::vector<std::vector<size_t>> groups_;
   ResilienceOptions resilience_;
   PoolQueryStats last_stats_;
   bool in_statement_ = false;
   Clock::time_point expiry_ = Clock::time_point::max();  ///< max = none
-  std::map<std::pair<size_t, int>, std::unique_ptr<Executor>> executors_;
+  /// One slot per (shard, device), at shard * pool size + device, touched
+  /// only under that device's lease.
+  std::vector<std::unique_ptr<Executor>> executors_;
+  /// Runs groups 1.. of phase 1; null when there is only one group.
+  std::unique_ptr<ScatterHelpers> helpers_;
 };
 
 }  // namespace core

@@ -229,6 +229,40 @@ TEST_F(ExecutorTest, WideSemilinearCountAcrossTwoTextures) {
   EXPECT_EQ(n, expected);
 }
 
+// SemilinearCount packs its columns into one texture per column list and
+// keeps it, as the two-column WHERE path does: repeating a call, narrow or
+// wide, uploads nothing and makes no new texture resident.
+TEST_F(ExecutorTest, RepeatedSemilinearCountsReuseTheirTextures) {
+  const std::vector<std::pair<std::string, float>> narrow = {
+      {"data_count", 0.001f}, {"data_loss", -1.0f}};
+  const std::vector<std::pair<std::string, float>> wide = {
+      {"data_count", 0.001f},  {"data_loss", -2.0f},
+      {"flow_rate", 0.0005f},  {"retransmissions", 3.0f},
+      {"data_loss", 1.5f},     {"retransmissions", -1.0f}};
+  for (const auto* weighted : {&narrow, &wide}) {
+    SCOPED_TRACE(weighted == &narrow ? "narrow" : "wide");
+    ASSERT_OK_AND_ASSIGN(
+        const uint64_t first,
+        executor_->SemilinearCount(*weighted, CompareOp::kGreater, 40.0f));
+    const uint64_t uploaded = device_.counters().bytes_uploaded;
+    const uint64_t resident = device_.video_memory_used();
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_OK_AND_ASSIGN(
+          const uint64_t again,
+          executor_->SemilinearCount(*weighted, CompareOp::kGreater, 40.0f));
+      EXPECT_EQ(again, first);
+      EXPECT_EQ(device_.counters().bytes_uploaded, uploaded);
+      EXPECT_EQ(device_.video_memory_used(), resident);
+    }
+  }
+  // The attribute-pair path shares the cache: data_count - data_loss packs
+  // the narrow call's two columns, so its WHERE uploads nothing either.
+  const uint64_t uploaded = device_.counters().bytes_uploaded;
+  ASSERT_OK(executor_->Count(Expr::PredAttr(0, CompareOp::kGreater, 1))
+                .status());
+  EXPECT_EQ(device_.counters().bytes_uploaded, uploaded);
+}
+
 TEST_F(ExecutorTest, ErrorPaths) {
   EXPECT_FALSE(executor_->Aggregate(AggregateKind::kSum, "no_such").ok());
   EXPECT_FALSE(executor_->KthLargest("no_such", 1).ok());

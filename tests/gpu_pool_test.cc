@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +16,7 @@
 
 #include "src/common/metrics.h"
 #include "src/common/query_log.h"
+#include "src/common/trace.h"
 #include "src/core/executor.h"
 #include "src/core/pool_executor.h"
 #include "src/db/catalog.h"
@@ -273,6 +275,156 @@ TEST_F(PoolExecutorTest, AllPlacementsLostFallsBackToCpuBitExactly) {
   pool->ForceDeviceLost(1);
   ExpectBitExact(*exec);
   EXPECT_TRUE(exec->last_stats().cpu_fallback);
+}
+
+/// Everything one battery run observes: the answers, each operator's
+/// last_stats(), and every pool device's counters afterwards.
+struct BatteryRecord {
+  uint64_t count = 0;
+  std::vector<uint32_t> rows;
+  std::vector<double> aggregates;
+  std::vector<core::PoolQueryStats> stats;
+  std::vector<gpu::DeviceCounters> devices;
+};
+
+bool SameCounters(gpu::DeviceCounters a, const gpu::DeviceCounters& b) {
+  bool same = true;
+  a.ZipWith(b, [&same](uint64_t& mine, uint64_t theirs) {
+    same = same && mine == theirs;
+  });
+  return same;
+}
+
+void ExpectSameStats(const core::PoolQueryStats& a,
+                     const core::PoolQueryStats& b) {
+  EXPECT_EQ(a.failovers, b.failovers);
+  EXPECT_EQ(a.first_device, b.first_device);
+  EXPECT_EQ(a.first_failed_device, b.first_failed_device);
+  EXPECT_EQ(a.cpu_fallback, b.cpu_fallback);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_TRUE(SameCounters(a.counters, b.counters));
+}
+
+// The concurrent scatter keeps a fixed fault order: phase 1 runs each
+// device's primaries in shard order, phase 2 the replica and CPU rungs in
+// shard order on the statement's thread. So on a fault-injected 3-device
+// pool, two runs over fresh pools agree on every answer, every operator's
+// stats and every device's counters, and the answers are the single-device
+// ones.
+TEST_F(PoolExecutorTest, FaultInjectedScatterRepeatsItselfBitExactly) {
+  const ExprPtr where = Expr::And(Expr::Pred(0, CompareOp::kGreater, 20000.0f),
+                                  Expr::Pred(2, CompareOp::kLess, 250000.0f));
+  const AggregateKind kinds[] = {AggregateKind::kSum, AggregateKind::kAvg,
+                                 AggregateKind::kMin, AggregateKind::kMax};
+  BatteryRecord want;
+  ASSERT_OK_AND_ASSIGN(want.count, reference_->Count(where));
+  ASSERT_OK_AND_ASSIGN(want.rows, reference_->SelectRowIds(where));
+  for (const AggregateKind kind : kinds) {
+    ASSERT_OK_AND_ASSIGN(const double value,
+                         reference_->Aggregate(kind, "data_count", where));
+    want.aggregates.push_back(value);
+  }
+
+  uint64_t ladder_events = 0;
+  for (uint64_t seed = 1; seed <= 32; ++seed) {
+    const double rate = 0.02 + 0.01 * static_cast<double>(seed % 4);
+    SCOPED_TRACE("seed=" + std::to_string(seed) +
+                 " rate=" + std::to_string(rate));
+    BatteryRecord runs[2];
+    for (BatteryRecord& run : runs) {
+      DevicePoolOptions options;
+      options.devices = 3;
+      options.width = 100;
+      options.height = 100;
+      options.faults = {seed, rate};
+      ASSERT_OK_AND_ASSIGN(auto pool, DevicePool::Make(options));
+      ASSERT_OK_AND_ASSIGN(
+          db::ShardedTable sharded,
+          db::ShardedTable::Make(table_, /*num_shards=*/6, pool->size()));
+      ASSERT_OK_AND_ASSIGN(auto exec,
+                           core::PoolExecutor::Make(pool.get(), &sharded));
+      ASSERT_OK_AND_ASSIGN(run.count, exec->Count(where));
+      run.stats.push_back(exec->last_stats());
+      ASSERT_OK_AND_ASSIGN(run.rows, exec->SelectRowIds(where));
+      run.stats.push_back(exec->last_stats());
+      for (const AggregateKind kind : kinds) {
+        ASSERT_OK_AND_ASSIGN(const double value,
+                             exec->Aggregate(kind, "data_count", where));
+        run.aggregates.push_back(value);
+        run.stats.push_back(exec->last_stats());
+      }
+      for (int d = 0; d < pool->size(); ++d) {
+        run.devices.push_back(pool->device(d).counters());
+      }
+    }
+    for (const BatteryRecord& run : runs) {
+      EXPECT_EQ(run.count, want.count);
+      EXPECT_EQ(run.rows, want.rows);
+      EXPECT_EQ(run.aggregates, want.aggregates);
+    }
+    ASSERT_EQ(runs[0].stats.size(), runs[1].stats.size());
+    for (size_t op = 0; op < runs[0].stats.size(); ++op) {
+      SCOPED_TRACE("operator " + std::to_string(op));
+      ExpectSameStats(runs[0].stats[op], runs[1].stats[op]);
+      ladder_events += runs[0].stats[op].retries +
+                       runs[0].stats[op].failovers +
+                       (runs[0].stats[op].cpu_fallback ? 1 : 0);
+    }
+    for (size_t d = 0; d < runs[0].devices.size(); ++d) {
+      EXPECT_TRUE(SameCounters(runs[0].devices[d], runs[1].devices[d]))
+          << "device " << d;
+    }
+  }
+  // The injection must actually have driven the ladder for the check to
+  // mean anything.
+  EXPECT_GT(ladder_events, 0u);
+}
+
+// Helper threads adopt the statement thread's tracer and open span, so
+// every pool.shard span of a pooled statement -- a phase-1 primary on any
+// group's thread or a phase-2 replica -- is a child of the statement's
+// span, and every other span nests inside the statement's tree.
+TEST_F(PoolExecutorTest, ShardSpansAreChildrenOfTheStatementSpan) {
+  auto pool = MakePool(4);
+  ASSERT_OK_AND_ASSIGN(
+      db::ShardedTable sharded,
+      db::ShardedTable::Make(table_, /*num_shards=*/8, pool->size()));
+  ASSERT_OK_AND_ASSIGN(auto exec,
+                       core::PoolExecutor::Make(pool.get(), &sharded));
+  const ExprPtr where = Expr::Pred(0, CompareOp::kGreater, 20000.0f);
+  for (const bool lose_device : {false, true}) {
+    SCOPED_TRACE(lose_device ? "device 1 lost" : "healthy");
+    if (lose_device) pool->ForceDeviceLost(1);
+    const TraceCapture capture;
+    uint64_t statement_id = 0;
+    {
+      const TraceSpan statement("statement");
+      statement_id = statement.id();
+      ASSERT_OK(exec->Count(where).status());
+      ASSERT_OK(exec->SelectRowIds(where).status());
+      ASSERT_OK(exec->Aggregate(AggregateKind::kSum, "data_count", where)
+                    .status());
+    }
+    ASSERT_NE(statement_id, 0u);
+    const std::vector<FinishedSpan> spans = capture.Finished();
+    std::set<uint64_t> ids;
+    for (const FinishedSpan& span : spans) ids.insert(span.id);
+    size_t shard_spans = 0;
+    std::set<uint64_t> threads;
+    for (const FinishedSpan& span : spans) {
+      if (span.id == statement_id) continue;
+      EXPECT_TRUE(ids.count(span.parent_id)) << span.name;
+      if (span.name != "pool.shard") continue;
+      ++shard_spans;
+      threads.insert(span.thread_id);
+      EXPECT_EQ(span.parent_id, statement_id);
+    }
+    // Three operators over 8 shards; with device 1 lost, its two shards
+    // also try their replica in each operator.
+    EXPECT_EQ(shard_spans, 3u * (8u + (lose_device ? 2u : 0u)));
+    // One thread per primary device: the statement's and three helpers.
+    EXPECT_EQ(threads.size(), 4u);
+  }
 }
 
 TEST_F(PoolExecutorTest, CpuRungCanBeDisabled) {
@@ -625,9 +777,9 @@ TEST(SessionPool, FallbackOffSurfacesDeviceLostWhenEveryDeviceIsLost) {
 }
 
 // Regression: `deadline_ms` is one deadline per statement, not per shard
-// dispatch. Each shard of this statement beats the deadline by 3x, but the
-// sixteen of them together overrun it by more than 5x, so the statement must
-// fail with kDeadlineExceeded. The deadline is sized from the fastest of
+// dispatch. Each shard of this statement beats the deadline by 3x, but each
+// device runs eight of them in turn, which overruns it by more than 2.5x, so
+// the statement must fail with kDeadlineExceeded. The deadline is sized from the fastest of
 // several one-shard runs: host load can only lengthen the shards and make
 // the overrun larger.
 TEST(SessionPool, DeadlineCoversTheWholeStatementNotEachShard) {

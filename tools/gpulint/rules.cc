@@ -59,6 +59,7 @@ int LockLevelOf(const std::string& path) {
       {"src/sql", "admission", 0},    {"src/sql", "session", 1},
       {"src/db", "catalog", 2},       {"src/gpu", "device_pool", 4},
       {"src/gpu", "thread_pool", 3},  {"src/gpu", "device", 3},
+      {"src/core", "pool_executor", 3},
       {"src/common", "metrics", 5},   {"src/common", "query_log", 5},
       {"src/common", "trace", 5},     {"src/common", "profile", 5},
   };
