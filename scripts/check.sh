@@ -6,7 +6,9 @@
 #      clang is installed — a -Wthread-safety -Werror build exercising the
 #      capability annotations of src/common/thread_annotations.h. First, so
 #      rule violations fail before any build time is spent,
-#   1. the standard build + full ctest run (what CI gates on),
+#   1. the standard build + full ctest run (what CI gates on), then the
+#      EXPLAIN battery (scripts/explain_battery.sql) through sql_shell at 1
+#      and 8 threads and on a 3-device pool, byte-identical across the three,
 #   2. a bench smoke run of every figure bench with a committed baseline,
 #      and of the Accumulator's alpha-test vs KILL ablation, diffed against
 #      bench/baseline (model-time regression gate; see
@@ -57,9 +59,31 @@ echo "== tier 1: standard build + tests =="
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
+echo "== EXPLAIN battery: byte-identical at any thread count and pool size =="
+# scripts/explain_battery.sql (one statement per line: ANALYZE, then EXPLAIN
+# ANALYZE/PROFILE of the selection, order-statistic, aggregate, GROUP BY and
+# ORDER BY shapes) through sql_shell at 1 and 8 worker threads and on a
+# 3-device pool. Every statement must succeed, and the outputs must match
+# byte for byte; the pool run's only extra line is its "device pool on: ..."
+# banner, which is dropped first.
+battery_dir="$(mktemp -d)"
+trap 'rm -rf "$battery_dir"' EXIT
+./build/examples/sql_shell --threads=1 - <scripts/explain_battery.sql \
+  >"$battery_dir/threads1.txt"
+./build/examples/sql_shell --threads=8 - <scripts/explain_battery.sql \
+  >"$battery_dir/threads8.txt"
+./build/examples/sql_shell --devices=3 - <scripts/explain_battery.sql |
+  grep -v '^device pool on: ' >"$battery_dir/devices3.txt"
+if grep -n 'error: ' "$battery_dir/threads1.txt"; then
+  echo "EXPLAIN battery: a statement failed" >&2
+  exit 1
+fi
+cmp "$battery_dir/threads1.txt" "$battery_dir/threads8.txt"
+cmp "$battery_dir/threads1.txt" "$battery_dir/devices3.txt"
+
 echo "== bench smoke: figure model times vs bench/baseline =="
 smoke_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir"' EXIT
+trap 'rm -rf "$battery_dir" "$smoke_dir"' EXIT
 for bench in fig02_copy_depth fig03_predicate fig04_range fig05_multiattr \
              fig06_semilinear fig07_kth_vs_k fig08_median \
              fig09_kth_selectivity fig10_accumulator fig_hotcolumn \
@@ -75,7 +99,7 @@ echo "== profiling smoke: fig03 under --profile, counters + overhead gate =="
 # deep counters are nonzero and bit-identical across profiled runs, and
 # that the fragment ledger balances.
 profile_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$profile_dir"' EXIT
+trap 'rm -rf "$battery_dir" "$smoke_dir" "$profile_dir"' EXIT
 plain_jsons=()
 prof_jsons=()
 for i in 1 2 3 4 5; do

@@ -20,11 +20,6 @@ inline bool TestBit(uint64_t v, int i) { return (v >> i) & 1u; }
 /// 2^i as uint64.
 inline uint64_t PowerOfTwo(int i) { return uint64_t{1} << i; }
 
-/// Rounds `v` up to the next multiple of `m` (m > 0).
-inline uint64_t RoundUp(uint64_t v, uint64_t m) {
-  return (v + m - 1) / m * m;
-}
-
 /// Integer ceil(a / b) for b > 0.
 inline uint64_t CeilDiv(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
 

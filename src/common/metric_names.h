@@ -1,7 +1,6 @@
 #ifndef GPUDB_COMMON_METRIC_NAMES_H_
 #define GPUDB_COMMON_METRIC_NAMES_H_
 
-#include <cstddef>
 #include <string_view>
 
 namespace gpudb {
@@ -68,25 +67,6 @@ inline constexpr std::string_view kAll[] = {
     "sql.slow_queries",
     "tenant.throttled",
 };
-
-inline constexpr size_t kCount = sizeof(kAll) / sizeof(kAll[0]);
-
-/// True when `name` is covered by the registry: an exact entry, or a
-/// wildcard entry whose prefix (the part before '*') starts `name`.
-/// Call sites do not need this at runtime — it exists so tests can assert
-/// that what a process actually registered stays inside the table.
-inline bool IsRegistered(std::string_view name) {
-  for (std::string_view entry : kAll) {
-    if (!entry.empty() && entry.back() == '*') {
-      if (name.size() > entry.size() - 1 &&
-          name.substr(0, entry.size() - 1) == entry.substr(0, entry.size() - 1))
-        return true;
-    } else if (name == entry) {
-      return true;
-    }
-  }
-  return false;
-}
 
 }  // namespace metric_names
 }  // namespace gpudb

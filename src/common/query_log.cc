@@ -64,14 +64,6 @@ std::vector<QueryLogEntry> QueryLog::Entries() const {
   return out;
 }
 
-std::vector<QueryLogEntry> QueryLog::SlowEntries() const {
-  std::vector<QueryLogEntry> out;
-  for (QueryLogEntry& e : Entries()) {
-    if (e.slow) out.push_back(std::move(e));
-  }
-  return out;
-}
-
 size_t QueryLog::size() const {
   MutexLock lock(&mu_);
   return ring_.size();

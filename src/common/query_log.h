@@ -75,9 +75,6 @@ class QueryLog {
   /// Entries currently retained, oldest first.
   std::vector<QueryLogEntry> Entries() const;
 
-  /// Retained slow entries only, oldest first.
-  std::vector<QueryLogEntry> SlowEntries() const;
-
   size_t size() const;
   uint64_t total_recorded() const;
 

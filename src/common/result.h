@@ -62,11 +62,6 @@ class [[nodiscard]] Result {
   const T& operator*() const& { return ValueOrDie(); }
   T& operator*() & { return ValueOrDie(); }
 
-  /// Returns the value, or `fallback` on error.
-  T ValueOr(T fallback) const {
-    return ok() ? std::get<T>(rep_) : std::move(fallback);
-  }
-
  private:
   std::variant<Status, T> rep_;
 };

@@ -22,8 +22,6 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "ResourceExhausted";
     case StatusCode::kNotFound:
       return "NotFound";
-    case StatusCode::kCancelled:
-      return "Cancelled";
     case StatusCode::kDeadlineExceeded:
       return "DeadlineExceeded";
     case StatusCode::kDeviceLost:

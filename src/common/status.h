@@ -21,7 +21,6 @@ enum class StatusCode : int {
   kInternal = 5,
   kResourceExhausted = 6,
   kNotFound = 7,
-  kCancelled = 8,
   kDeadlineExceeded = 9,
   kDeviceLost = 10,
 };
@@ -84,9 +83,6 @@ class [[nodiscard]] Status {
   [[nodiscard]] static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
-  [[nodiscard]] static Status Cancelled(std::string msg) {
-    return Status(StatusCode::kCancelled, std::move(msg));
-  }
   [[nodiscard]] static Status DeadlineExceeded(std::string msg) {
     return Status(StatusCode::kDeadlineExceeded, std::move(msg));
   }
@@ -108,13 +104,6 @@ class [[nodiscard]] Status {
   /// "OK" or "<CodeName>: <message>".
   std::string ToString() const;
 
-  bool IsInvalidArgument() const {
-    return code() == StatusCode::kInvalidArgument;
-  }
-  bool IsOutOfRange() const { return code() == StatusCode::kOutOfRange; }
-  bool IsNotImplemented() const {
-    return code() == StatusCode::kNotImplemented;
-  }
   bool IsFailedPrecondition() const {
     return code() == StatusCode::kFailedPrecondition;
   }
@@ -122,7 +111,6 @@ class [[nodiscard]] Status {
   bool IsResourceExhausted() const {
     return code() == StatusCode::kResourceExhausted;
   }
-  bool IsCancelled() const { return code() == StatusCode::kCancelled; }
   bool IsDeadlineExceeded() const {
     return code() == StatusCode::kDeadlineExceeded;
   }

@@ -212,68 +212,12 @@ Result<uint64_t> Executor::Count(const predicate::ExprPtr& where) {
   return sel.count;
 }
 
-Result<std::vector<uint8_t>> Executor::SelectBitmap(
-    const predicate::ExprPtr& where) {
-  OpCounter("select_bitmap").Increment();
-  GpuOpSpan op("SelectBitmap", device_);
-  GPUDB_ASSIGN_OR_RETURN(StencilSelection sel, Where(where));
-  return SelectionToBitmap(device_, sel, table_->num_rows());
-}
-
 Result<std::vector<uint32_t>> Executor::SelectRowIds(
     const predicate::ExprPtr& where) {
   OpCounter("select_row_ids").Increment();
   GpuOpSpan op("SelectRowIds", device_);
   GPUDB_ASSIGN_OR_RETURN(StencilSelection sel, Where(where));
   return SelectionToRowIds(device_, sel, table_->num_rows());
-}
-
-Result<db::Table> Executor::SelectTable(const predicate::ExprPtr& where) {
-  OpCounter("select_table").Increment();
-  GPUDB_ASSIGN_OR_RETURN(std::vector<uint32_t> rows, SelectRowIds(where));
-  return table_->GatherRows(rows);
-}
-
-Result<std::vector<std::pair<uint32_t, uint32_t>>> Executor::TopK(
-    std::string_view column, uint64_t k) {
-  OpCounter("top_k").Increment();
-  GpuOpSpan op("TopK", device_);
-  op.AddTag("column", column);
-  op.AddTag("k", k);
-  GPUDB_ASSIGN_OR_RETURN(size_t col, table_->ColumnIndex(column));
-  const db::Column& c = table_->column(col);
-  if (c.type() != db::ColumnType::kInt24) {
-    return Status::NotImplemented("TopK requires an integer column");
-  }
-  if (k == 0 || k > table_->num_rows()) {
-    return Status::OutOfRange("k out of range");
-  }
-  GPUDB_ASSIGN_OR_RETURN(AttributeBinding binding, BindingFor(col));
-  // Threshold via Routine 4.5, then one selection pass for the candidates
-  // (>= threshold selects at most k plus ties of the threshold value).
-  GPUDB_ASSIGN_OR_RETURN(uint32_t threshold,
-                         core::KthLargest(device_, binding, c.bit_width(), k));
-  GPUDB_ASSIGN_OR_RETURN(
-      uint64_t selected,
-      CompareSelect(device_, binding, gpu::CompareOp::kGreaterEqual,
-                    static_cast<double>(threshold)));
-  GPUDB_ASSIGN_OR_RETURN(
-      std::vector<uint32_t> rows,
-      SelectionToRowIds(device_, StencilSelection{1, selected},
-                        table_->num_rows()));
-  std::vector<std::pair<uint32_t, uint32_t>> result;
-  result.reserve(rows.size());
-  for (uint32_t row : rows) {
-    result.emplace_back(row, c.int_value(row));
-  }
-  // Sort the candidate handful on the CPU: value descending, row ascending.
-  std::sort(result.begin(), result.end(),
-            [](const auto& a, const auto& b) {
-              return a.second != b.second ? a.second > b.second
-                                          : a.first < b.first;
-            });
-  result.resize(k);  // trim threshold ties beyond k
-  return result;
 }
 
 Result<PartialAggregate> Executor::AggregatePartial(

@@ -65,23 +65,8 @@ class Executor {
   /// SELECT COUNT(*) FROM t WHERE expr.
   [[nodiscard]] Result<uint64_t> Count(const predicate::ExprPtr& where);
 
-  /// Selected rows as a 0/1 bitmap.
-  [[nodiscard]] Result<std::vector<uint8_t>> SelectBitmap(const predicate::ExprPtr& where);
-
   /// Selected rows as sorted row ids.
   [[nodiscard]] Result<std::vector<uint32_t>> SelectRowIds(const predicate::ExprPtr& where);
-
-  /// Selected rows materialized as a new table (same schema). Fails if the
-  /// selection is empty.
-  [[nodiscard]] Result<db::Table> SelectTable(const predicate::ExprPtr& where);
-
-  /// ORDER BY column DESC LIMIT k, GPU-accelerated: Routine 4.5 finds the
-  /// k-th largest value as a threshold, one comparison pass selects the
-  /// (at most k + ties) candidate rows, and only those few rows are
-  /// materialized and sorted on the CPU. Returns exactly k (row, value)
-  /// pairs, ties broken by ascending row id.
-  [[nodiscard]] Result<std::vector<std::pair<uint32_t, uint32_t>>> TopK(
-      std::string_view column, uint64_t k);
 
   /// SELECT <agg>(column) FROM t WHERE expr (null = no WHERE): the
   /// FinishAggregate of AggregatePartial.

@@ -114,16 +114,5 @@ Result<double> EstimateEquiJoinSize(const Histogram& a, const Histogram& b) {
   return size;
 }
 
-Result<double> EstimateEquiJoinSelectivity(const Histogram& a,
-                                           const Histogram& b) {
-  const double na = static_cast<double>(a.total());
-  const double nb = static_cast<double>(b.total());
-  if (na == 0 || nb == 0) {
-    return Status::InvalidArgument("selectivity of an empty relation");
-  }
-  GPUDB_ASSIGN_OR_RETURN(double size, EstimateEquiJoinSize(a, b));
-  return size / (na * nb);
-}
-
 }  // namespace core
 }  // namespace gpudb

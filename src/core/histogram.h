@@ -27,11 +27,6 @@ struct Histogram {
   double Edge(int i) const {
     return low + BucketWidth() * static_cast<double>(i);
   }
-  uint64_t total() const {
-    uint64_t t = 0;
-    for (uint64_t c : counts) t += c;
-    return t;
-  }
 };
 
 /// \brief Builds an equi-width histogram on the GPU using cumulative
@@ -70,10 +65,6 @@ struct Histogram {
 /// within each bucket over an integer domain:
 ///   sum_i  a_i * b_i / max(1, bucket_width).
 [[nodiscard]] Result<double> EstimateEquiJoinSize(const Histogram& a, const Histogram& b);
-
-/// Estimated join selectivity: EstimateEquiJoinSize / (|A| * |B|).
-[[nodiscard]] Result<double> EstimateEquiJoinSelectivity(const Histogram& a,
-                                           const Histogram& b);
 
 }  // namespace core
 }  // namespace gpudb

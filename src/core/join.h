@@ -2,23 +2,13 @@
 #define GPUDB_CORE_JOIN_H_
 
 #include <cstdint>
-#include <vector>
-
-#include <string_view>
 
 #include "src/common/result.h"
 #include "src/core/compare.h"
-#include "src/db/table.h"
 #include "src/gpu/device.h"
 
 namespace gpudb {
 namespace core {
-
-/// One row pair of an equi-join result.
-struct JoinPair {
-  uint32_t left_row = 0;
-  uint32_t right_row = 0;
-};
 
 /// Options for the distinct-key join.
 struct EquiJoinOptions {
@@ -26,8 +16,6 @@ struct EquiJoinOptions {
   /// rendering passes, so high-cardinality keys do not fit this execution
   /// model (the reason the paper leaves general joins to future work).
   uint64_t max_keys = 1024;
-  /// Cap on the materialized result size.
-  uint64_t max_result_pairs = 10'000'000;
 };
 
 /// \brief A GPU-resident join side: the key attribute, how many of the
@@ -38,40 +26,21 @@ struct JoinSide {
   int key_bits = 0;
 };
 
-/// \brief Equi-join via distinct-key iteration -- a concrete take on the
-/// "join" entry of the paper's future-work list (Section 7), built from its
-/// own primitives and the selectivity-estimation idea of Section 5.11:
+/// \brief Exact equi-join cardinality via distinct-key iteration -- a
+/// concrete take on the "join" entry of the paper's future-work list
+/// (Section 7), built from its own primitives:
 ///
 ///  1. the left side's distinct keys are discovered in ascending order
 ///     (selection + masked MIN per key, as in GROUP BY);
 ///  2. for each key, an occlusion-count probe on the right side prunes keys
-///     with no partners before anything is materialized (the per-key exact
-///     analogue of the histogram-based selectivity pruning in [7, 10]);
-///  3. surviving keys materialize both sides' row ids from the stencil and
-///     emit the cross product.
+///     with no partners (the per-key exact analogue of the histogram-based
+///     selectivity pruning of Section 5.11);
+///  3. surviving keys add the product of the two sides' occlusion counts.
 ///
-/// Put the lower-cardinality relation on the left. Both relations' key
-/// textures must be resident on the same device; the viewport is switched
-/// per side.
-[[nodiscard]] Result<std::vector<JoinPair>> EquiJoin(gpu::Device* device,
-                                       const JoinSide& left,
-                                       const JoinSide& right,
-                                       const EquiJoinOptions& options = {});
-
-/// \brief Convenience wrapper: uploads both tables' (integer) key columns to
-/// the device and runs EquiJoin. Put the lower-cardinality table on the
-/// left. Both tables must individually fit the framebuffer.
-[[nodiscard]] Result<std::vector<JoinPair>> EquiJoinTables(gpu::Device* device,
-                                             const db::Table& left,
-                                             std::string_view left_key,
-                                             const db::Table& right,
-                                             std::string_view right_key,
-                                             const EquiJoinOptions& options = {});
-
-/// \brief Exact equi-join cardinality without materialization: per distinct
-/// key, the product of the two sides' occlusion counts. This is what a
-/// query optimizer wants from the GPU (compare EstimateEquiJoinSize for the
-/// histogram approximation).
+/// Nothing is materialized. This is what a query optimizer wants from the
+/// GPU (compare EstimateEquiJoinSize for the histogram approximation). Put
+/// the lower-cardinality relation on the left. Both relations' key textures
+/// must be resident on the same device; the viewport is switched per side.
 [[nodiscard]] Result<uint64_t> EquiJoinSize(gpu::Device* device, const JoinSide& left,
                               const JoinSide& right,
                               const EquiJoinOptions& options = {});

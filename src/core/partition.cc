@@ -5,7 +5,6 @@
 
 #include "src/common/bit_util.h"
 #include "src/core/accumulator.h"
-#include "src/core/selection.h"
 #include "src/core/state_guard.h"
 
 namespace gpudb {
@@ -161,37 +160,6 @@ Result<uint32_t> PartitionedColumn::Median() const {
   // Median = ceil(n/2)-th smallest = (n - ceil(n/2) + 1)-th largest.
   const uint64_t k_smallest = (total_records_ + 1) / 2;
   return KthLargest(total_records_ - k_smallest + 1);
-}
-
-Result<std::vector<uint8_t>> PartitionedColumn::SelectBitmap(
-    gpu::CompareOp op, double constant) const {
-  std::vector<uint8_t> bitmap;
-  bitmap.reserve(total_records_);
-  for (const Tile& tile : tiles_) {
-    // Deadline check between per-tile passes (lint rule R2).
-    GPUDB_RETURN_NOT_OK(device_->CheckInterrupt());
-    if (options_.use_zone_maps) {
-      const TileMatch match = Classify(tile, op, constant);
-      if (match == TileMatch::kAll) {
-        bitmap.insert(bitmap.end(), tile.records, 1);
-        ++tiles_pruned_;
-        continue;
-      }
-      if (match == TileMatch::kNone) {
-        bitmap.insert(bitmap.end(), tile.records, 0);
-        ++tiles_pruned_;
-        continue;
-      }
-    }
-    GPUDB_RETURN_NOT_OK(device_->SetViewport(tile.records));
-    GPUDB_ASSIGN_OR_RETURN(uint64_t count,
-                           CompareSelect(device_, tile.binding, op, constant));
-    StencilSelection sel{1, count};
-    GPUDB_ASSIGN_OR_RETURN(std::vector<uint8_t> tile_bitmap,
-                           SelectionToBitmap(device_, sel, tile.records));
-    bitmap.insert(bitmap.end(), tile_bitmap.begin(), tile_bitmap.end());
-  }
-  return bitmap;
 }
 
 }  // namespace core

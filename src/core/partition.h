@@ -62,10 +62,6 @@ class PartitionedColumn {
   /// Median across all tiles.
   [[nodiscard]] Result<uint32_t> Median() const;
 
-  /// Selection bitmap across all tiles (stencil read back per tile).
-  [[nodiscard]] Result<std::vector<uint8_t>> SelectBitmap(gpu::CompareOp op,
-                                            double constant) const;
-
   /// Tiles skipped by zone-map pruning since construction.
   uint64_t tiles_pruned() const { return tiles_pruned_; }
 

@@ -48,17 +48,16 @@ Result<std::vector<HalfPlane>> ConvexPolygonToHalfPlanes(
   return planes;
 }
 
-Result<StencilSelection> SelectPointsInConvexRegion(
+Result<StencilSelection> SelectPointsInConvexPolygon(
     gpu::Device* device, gpu::TextureId xy_texture,
-    const std::vector<HalfPlane>& half_planes) {
-  if (half_planes.empty()) {
-    return Status::InvalidArgument("no half-planes given");
-  }
+    const std::vector<std::pair<float, float>>& ccw_vertices) {
+  GPUDB_ASSIGN_OR_RETURN(std::vector<HalfPlane> planes,
+                         ConvexPolygonToHalfPlanes(ccw_vertices));
   // Each half-plane is one semi-linear predicate over the (x, y) channels;
   // membership is their conjunction (Routine 4.3 with singleton clauses).
   std::vector<GpuClause> clauses;
-  clauses.reserve(half_planes.size());
-  for (const HalfPlane& h : half_planes) {
+  clauses.reserve(planes.size());
+  for (const HalfPlane& h : planes) {
     SemilinearQuery query;
     query.weights = {h.a, h.b, 0, 0};
     query.op = gpu::CompareOp::kLessEqual;
@@ -66,14 +65,6 @@ Result<StencilSelection> SelectPointsInConvexRegion(
     clauses.push_back({GpuPredicate::Semilinear(xy_texture, query)});
   }
   return EvalCnf(device, clauses);
-}
-
-Result<StencilSelection> SelectPointsInConvexPolygon(
-    gpu::Device* device, gpu::TextureId xy_texture,
-    const std::vector<std::pair<float, float>>& ccw_vertices) {
-  GPUDB_ASSIGN_OR_RETURN(std::vector<HalfPlane> planes,
-                         ConvexPolygonToHalfPlanes(ccw_vertices));
-  return SelectPointsInConvexRegion(device, xy_texture, planes);
 }
 
 bool PointInHalfPlanes(float x, float y,

@@ -26,20 +26,16 @@ struct HalfPlane {
     const std::vector<std::pair<float, float>>& ccw_vertices);
 
 /// \brief Selects the points of an (x, y) two-channel texture that lie
-/// inside the intersection of the given half-planes.
+/// inside a convex polygon (>= 3 vertices in counter-clockwise order).
 ///
 /// This is the paper's motivating GIS application of semi-linear sets
 /// (Section 4.1.2: "Applications encountered in Geographical Information
 /// Systems ... define geometric data objects as linear inequalities of the
-/// attributes"): each half-plane is one semi-linear predicate, and convex
-/// region membership is their conjunction, evaluated with EvalCNF.
+/// attributes"): each of the polygon's half-planes is one semi-linear
+/// predicate, and region membership is their conjunction, evaluated with
+/// EvalCNF.
 ///
 /// On return the stencil marks the selected points; the count is returned.
-[[nodiscard]] Result<StencilSelection> SelectPointsInConvexRegion(
-    gpu::Device* device, gpu::TextureId xy_texture,
-    const std::vector<HalfPlane>& half_planes);
-
-/// Convenience: polygon variant.
 [[nodiscard]] Result<StencilSelection> SelectPointsInConvexPolygon(
     gpu::Device* device, gpu::TextureId xy_texture,
     const std::vector<std::pair<float, float>>& ccw_vertices);

@@ -151,25 +151,6 @@ bool ConvexPolygonsIntersect(const Polygon2D& a, const Polygon2D& b) {
   return true;
 }
 
-Result<bool> PolygonsOverlapScreenSpace(gpu::Device* device,
-                                        const Polygon2D& a,
-                                        const Polygon2D& b) {
-  if (device == nullptr) {
-    return Status::InvalidArgument("null device");
-  }
-  GPUDB_RETURN_NOT_OK(ValidatePolygon(*device, a));
-  GPUDB_RETURN_NOT_OK(ValidatePolygon(*device, b));
-  const Box box_a = BoundingBox(a);
-  const Box box_b = BoundingBox(b);
-  if (!box_a.Intersects(box_b)) return false;
-  const Box overlap{std::max(box_a.x0, box_b.x0), std::max(box_a.y0, box_b.y0),
-                    std::min(box_a.x1, box_b.x1),
-                    std::min(box_a.y1, box_b.y1)};
-  const gpu::ScissorRect scissor = ClipToPixels(overlap, *device);
-  if (scissor.x0 >= scissor.x1 || scissor.y0 >= scissor.y1) return false;
-  return OverlapTest(device, a, b, scissor);
-}
-
 Result<std::vector<std::pair<uint32_t, uint32_t>>> SpatialOverlapJoin(
     gpu::Device* device, const std::vector<Polygon2D>& layer_a,
     const std::vector<Polygon2D>& layer_b) {

@@ -17,13 +17,15 @@ struct Polygon2D {
   std::vector<std::pair<float, float>> vertices;
 };
 
-/// \brief Screen-space polygon intersection test in the style of Sun et al.
+/// \brief Spatial overlap join: all (i, j) pairs whose polygons' rasterized
+/// footprints intersect, tested in screen space in the style of Sun et al.
 /// [35], the prior work the paper positions itself against (Section 2.1:
 /// "They use color blending capabilities available on graphics processors
 /// to test if two polygons intersect in screen-space ... The technique ...
 /// is quite conservative").
 ///
-/// Our variant uses the stencil buffer instead of blending: polygon A is
+/// Bounding boxes prune pairs on the CPU (free). For each surviving pair,
+/// our variant uses the stencil buffer instead of blending: polygon A is
 /// rasterized into the stencil (scissored to the pair's bounding-box
 /// intersection), then polygon B is rendered under an occlusion query with
 /// the stencil test passing only over A's footprint. A non-zero pixel pass
@@ -34,13 +36,6 @@ struct Polygon2D {
 /// thinner than a pixel can be missed and near-misses within a pixel can be
 /// reported. Polygons must be strictly convex, counter-clockwise, and lie
 /// inside the framebuffer.
-[[nodiscard]] Result<bool> PolygonsOverlapScreenSpace(gpu::Device* device,
-                                        const Polygon2D& a,
-                                        const Polygon2D& b);
-
-/// \brief Spatial overlap join: all (i, j) pairs whose polygons' rasterized
-/// footprints intersect. Bounding boxes prune pairs on the CPU (free);
-/// surviving pairs run the two-pass screen-space test.
 [[nodiscard]] Result<std::vector<std::pair<uint32_t, uint32_t>>> SpatialOverlapJoin(
     gpu::Device* device, const std::vector<Polygon2D>& layer_a,
     const std::vector<Polygon2D>& layer_b);

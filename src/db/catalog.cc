@@ -109,14 +109,6 @@ Result<const Table*> Catalog::Lookup(std::string_view name) const {
   return it->second;
 }
 
-std::vector<std::string> Catalog::TableNames() const {
-  MutexLock lock(&mu_);
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, table] : tables_) names.push_back(name);
-  return names;
-}
-
 Status Catalog::SetStats(std::string_view table, TableStats stats) {
   MutexLock lock(&mu_);
   if (tables_.find(table) == tables_.end()) {

@@ -50,9 +50,6 @@ class Catalog {
   /// Looks a registered user table up by name.
   Result<const Table*> Lookup(std::string_view name) const;
 
-  /// Registered user-table names, sorted.
-  std::vector<std::string> TableNames() const;
-
   /// Catalog version of a registered table: 1 at registration, incremented
   /// by BumpTableVersion. Returns 0 for unknown names. Anything derived
   /// from a table's contents (cached depth planes, stats-driven estimates)

@@ -71,17 +71,6 @@ Result<Column> Column::MakeDictionary(std::string name,
   return column;
 }
 
-Result<uint32_t> Column::DictCode(std::string_view value) const {
-  const auto it =
-      std::lower_bound(dictionary_.begin(), dictionary_.end(), value);
-  if (it == dictionary_.end() || *it != value) {
-    return Status::InvalidArgument("column '" + name_ +
-                                   "': no dictionary entry for '" +
-                                   std::string(value) + "'");
-  }
-  return static_cast<uint32_t>(it - dictionary_.begin());
-}
-
 int Column::bit_width() const {
   if (type_ != ColumnType::kInt24) return 0;
   const auto max_int = static_cast<uint64_t>(max_);

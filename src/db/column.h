@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/common/result.h"
@@ -64,10 +63,6 @@ class Column {
   const std::string& dict_value(size_t i) const {
     return dictionary_[int_value(i)];
   }
-
-  /// Code of `value` in the dictionary, for writing predicates against
-  /// dictionary columns (e.g. WHERE name = <code>); error when absent.
-  Result<uint32_t> DictCode(std::string_view value) const;
 
   float min() const { return min_; }
   float max() const { return max_; }

@@ -56,14 +56,6 @@ double ColumnStats::SelectivityCompare(gpu::CompareOp op, double value) const {
   return 1.0;
 }
 
-double ColumnStats::SelectivityBetween(double low, double high) const {
-  if (high < low) return 0.0;
-  return std::clamp(
-      std::max(0.0, CumulativeFraction(high) - CumulativeFraction(low)) +
-          SelectivityCompare(gpu::CompareOp::kEqual, low),
-      0.0, 1.0);
-}
-
 const ColumnStats* TableStats::Find(std::string_view column) const {
   for (const ColumnStats& c : columns) {
     if (c.name == column) return &c;

@@ -38,9 +38,6 @@ struct ColumnStats {
   /// Estimated selectivity of `column op value`. Equality uses the 1/distinct
   /// uniform assumption; inequalities use the histogram.
   double SelectivityCompare(gpu::CompareOp op, double value) const;
-
-  /// Estimated selectivity of `low <= column <= high`.
-  double SelectivityBetween(double low, double high) const;
 };
 
 /// \brief Statistics for one table, stored in the Catalog after ANALYZE and

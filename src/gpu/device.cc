@@ -515,13 +515,6 @@ Status Device::SetViewport(uint64_t pixels) {
   return Status::OK();
 }
 
-void Device::ClearColor(float r, float g, float b, float a) {
-  Coverage(viewport_pixels_, fb_.width(), state_)
-      .ForEachRun([&](uint64_t begin, uint64_t end) {
-        fb_.ClearColor(r, g, b, a, begin, end);
-      });
-}
-
 void Device::ClearDepth(float d) {
   Coverage(viewport_pixels_, fb_.width(), state_)
       .ForEachRun([&](uint64_t begin, uint64_t end) {

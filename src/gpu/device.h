@@ -192,7 +192,6 @@ class Device {
   // Each writes exactly the pixels RenderQuad would cover (see the class
   // comment); not counted in DeviceCounters.
 
-  void ClearColor(float r, float g, float b, float a);
   void ClearDepth(float d = 1.0f);
   void ClearStencil(uint8_t s = 0);
 

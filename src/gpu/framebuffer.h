@@ -29,11 +29,6 @@ inline uint32_t QuantizeDepth(float d) {
   return static_cast<uint32_t>(static_cast<double>(d) * kDepthMax + 0.5);
 }
 
-/// Inverse of QuantizeDepth (exact for quantized values).
-inline float DepthToFloat(uint32_t q) {
-  return static_cast<float>(q) / static_cast<float>(kDepthMax);
-}
-
 /// \brief The frame-buffer: color, depth, and stencil planes (Section 3.1).
 ///
 /// * Color buffer: RGBA float per pixel (FX-class GPUs could render to
@@ -72,8 +67,6 @@ class FrameBuffer {
 
   // Clears of the linear pixel range [begin, end); Device decides which
   // ranges a clear covers.
-  void ClearColor(float r, float g, float b, float a, uint64_t begin,
-                  uint64_t end);
   /// Clears depth to a normalized value (1.0 is the far plane).
   void ClearDepth(float d, uint64_t begin, uint64_t end);
   void ClearStencil(uint8_t s, uint64_t begin, uint64_t end);

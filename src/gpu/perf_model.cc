@@ -1,7 +1,6 @@
 #include "src/gpu/perf_model.h"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace gpudb {
 namespace gpu {
@@ -43,16 +42,6 @@ double PerfModel::Utilization(const DeviceCounters& counters) const {
   const double total = b.ComputeMs();
   if (total <= 0) return 1.0;
   return b.fill_ms / total;
-}
-
-std::string PerfModel::FormatBreakdown(const GpuTimeBreakdown& b) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "fill=%.3fms depth_write=%.3fms setup=%.3fms "
-                "occl_readback=%.3fms buf_readback=%.3fms total=%.3fms",
-                b.fill_ms, b.depth_write_ms, b.setup_ms, b.readback_ms,
-                b.buffer_readback_ms, b.TotalMs());
-  return std::string(buf);
 }
 
 }  // namespace gpu

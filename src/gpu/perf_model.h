@@ -1,8 +1,6 @@
 #ifndef GPUDB_GPU_PERF_MODEL_H_
 #define GPUDB_GPU_PERF_MODEL_H_
 
-#include <string>
-
 #include "src/gpu/counters.h"
 
 namespace gpudb {
@@ -83,9 +81,6 @@ class PerfModel {
   /// Pipeline utilization = ideal fill time / (fill + overheads), the metric
   /// the paper reports as ~80% for KthLargest (Section 6.2.2).
   double Utilization(const DeviceCounters& counters) const;
-
-  /// Human-readable dump of the breakdown, used by the bench harness.
-  static std::string FormatBreakdown(const GpuTimeBreakdown& b);
 
  private:
   PerfModelParams params_;

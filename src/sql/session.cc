@@ -360,36 +360,5 @@ Result<QueryResult> Session::Execute(std::string_view sql) {
   return result;
 }
 
-Result<std::vector<QueryResult>> Session::ExecuteScript(
-    std::string_view script) {
-  std::vector<QueryResult> results;
-  Status first_error = Status::OK();
-  size_t start = 0;
-  for (size_t i = 0; i <= script.size(); ++i) {
-    if (i == script.size() || script[i] == ';') {
-      std::string_view statement = script.substr(start, i - start);
-      start = i + 1;
-      const size_t first = statement.find_first_not_of(" \t\r\n");
-      if (first == std::string_view::npos) continue;
-      statement.remove_prefix(first);
-      Result<QueryResult> r = Execute(statement);
-      if (!r.ok()) {
-        // Log-and-continue: the statement's error is already in the query
-        // log (Execute records it); the rest of the script still runs.
-        // DropStatus makes the swallowed failure visible to dashboards.
-        if (first_error.ok()) first_error = r.status();
-        DropStatus(r.status(), "Session::ExecuteScript statement");
-        continue;
-      }
-      results.push_back(std::move(r).ValueOrDie());
-    }
-  }
-  GPUDB_RETURN_NOT_OK(first_error);
-  if (results.empty()) {
-    return Status::InvalidArgument("script contains no statements");
-  }
-  return results;
-}
-
 }  // namespace sql
 }  // namespace gpudb

@@ -53,13 +53,6 @@ class Session {
   /// QueryResult::table_view holds the snapshot the row ids refer to.
   [[nodiscard]] Result<QueryResult> Execute(std::string_view sql);
 
-  /// Runs a semicolon-separated script to completion: a failed statement
-  /// does not stop the ones after it (its Status is recorded through
-  /// DropStatus, so `queries.dropped_status` counts it, and the query log
-  /// keeps its error text). If any statement failed, the first failure is
-  /// returned after the script finishes; otherwise all results, in order.
-  [[nodiscard]] Result<std::vector<QueryResult>> ExecuteScript(std::string_view script);
-
   db::Catalog& catalog() { return *catalog_; }
 
   /// Installs the resilience policy (retry / CPU fallback / per-statement
@@ -68,10 +61,6 @@ class Session {
   /// system-table snapshots.
   void set_resilience_options(const core::ResilienceOptions& options)
       EXCLUDES(execute_mu_);
-  core::ResilienceOptions resilience_options() const EXCLUDES(execute_mu_) {
-    MutexLock lock(&execute_mu_);
-    return resilience_;
-  }
 
   /// Installs the planner rewrite controls (depth-plane caching,
   /// DESIGN.md §14) on every executor this session creates,

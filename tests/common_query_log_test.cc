@@ -51,18 +51,18 @@ TEST(QueryLogTest, SlowThresholdFlagsAtOrAbove) {
   log.Add(MakeEntry("fast", 9.99));
   log.Add(MakeEntry("exactly", 10.0));
   log.Add(MakeEntry("slow", 250.0));
-  const auto slow = log.SlowEntries();
-  ASSERT_EQ(slow.size(), 2u);
-  EXPECT_EQ(slow[0].sql, "exactly");
-  EXPECT_EQ(slow[1].sql, "slow");
-  EXPECT_FALSE(log.Entries()[0].slow);
+  const auto entries = log.Entries();
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_FALSE(entries[0].slow);
+  EXPECT_TRUE(entries[1].slow);  // "exactly"
+  EXPECT_TRUE(entries[2].slow);  // "slow"
 }
 
 TEST(QueryLogTest, ZeroThresholdDisablesSlowDetection) {
   QueryLog log(8);
   log.set_slow_threshold_ms(0.0);
   log.Add(MakeEntry("glacial", 1e6));
-  EXPECT_TRUE(log.SlowEntries().empty());
+  EXPECT_FALSE(log.Entries()[0].slow);
 }
 
 TEST(QueryLogTest, AddFeedsMetricsRegistry) {

@@ -84,12 +84,13 @@ TEST_F(ExecutorTest, AttrAttrPredicateCount) {
   EXPECT_EQ(n, CpuCount(e));
 }
 
-TEST_F(ExecutorTest, SelectBitmapMatchesRowEvaluation) {
+TEST_F(ExecutorTest, SelectRowIdsMatchRowEvaluation) {
   ExprPtr e = Expr::Between(0, 5000.0f, 200000.0f);
-  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> bitmap, executor_->SelectBitmap(e));
-  ASSERT_EQ(bitmap.size(), table_.num_rows());
+  ASSERT_OK_AND_ASSIGN(std::vector<uint32_t> rows, executor_->SelectRowIds(e));
+  std::vector<bool> selected(table_.num_rows(), false);
+  for (uint32_t row : rows) selected[row] = true;
   for (size_t row = 0; row < table_.num_rows(); ++row) {
-    EXPECT_EQ(bitmap[row] == 1, e->EvaluateRow(table_, row)) << row;
+    EXPECT_EQ(selected[row], e->EvaluateRow(table_, row)) << row;
   }
 }
 
@@ -285,49 +286,6 @@ TEST_F(ExecutorTest, ErrorPaths) {
   // Invalid column index in the expression.
   EXPECT_FALSE(
       executor_->Count(Expr::Pred(9, CompareOp::kEqual, 0.0f)).ok());
-}
-
-TEST_F(ExecutorTest, SelectTableMaterializesMatchingRows) {
-  ExprPtr e = Expr::Pred(1, CompareOp::kGreater, 0.0f);  // lossy flows
-  ASSERT_OK_AND_ASSIGN(db::Table result, executor_->SelectTable(e));
-  ASSERT_OK_AND_ASSIGN(std::vector<uint32_t> rows, executor_->SelectRowIds(e));
-  ASSERT_EQ(result.num_rows(), rows.size());
-  ASSERT_EQ(result.num_columns(), table_.num_columns());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    for (size_t c = 0; c < table_.num_columns(); ++c) {
-      EXPECT_EQ(result.column(c).value(i), table_.column(c).value(rows[i]))
-          << "row " << i << " col " << c;
-    }
-  }
-  // The materialized table is itself queryable.
-  gpu::Device device2(100, 100);
-  ASSERT_OK_AND_ASSIGN(auto exec2, Executor::Make(&device2, &result));
-  ASSERT_OK_AND_ASSIGN(uint64_t still_lossy,
-                       exec2->Count(Expr::Pred(1, CompareOp::kGreater, 0.0f)));
-  EXPECT_EQ(still_lossy, result.num_rows());
-}
-
-TEST_F(ExecutorTest, TopKMatchesSortedReference) {
-  const auto& values = table_.column(0).values();
-  std::vector<std::pair<uint32_t, uint32_t>> reference;
-  for (uint32_t row = 0; row < values.size(); ++row) {
-    reference.emplace_back(row, static_cast<uint32_t>(values[row]));
-  }
-  std::sort(reference.begin(), reference.end(),
-            [](const auto& a, const auto& b) {
-              return a.second != b.second ? a.second > b.second
-                                          : a.first < b.first;
-            });
-  for (uint64_t k : {uint64_t{1}, uint64_t{10}, uint64_t{100}}) {
-    ASSERT_OK_AND_ASSIGN(auto top, executor_->TopK("data_count", k));
-    ASSERT_EQ(top.size(), k);
-    for (size_t i = 0; i < k; ++i) {
-      EXPECT_EQ(top[i].first, reference[i].first) << "k=" << k << " i=" << i;
-      EXPECT_EQ(top[i].second, reference[i].second);
-    }
-  }
-  EXPECT_FALSE(executor_->TopK("data_count", 0).ok());
-  EXPECT_FALSE(executor_->TopK("no_such", 5).ok());
 }
 
 TEST_F(ExecutorTest, OrderByRowIdsMatchesStableSort) {

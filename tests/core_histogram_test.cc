@@ -1,3 +1,4 @@
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +15,10 @@ namespace {
 using testing_util::RandomInts;
 using testing_util::ToFloats;
 using testing_util::UploadIntAttribute;
+
+uint64_t Total(const Histogram& hist) {
+  return std::accumulate(hist.counts.begin(), hist.counts.end(), uint64_t{0});
+}
 
 class HistogramTest : public ::testing::Test {
  protected:
@@ -34,7 +39,7 @@ TEST_F(HistogramTest, GpuMatchesCpuOnIntegerAlignedEdges) {
   for (int i = 0; i < 16; ++i) {
     EXPECT_EQ(gpu_hist.counts[i], cpu_hist.counts[i]) << "bucket " << i;
   }
-  EXPECT_EQ(gpu_hist.total(), 3000u);
+  EXPECT_EQ(Total(gpu_hist), 3000u);
 }
 
 TEST_F(HistogramTest, SubrangeExcludesOutOfRangeValues) {
@@ -45,7 +50,7 @@ TEST_F(HistogramTest, SubrangeExcludesOutOfRangeValues) {
                        GpuHistogram(&device_, attr, 10, 30, 2));
   EXPECT_EQ(hist.counts[0], 2u);  // 10, 15
   EXPECT_EQ(hist.counts[1], 3u);  // 20, 25, 30
-  EXPECT_EQ(hist.total(), 5u);    // 5, 35, 40 excluded
+  EXPECT_EQ(Total(hist), 5u);    // 5, 35, 40 excluded
 }
 
 TEST_F(HistogramTest, SingleBucketCountsWholeRange) {
@@ -86,8 +91,8 @@ TEST_F(HistogramTest, ZipfSkewLandsInFirstBuckets) {
   ASSERT_OK_AND_ASSIGN(Histogram hist,
                        GpuHistogram(&device_, attr, 0, 1024, 8));
   // Heavy skew: the first bucket dominates.
-  EXPECT_GT(hist.counts[0], hist.total() / 2);
-  EXPECT_EQ(hist.total(), 4000u);
+  EXPECT_GT(hist.counts[0], Total(hist) / 2);
+  EXPECT_EQ(Total(hist), 4000u);
 }
 
 TEST_F(HistogramTest, QuantilesMatchSortedReference) {
@@ -129,8 +134,6 @@ TEST(JoinEstimateTest, ExactForUniformDisjointBuckets) {
   // width 1 -> estimate = 10*5 + 6*2 = 62 joined pairs.
   ASSERT_OK_AND_ASSIGN(double size, EstimateEquiJoinSize(a, b));
   EXPECT_DOUBLE_EQ(size, 62.0);
-  ASSERT_OK_AND_ASSIGN(double sel, EstimateEquiJoinSelectivity(a, b));
-  EXPECT_DOUBLE_EQ(sel, 62.0 / (16.0 * 7.0));
 }
 
 TEST(JoinEstimateTest, RequiresMatchingBucketing) {

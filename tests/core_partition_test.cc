@@ -102,20 +102,6 @@ TEST_F(PartitionTest, MedianAcrossTiles) {
   EXPECT_EQ(gpu_med, static_cast<uint32_t>(cpu_med));
 }
 
-TEST_F(PartitionTest, SelectBitmapSpansAllTiles) {
-  const std::vector<uint32_t> ints = RandomInts(4100, 9, 227);
-  const std::vector<float> floats = ToFloats(ints);
-  const db::Column col = MakeColumn(ints);
-  ASSERT_OK_AND_ASSIGN(PartitionedColumn part,
-                       PartitionedColumn::Make(&device_, col));
-  std::vector<uint8_t> expected;
-  cpu::PredicateScan(floats, gpu::CompareOp::kLess, 200.0f, &expected);
-  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> bitmap,
-                       part.SelectBitmap(gpu::CompareOp::kLess, 200.0));
-  ASSERT_EQ(bitmap.size(), expected.size());
-  EXPECT_EQ(bitmap, expected);
-}
-
 TEST_F(PartitionTest, RejectsUnsupportedInputs) {
   auto float_col = db::Column::MakeFloat("f", {1.0f, 2.0f});
   ASSERT_TRUE(float_col.ok());
@@ -219,20 +205,17 @@ TEST_F(PartitionTest, ZoneMapPruningCorrectOnAllOperators) {
   }
 }
 
-TEST_F(PartitionTest, ZoneMapSelectBitmapMatchesScan) {
+TEST_F(PartitionTest, ZoneMapSkipsTilesThatFullyMatch) {
   std::vector<uint32_t> ints(3000);
   for (size_t i = 0; i < ints.size(); ++i) {
     ints[i] = static_cast<uint32_t>(i % 500);  // repeating ramp
   }
-  const std::vector<float> floats = ToFloats(ints);
   const db::Column col = MakeColumn(ints);
   ASSERT_OK_AND_ASSIGN(PartitionedColumn part,
                        PartitionedColumn::Make(&device_, col));
-  std::vector<uint8_t> expected;
-  cpu::PredicateScan(floats, gpu::CompareOp::kLess, 600.0f, &expected);
-  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> bitmap,
-                       part.SelectBitmap(gpu::CompareOp::kLess, 600.0));
-  EXPECT_EQ(bitmap, expected);  // every tile fully matches (max 499 < 600)
+  ASSERT_OK_AND_ASSIGN(uint64_t count,
+                       part.Count(gpu::CompareOp::kLess, 600.0));
+  EXPECT_EQ(count, ints.size());  // every tile fully matches (max 499 < 600)
   EXPECT_EQ(part.tiles_pruned(), part.tile_count());
 }
 

@@ -52,7 +52,6 @@ TEST(FaultClassification, TransientAndDeviceFaultSets) {
   EXPECT_TRUE(IsDeviceFault(Status::Internal("x")));
   EXPECT_FALSE(IsDeviceFault(Status::InvalidArgument("x")));
   EXPECT_FALSE(IsDeviceFault(Status::DeadlineExceeded("x")));
-  EXPECT_FALSE(IsDeviceFault(Status::Cancelled("x")));
 }
 
 TEST(FaultInjector, SameSeedSameDrawSequence) {

@@ -21,6 +21,13 @@ Polygon2D Rect(float x0, float y0, float x1, float y1) {
 class SpatialJoinTest : public ::testing::Test {
  protected:
   SpatialJoinTest() : device_(128, 128) {}
+
+  /// Whether the one-pair join reports `a` and `b` as overlapping.
+  Result<bool> Overlaps(const Polygon2D& a, const Polygon2D& b) {
+    GPUDB_ASSIGN_OR_RETURN(auto pairs, SpatialOverlapJoin(&device_, {a}, {b}));
+    return !pairs.empty();
+  }
+
   gpu::Device device_;
 };
 
@@ -37,18 +44,12 @@ TEST_F(SpatialJoinTest, SatReferenceBasics) {
 
 TEST_F(SpatialJoinTest, ClearOverlapsAndGapsMatchReference) {
   const Polygon2D a = Rect(10, 10, 50, 50);
-  ASSERT_OK_AND_ASSIGN(bool hit,
-                       PolygonsOverlapScreenSpace(&device_, a,
-                                                  Rect(30, 30, 70, 70)));
+  ASSERT_OK_AND_ASSIGN(bool hit, Overlaps(a, Rect(30, 30, 70, 70)));
   EXPECT_TRUE(hit);
-  ASSERT_OK_AND_ASSIGN(bool miss,
-                       PolygonsOverlapScreenSpace(&device_, a,
-                                                  Rect(60, 60, 100, 100)));
+  ASSERT_OK_AND_ASSIGN(bool miss, Overlaps(a, Rect(60, 60, 100, 100)));
   EXPECT_FALSE(miss);
   // Containment.
-  ASSERT_OK_AND_ASSIGN(bool inside,
-                       PolygonsOverlapScreenSpace(&device_, a,
-                                                  Rect(20, 20, 30, 30)));
+  ASSERT_OK_AND_ASSIGN(bool inside, Overlaps(a, Rect(20, 20, 30, 30)));
   EXPECT_TRUE(inside);
 }
 
@@ -58,8 +59,7 @@ TEST_F(SpatialJoinTest, DiagonalNeighborsBboxPruneIsNotEnough) {
   const Polygon2D lower = Polygon2D{{{10, 10}, {90, 10}, {10, 90}}};
   const Polygon2D upper = Polygon2D{{{95, 20}, {95, 95}, {20, 95}}};
   EXPECT_FALSE(ConvexPolygonsIntersect(lower, upper));
-  ASSERT_OK_AND_ASSIGN(bool hit,
-                       PolygonsOverlapScreenSpace(&device_, lower, upper));
+  ASSERT_OK_AND_ASSIGN(bool hit, Overlaps(lower, upper));
   EXPECT_FALSE(hit);
 }
 
@@ -100,16 +100,16 @@ TEST_F(SpatialJoinTest, JoinMatchesSatOnRandomLayers) {
 
 TEST_F(SpatialJoinTest, ValidatesInput) {
   const Polygon2D ok = Rect(0, 0, 10, 10);
-  EXPECT_FALSE(PolygonsOverlapScreenSpace(nullptr, ok, ok).ok());
+  EXPECT_FALSE(SpatialOverlapJoin(nullptr, {ok}, {ok}).ok());
   // Too few vertices.
   Polygon2D degenerate{{{0, 0}, {1, 1}}};
-  EXPECT_FALSE(PolygonsOverlapScreenSpace(&device_, degenerate, ok).ok());
+  EXPECT_FALSE(Overlaps(degenerate, ok).ok());
   // Clockwise (negative orientation).
   Polygon2D cw{{{0, 0}, {0, 10}, {10, 10}, {10, 0}}};
-  EXPECT_FALSE(PolygonsOverlapScreenSpace(&device_, cw, ok).ok());
+  EXPECT_FALSE(Overlaps(cw, ok).ok());
   // Out of the window.
   Polygon2D outside = Rect(100, 100, 200, 200);
-  EXPECT_FALSE(PolygonsOverlapScreenSpace(&device_, outside, ok).ok());
+  EXPECT_FALSE(Overlaps(outside, ok).ok());
   EXPECT_FALSE(SpatialOverlapJoin(&device_, {ok}, {outside}).ok());
 }
 
@@ -119,7 +119,7 @@ TEST_F(SpatialJoinTest, ScissorLimitsWorkToOverlapRegion) {
   const Polygon2D a = Rect(0, 0, 64, 64);
   const Polygon2D b = Rect(56, 56, 120, 120);
   device_.ResetCounters();
-  ASSERT_OK_AND_ASSIGN(bool hit, PolygonsOverlapScreenSpace(&device_, a, b));
+  ASSERT_OK_AND_ASSIGN(bool hit, Overlaps(a, b));
   EXPECT_TRUE(hit);
   EXPECT_LE(device_.counters().fragments_generated, 2u * 8u * 8u);
 }
@@ -128,10 +128,8 @@ TEST_F(SpatialJoinTest, OpensTheViewportAndRestoresIt) {
   // Triangles are clipped to the viewport. A viewport left at 10 rows by an
   // earlier operator must neither hide an overlap at row 100 nor be lost.
   ASSERT_OK(device_.SetViewport(10 * 128));
-  ASSERT_OK_AND_ASSIGN(bool hit,
-                       PolygonsOverlapScreenSpace(&device_,
-                                                  Rect(90, 90, 110, 110),
-                                                  Rect(100, 100, 120, 120)));
+  ASSERT_OK_AND_ASSIGN(
+      bool hit, Overlaps(Rect(90, 90, 110, 110), Rect(100, 100, 120, 120)));
   EXPECT_TRUE(hit);
   EXPECT_EQ(device_.viewport_pixels(), 10u * 128u);
 }

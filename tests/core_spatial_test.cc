@@ -80,11 +80,12 @@ TEST_F(SpatialTest, SquareSelectionExactCount) {
 
 TEST_F(SpatialTest, TriangleSelectionMatchesCpu) {
   const gpu::TextureId grid = UploadGrid(12);
-  ASSERT_OK_AND_ASSIGN(
-      std::vector<HalfPlane> planes,
-      ConvexPolygonToHalfPlanes({{-10, -5}, {8, -2}, {-1, 9}}));
+  const std::vector<std::pair<float, float>> triangle = {
+      {-10, -5}, {8, -2}, {-1, 9}};
+  ASSERT_OK_AND_ASSIGN(std::vector<HalfPlane> planes,
+                       ConvexPolygonToHalfPlanes(triangle));
   ASSERT_OK_AND_ASSIGN(StencilSelection sel,
-                       SelectPointsInConvexRegion(&device_, grid, planes));
+                       SelectPointsInConvexPolygon(&device_, grid, triangle));
   EXPECT_EQ(sel.count, CpuCount(planes));
   EXPECT_GT(sel.count, 0u);
 }
@@ -107,23 +108,15 @@ TEST_F(SpatialTest, HexagonSelectionMatchesCpuAndStencil) {
   }
 }
 
-TEST_F(SpatialTest, UnboundedIntersectionOfTwoHalfPlanes) {
-  const gpu::TextureId grid = UploadGrid(10);
-  // x >= 0 AND y >= x  (as a*x + b*y <= c forms).
-  const std::vector<HalfPlane> planes = {{-1, 0, 0}, {1, -1, 0}};
-  ASSERT_OK_AND_ASSIGN(StencilSelection sel,
-                       SelectPointsInConvexRegion(&device_, grid, planes));
-  EXPECT_EQ(sel.count, CpuCount(planes));
-  EXPECT_FALSE(SelectPointsInConvexRegion(&device_, grid, {}).ok());
-}
-
-TEST_F(SpatialTest, EmptyIntersection) {
+TEST_F(SpatialTest, PolygonOffTheGridSelectsNothing) {
   const gpu::TextureId grid = UploadGrid(5);
-  // x <= -1 AND x >= 1: contradiction.
-  const std::vector<HalfPlane> planes = {{1, 0, -1}, {-1, 0, -1}};
-  ASSERT_OK_AND_ASSIGN(StencilSelection sel,
-                       SelectPointsInConvexRegion(&device_, grid, planes));
+  ASSERT_OK_AND_ASSIGN(
+      StencilSelection sel,
+      SelectPointsInConvexPolygon(&device_, grid,
+                                  {{20, 20}, {30, 20}, {30, 30}, {20, 30}}));
   EXPECT_EQ(sel.count, 0u);
+  EXPECT_FALSE(
+      SelectPointsInConvexPolygon(&device_, grid, {{0, 0}, {1, 1}}).ok());
 }
 
 }  // namespace

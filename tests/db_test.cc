@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -174,6 +175,22 @@ TEST(DatagenTest, UniformRespectsBits) {
   EXPECT_FALSE(MakeUniformTable(10, 25).ok());
   EXPECT_FALSE(MakeUniformTable(0, 8).ok());
   EXPECT_FALSE(MakeUniformTable(10, 8, 5).ok());
+}
+
+TEST(TableFormatTest, FormatRowsAlignsAndTruncates) {
+  Table t;
+  ASSERT_OK_AND_ASSIGN(Column a, Column::MakeInt24("id", {7, 42, 100000}));
+  ASSERT_OK_AND_ASSIGN(Column b,
+                       Column::MakeFloat("score", {1.5f, -2.0f, 0.25f}));
+  ASSERT_OK(t.AddColumn(std::move(a)));
+  ASSERT_OK(t.AddColumn(std::move(b)));
+  const std::string text = t.FormatRows({2, 0}, /*max_rows=*/10);
+  EXPECT_NE(text.find("id"), std::string::npos);
+  EXPECT_NE(text.find("100000"), std::string::npos);
+  EXPECT_NE(text.find("1.5"), std::string::npos);
+  EXPECT_EQ(text.find("42"), std::string::npos);  // row 1 not requested
+  const std::string truncated = t.FormatRows({0, 1, 2}, /*max_rows=*/2);
+  EXPECT_NE(truncated.find("(1 more)"), std::string::npos);
 }
 
 }  // namespace

@@ -69,16 +69,14 @@ TEST(DepthPrecisionTest, NarrowBufferCollidesWideValues) {
             fb24.Quantize(static_cast<float>(b * scale)));
 }
 
-TEST(DeviceTest, ClearsAffectAllPlanes) {
+TEST(DeviceTest, ClearsFillDepthAndStencil) {
   Device dev(4, 4);
   dev.ClearDepth(0.5f);
   dev.ClearStencil(3);
-  dev.ClearColor(0.1f, 0.2f, 0.3f, 0.4f);
   const FrameBuffer& fb = dev.framebuffer();
   for (uint64_t i = 0; i < fb.pixel_count(); ++i) {
     EXPECT_EQ(fb.depth(i), QuantizeDepth(0.5f));
     EXPECT_EQ(fb.stencil(i), 3);
-    EXPECT_FLOAT_EQ(fb.color(i)[3], 0.4f);
   }
 }
 
@@ -250,7 +248,6 @@ std::vector<ScissorCase> CoverageScissors() {
 void PrepareCoverage(Device* dev, const ScissorCase& sc) {
   dev->ClearStencil(7);
   dev->ClearDepth(0.25f);
-  dev->ClearColor(0.5f, 0.5f, 0.5f, 0.5f);
   ASSERT_OK(dev->SetViewport(kCoverViewport));
   dev->state().scissor_test_enabled = sc.enabled;
   dev->state().scissor = sc.rect;
@@ -283,16 +280,12 @@ TEST(CoverageTest, ClearsWriteExactlyTheQuadCoverage) {
     PrepareCoverage(&dev, sc);
     dev.ClearStencil(1);
     dev.ClearDepth(0.75f);
-    dev.ClearColor(1.0f, 2.0f, 3.0f, 4.0f);
     const FrameBuffer& fb = dev.framebuffer();
     for (uint64_t i = 0; i < fb.pixel_count(); ++i) {
       SCOPED_TRACE("pixel " + std::to_string(i));
       const bool v = visits[i];
       EXPECT_EQ(fb.stencil(i), v ? 1 : 7);
       EXPECT_EQ(fb.depth(i), QuantizeDepth(v ? 0.75f : 0.25f));
-      for (int c = 0; c < 4; ++c) {
-        EXPECT_EQ(fb.color(i)[c], v ? static_cast<float>(c + 1) : 0.5f);
-      }
     }
   }
 }

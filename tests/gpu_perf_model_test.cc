@@ -76,14 +76,6 @@ TEST(PerfModelTest, EmptyCountersCostNothing) {
   EXPECT_EQ(model.Utilization(DeviceCounters{}), 1.0);
 }
 
-TEST(PerfModelTest, FormatBreakdownMentionsTotal) {
-  DeviceCounters counters;
-  counters.Add(SimplePass(1000));
-  PerfModel model;
-  const std::string s = PerfModel::FormatBreakdown(model.Estimate(counters));
-  EXPECT_NE(s.find("total="), std::string::npos);
-}
-
 TEST(PerfModelTest, DeviceDrivenCountersMatchManual) {
   // Run a real pass through the Device and check the model sees it.
   Device dev(100, 100);

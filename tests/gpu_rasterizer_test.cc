@@ -206,7 +206,8 @@ TEST(DeviceGeometryTest, QuadDepthSurvivesPipelineExactly) {
   dev.SetDepthTest(true, CompareOp::kAlways);
   dev.SetDepthWriteMask(true);
   for (uint32_t code : {0u, 1u, 12345u, (1u << 23) + 1, kDepthMax}) {
-    const float d = DepthToFloat(code);
+    // The inverse of QuantizeDepth (exact for quantized values).
+    const float d = static_cast<float>(code) / static_cast<float>(kDepthMax);
     ASSERT_OK(dev.RenderQuad(d));
     EXPECT_EQ(dev.framebuffer().depth(17), code) << code;
   }

@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,7 +11,6 @@
 #include "src/cpu/quickselect.h"
 #include "src/cpu/scan.h"
 #include "src/db/catalog.h"
-#include "src/db/csv.h"
 #include "src/db/datagen.h"
 #include "src/gpu/perf_model.h"
 #include "src/sql/session.h"
@@ -143,11 +144,9 @@ TEST_F(IntegrationTest, ModeledTimesConsistentWithPlannerFormulas) {
 }
 
 TEST_F(IntegrationTest, FullAnalyticsSessionAcrossSubsystems) {
-  // CSV -> table -> SQL -> selection materialization -> re-query -> TopK:
+  // SQL -> selection materialization -> re-query -> ORDER BY ... LIMIT:
   // the adoption path a downstream user would actually walk.
-  ASSERT_OK_AND_ASSIGN(db::Table source, db::MakeTcpIpTable(4000));
-  const std::string csv = db::WriteCsv(source);
-  ASSERT_OK_AND_ASSIGN(db::Table table, db::ReadCsv(csv));
+  ASSERT_OK_AND_ASSIGN(db::Table table, db::MakeTcpIpTable(4000));
   db::Catalog catalog;
   ASSERT_OK(catalog.Register("flows", &table));
   sql::Session session(&device_, &catalog);
@@ -170,7 +169,9 @@ TEST_F(IntegrationTest, FullAnalyticsSessionAcrossSubsystems) {
   // analytics on the result table.
   ASSERT_OK_AND_ASSIGN(Executor * exec, session.ExecutorFor("flows"));
   ExprPtr lossy = Expr::Pred(1, CompareOp::kGreater, 0.0f);
-  ASSERT_OK_AND_ASSIGN(db::Table lossy_table, exec->SelectTable(lossy));
+  ASSERT_OK_AND_ASSIGN(std::vector<uint32_t> lossy_rows,
+                       exec->SelectRowIds(lossy));
+  ASSERT_OK_AND_ASSIGN(db::Table lossy_table, table.GatherRows(lossy_rows));
   gpu::Device device2(100, 100);
   ASSERT_OK_AND_ASSIGN(auto exec2, Executor::Make(&device2, &lossy_table));
   ASSERT_OK_AND_ASSIGN(
@@ -180,14 +181,22 @@ TEST_F(IntegrationTest, FullAnalyticsSessionAcrossSubsystems) {
   ASSERT_OK_AND_ASSIGN(float cpu_median, cpu::Median(lossy_counts));
   EXPECT_DOUBLE_EQ(lossy_median, static_cast<double>(cpu_median));
 
-  // Top-5 by data_count on the derived table.
-  ASSERT_OK_AND_ASSIGN(auto top, exec2->TopK("data_count", 5));
-  ASSERT_EQ(top.size(), 5u);
-  for (size_t i = 1; i < top.size(); ++i) {
-    EXPECT_GE(top[i - 1].second, top[i].second);
+  // Top-5 by data_count on the derived table, through its own session.
+  db::Catalog derived;
+  ASSERT_OK(derived.Register("flows", &lossy_table));
+  sql::Session derived_session(&device2, &derived);
+  ASSERT_OK_AND_ASSIGN(
+      sql::QueryResult top,
+      derived_session.Execute(
+          "SELECT * FROM flows ORDER BY data_count DESC LIMIT 5"));
+  ASSERT_EQ(top.row_ids.size(), 5u);
+  std::vector<float> cpu_sorted = lossy_counts;
+  std::sort(cpu_sorted.begin(), cpu_sorted.end(), std::greater<float>());
+  for (size_t i = 0; i < top.row_ids.size(); ++i) {
+    EXPECT_EQ(lossy_counts[top.row_ids[i]], cpu_sorted[i]) << i;
   }
   ASSERT_OK_AND_ASSIGN(float true_max, cpu::MaxValue(lossy_counts));
-  EXPECT_EQ(top[0].second, static_cast<uint32_t>(true_max));
+  EXPECT_EQ(lossy_counts[top.row_ids[0]], true_max);
 }
 
 TEST_F(IntegrationTest, PaperHeadlineWorkloadSmoke) {

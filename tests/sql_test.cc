@@ -297,24 +297,6 @@ TEST_F(SqlEndToEndTest, GroupByExecutes) {
   EXPECT_NE(r.ToString().find("group(s)"), std::string::npos);
 }
 
-TEST_F(SqlEndToEndTest, ScriptRunsStatementsInOrder) {
-  ASSERT_OK_AND_ASSIGN(
-      std::vector<QueryResult> results,
-      session_.ExecuteScript("SELECT COUNT(*) FROM t;\n"
-                             "SELECT MAX(u0) FROM t;\n"
-                             "  ;\n"  // blank statement skipped
-                             "SELECT COUNT(*) FROM t WHERE u1 < 100"));
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[0].count, table_.num_rows());
-  EXPECT_DOUBLE_EQ(results[1].scalar,
-                   static_cast<double>(table_.column(0).max()));
-  // A failed statement fails the script.
-  EXPECT_FALSE(
-      session_.ExecuteScript("SELECT COUNT(*) FROM t; SELECT NOPE(u0) FROM t")
-          .ok());
-  EXPECT_FALSE(session_.ExecuteScript(" ;; ").ok());
-}
-
 TEST(SqlSizeInvarianceTest, FramebufferSizeChangesNoAnswerAndNoCounter) {
   // A device sized to the table and one with 4x the pixels run the nine
   // session-benchmark statement shapes. Work is sized to the viewport, so
