@@ -45,7 +45,6 @@ int Run() {
                                             /*cache_enabled=*/true);
       opts.use_cache = true;
       opts.table = "tcpip";
-      opts.table_version = 1;
       device->ResetCounters();
       Timer timer;
       auto sel = core::EvalCnf(device.get(), clauses, &opts);

@@ -9,6 +9,7 @@
 #   1. the standard build + full ctest run (what CI gates on), then the
 #      EXPLAIN battery (scripts/explain_battery.sql) through sql_shell at 1
 #      and 8 threads and on a 3-device pool, byte-identical across the three,
+#      and again under --plan-cache at 1 and 8 threads, byte-identical,
 #   2. a bench smoke run of every figure bench with a committed baseline,
 #      and of the Accumulator's alpha-test vs KILL ablation, diffed against
 #      bench/baseline (model-time regression gate; see
@@ -29,9 +30,11 @@
 #   5. a standalone UBSan build (GPUDB_SANITIZE=undefined, recover off) of
 #      the full suite — UB aborts the test instead of hiding behind ASan's
 #      interceptors, and
-#   6. a TSan build of the parallel-pixel-engine determinism test and the
-#      fault sweep, run oversubscribed (GPUDB_THREADS=8) to shake out races
-#      in the row-band dispatch and the interrupt/fault paths.
+#   6. a TSan build of the parallel-pixel-engine determinism test, the
+#      fault sweep, the pool soak and the catalog suite (whose concurrent
+#      ANALYZE case shares one catalog between two sessions), run
+#      oversubscribed (GPUDB_THREADS=8) to shake out races in the row-band
+#      dispatch, the interrupt/fault paths and the catalog's statistics.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -80,6 +83,21 @@ if grep -n 'error: ' "$battery_dir/threads1.txt"; then
 fi
 cmp "$battery_dir/threads1.txt" "$battery_dir/threads8.txt"
 cmp "$battery_dir/threads1.txt" "$battery_dir/devices3.txt"
+
+echo "== EXPLAIN battery under --plan-cache: byte-identical at 1 and 8 threads =="
+# The same battery with the depth-plane cache on, so the cache's miss and
+# restore paths run through sql_shell: every statement must succeed and the
+# two outputs (cache= tags included) must match byte for byte.
+./build/examples/sql_shell --plan-cache --threads=1 - \
+  <scripts/explain_battery.sql >"$battery_dir/cache_threads1.txt"
+./build/examples/sql_shell --plan-cache --threads=8 - \
+  <scripts/explain_battery.sql >"$battery_dir/cache_threads8.txt"
+if grep -n 'error: ' "$battery_dir/cache_threads1.txt" \
+    "$battery_dir/cache_threads8.txt"; then
+  echo "EXPLAIN battery under --plan-cache: a statement failed" >&2
+  exit 1
+fi
+cmp "$battery_dir/cache_threads1.txt" "$battery_dir/cache_threads8.txt"
 
 echo "== bench smoke: figure model times vs bench/baseline =="
 smoke_dir="$(mktemp -d)"
@@ -159,12 +177,13 @@ cmake -B build-ubsan -S . -DGPUDB_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j"$(nproc)"
 ctest --test-dir build-ubsan --output-on-failure -j"$(nproc)"
 
-echo "== sanitizers: TSan build + parallel determinism + fault sweep + pool soak =="
+echo "== sanitizers: TSan build + parallel determinism + fault sweep + pool soak + catalog =="
 cmake -B build-tsan -S . -DGPUDB_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j"$(nproc)" --target gpu_parallel_test device_fuzz_test gpu_pool_test
+cmake --build build-tsan -j"$(nproc)" --target gpu_parallel_test device_fuzz_test gpu_pool_test sql_catalog_test
 GPUDB_THREADS=8 ./build-tsan/tests/gpu_parallel_test
 GPUDB_THREADS=8 ./build-tsan/tests/device_fuzz_test --gtest_filter='FaultSweep.*'
 GPUDB_THREADS=8 ./build-tsan/tests/gpu_pool_test
 GPUDB_THREADS=8 ./build-tsan/tests/device_fuzz_test --gtest_filter='PoolSoak.*'
+GPUDB_THREADS=8 ./build-tsan/tests/sql_catalog_test
 
 echo "check.sh: all green"

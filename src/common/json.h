@@ -32,18 +32,13 @@ class Value {
   static Value Object(std::map<std::string, Value> members);
 
   Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_bool() const { return type_ == Type::kBool; }
   bool is_number() const { return type_ == Type::kNumber; }
-  bool is_string() const { return type_ == Type::kString; }
   bool is_array() const { return type_ == Type::kArray; }
   bool is_object() const { return type_ == Type::kObject; }
 
-  bool as_bool() const { return bool_; }
   double as_number() const { return number_; }
   const std::string& as_string() const { return string_; }
   const std::vector<Value>& as_array() const { return array_; }
-  const std::map<std::string, Value>& as_object() const { return object_; }
 
   /// Object member lookup; nullptr when absent or not an object.
   const Value* Find(std::string_view key) const;

@@ -49,7 +49,6 @@ Status ExecPredicate(gpu::Device* device, const GpuPredicate& pred,
       if (cacheable) {
         gpu::PlaneKey key;
         key.table = opts->table;
-        key.version = opts->table_version;
         key.column = pred.attr.column;
         key.scale = pred.attr.encoding.scale;
         key.offset = pred.attr.encoding.offset;

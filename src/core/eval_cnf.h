@@ -61,7 +61,6 @@ struct SelectionExecOptions {
   /// fall back to fusion (if planned) or the classic pair.
   bool use_cache = false;
   std::string table;
-  uint64_t table_version = 0;
 
   // Exec-time outcomes.
   int fused_passes = 0;

@@ -153,7 +153,6 @@ Result<StencilSelection> Executor::Where(const predicate::ExprPtr& expr) {
   SelectionExecOptions exec;
   exec.use_cache = use_cache;
   exec.table = table_name_;
-  exec.table_version = table_version_;
   StencilSelection sel;
   if (use_cnf) {
     GPUDB_ASSIGN_OR_RETURN(std::vector<GpuClause> clauses,

@@ -115,27 +115,28 @@ class Executor {
   const db::Table& table() const { return *table_; }
   gpu::Device& device() { return *device_; }
 
-  /// Attaches ANALYZE statistics (owned by the db::Catalog; may be null to
-  /// detach). With stats attached, Where() tags each selection span with
-  /// `est_rows` -- the histogram-based cardinality estimate -- so EXPLAIN
-  /// ANALYZE reports estimated vs. actual rows, and estimates off by more
-  /// than 2x increment the `planner.misestimates` counter.
-  void set_table_stats(const db::TableStats* stats) { stats_ = stats; }
+  /// Attaches an ANALYZE statistics snapshot (shared with the db::Catalog;
+  /// may be null to detach). The executor holds its share until the next
+  /// call, so a re-ANALYZE elsewhere can neither free nor rewrite what a
+  /// running statement reads. With stats attached, Where() tags each
+  /// selection span with `est_rows` -- the histogram-based cardinality
+  /// estimate -- so EXPLAIN ANALYZE reports estimated vs. actual rows, and
+  /// estimates off by more than 2x increment the `planner.misestimates`
+  /// counter.
+  void set_table_stats(std::shared_ptr<const db::TableStats> stats) {
+    stats_ = std::move(stats);
+  }
 
   /// Planner rewrite controls (the plane cache) for this executor's
   /// selections. Never changes results -- only the pass sequence.
   void set_plan_options(const PlanOptions& options) { plan_options_ = options; }
   const PlanOptions& plan_options() const { return plan_options_; }
 
-  /// Identity of the catalog table backing `table_`, for depth-plane cache
-  /// keys: cached planes are valid only for (name, version). The version
-  /// must be re-read from the catalog before each query -- a stale version
-  /// never produces wrong results (the key just misses) but wastes VRAM.
-  /// Without an identity the plane cache is inert.
-  void SetTableIdentity(std::string name, uint64_t version) {
-    table_name_ = std::move(name);
-    table_version_ = version;
-  }
+  /// Name of the catalog table backing `table_`, for depth-plane cache
+  /// keys. A registered table never changes, so the name (with column,
+  /// encoding and viewport) pins down every cached plane's bits. Without an
+  /// identity the plane cache is inert.
+  void SetTableIdentity(std::string name) { table_name_ = std::move(name); }
 
   /// The GPU binding (texture/channel/encoding) for a column; uploads the
   /// column texture on first use. Exposed for benchmarks that drive the
@@ -166,10 +167,9 @@ class Executor {
 
   gpu::Device* device_;
   const db::Table* table_;
-  const db::TableStats* stats_ = nullptr;  ///< ANALYZE stats; not owned.
+  std::shared_ptr<const db::TableStats> stats_;  ///< ANALYZE snapshot
   PlanOptions plan_options_;
-  std::string table_name_;      ///< catalog identity for plane-cache keys
-  uint64_t table_version_ = 0;  ///< catalog version at SetTableIdentity time
+  std::string table_name_;  ///< catalog identity for plane-cache keys
   std::vector<gpu::TextureId> column_textures_;  // -1 = not uploaded yet
   std::map<std::vector<size_t>, gpu::TextureId> packed_textures_;
 };

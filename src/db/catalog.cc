@@ -1,6 +1,7 @@
 #include "src/db/catalog.h"
 
 #include <utility>
+#include <vector>
 
 #include "src/common/metrics.h"
 #include "src/common/profile.h"
@@ -65,39 +66,8 @@ Status Catalog::Register(std::string name, const Table* table) {
     return Status::InvalidArgument("table '" + name +
                                    "' is already registered");
   }
-  const auto it = tables_.emplace(std::move(name), table).first;
-  versions_.emplace(it->first, 1);
+  tables_.emplace(std::move(name), table);
   return Status::OK();
-}
-
-uint64_t Catalog::version(std::string_view table) const {
-  MutexLock lock(&mu_);
-  const auto it = versions_.find(table);
-  return it == versions_.end() ? 0 : it->second;
-}
-
-Status Catalog::BumpTableVersion(std::string_view table) {
-  // Listeners run outside the lock: they reach into device state (plane
-  // cache invalidation) and must not deadlock against catalog readers.
-  std::vector<std::function<void(const std::string&)>> listeners;
-  {
-    MutexLock lock(&mu_);
-    const auto it = versions_.find(table);
-    if (it == versions_.end()) {
-      return Status::NotFound("no table named '" + std::string(table) + "'");
-    }
-    ++it->second;
-    listeners = version_listeners_;
-  }
-  const std::string name(table);
-  for (const auto& listener : listeners) listener(name);
-  return Status::OK();
-}
-
-void Catalog::AddVersionListener(
-    std::function<void(const std::string&)> listener) {
-  MutexLock lock(&mu_);
-  version_listeners_.push_back(std::move(listener));
 }
 
 Result<const Table*> Catalog::Lookup(std::string_view name) const {
@@ -110,18 +80,20 @@ Result<const Table*> Catalog::Lookup(std::string_view name) const {
 }
 
 Status Catalog::SetStats(std::string_view table, TableStats stats) {
+  auto snapshot = std::make_shared<const TableStats>(std::move(stats));
   MutexLock lock(&mu_);
   if (tables_.find(table) == tables_.end()) {
     return Status::NotFound("no table named '" + std::string(table) + "'");
   }
-  stats_.insert_or_assign(std::string(table), std::move(stats));
+  stats_.insert_or_assign(std::string(table), std::move(snapshot));
   return Status::OK();
 }
 
-const TableStats* Catalog::Stats(std::string_view table) const {
+std::shared_ptr<const TableStats> Catalog::Stats(
+    std::string_view table) const {
   MutexLock lock(&mu_);
   const auto it = stats_.find(table);
-  return it == stats_.end() ? nullptr : &it->second;
+  return it == stats_.end() ? nullptr : it->second;
 }
 
 bool Catalog::IsSystemTable(std::string_view name) {
@@ -354,7 +326,7 @@ Result<Table> Catalog::TablesTable() const {
     columns_col.push_back(static_cast<float>(table->num_columns()));
     const auto stats_it = stats_.find(name);
     const TableStats* stats =
-        stats_it == stats_.end() ? nullptr : &stats_it->second;
+        stats_it == stats_.end() ? nullptr : stats_it->second.get();
     analyzed.push_back(stats != nullptr && stats->analyzed() ? 1 : 0);
     buckets_col.push_back(
         stats != nullptr ? static_cast<float>(stats->histogram_buckets) : 0);
@@ -382,7 +354,7 @@ Result<Table> Catalog::ColumnsTable() const {
   for (const auto& [name, table] : tables_) {
     const auto stats_it = stats_.find(name);
     const TableStats* stats =
-        stats_it == stats_.end() ? nullptr : &stats_it->second;
+        stats_it == stats_.end() ? nullptr : stats_it->second.get();
     for (size_t i = 0; i < table->num_columns(); ++i) {
       const Column& c = table->column(i);
       table_names.push_back(name);

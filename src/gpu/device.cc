@@ -391,10 +391,6 @@ Status Device::CacheDepthPlane(const PlaneKey& key) {
   return Status::OK();
 }
 
-void Device::InvalidateCachedPlanes(std::string_view table) {
-  plane_cache_.InvalidateTable(table);
-}
-
 Result<std::vector<float>> Device::ReadTexture(TextureId id, int channel) {
   if (id < 0 || static_cast<size_t>(id) >= textures_.size()) {
     return Status::InvalidArgument("ReadTexture: invalid texture id " +

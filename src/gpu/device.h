@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "src/common/result.h"
@@ -148,10 +147,6 @@ class Device {
   /// if the plane cannot fit beside the resident textures it is silently
   /// not cached (the query already ran; caching is best-effort).
   [[nodiscard]] Status CacheDepthPlane(const PlaneKey& key);
-
-  /// Drops every cached plane belonging to `table` -- the invalidation hook
-  /// the catalog's table-version listeners call on reload/ANALYZE.
-  void InvalidateCachedPlanes(std::string_view table);
 
   const PlaneCache& plane_cache() const { return plane_cache_; }
 

@@ -55,24 +55,5 @@ bool PlaneCache::EvictLru() {
   return true;
 }
 
-size_t PlaneCache::InvalidateTable(std::string_view table) {
-  size_t removed = 0;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->key.table == table) {
-      bytes_ -= PlaneBytes(it->plane);
-      it = entries_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
-}
-
-void PlaneCache::Clear() {
-  entries_.clear();
-  bytes_ = 0;
-}
-
 }  // namespace gpu
 }  // namespace gpudb

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace gpudb {
@@ -14,14 +13,12 @@ namespace gpu {
 ///
 /// A cached plane is the depth buffer exactly as CopyToDepth leaves it for
 /// one attribute, so the key must pin down everything that determines those
-/// bits: the table and its catalog version (a reload or ANALYZE bumps the
-/// version, so stale planes can never hit even before they are evicted),
+/// bits: the table (registered tables never change, so its name suffices),
 /// the column, the normalization (scale/offset of the DepthEncoding -- two
 /// encodings of the same column quantize differently), and the viewport
 /// pixel count the copy covered.
 struct PlaneKey {
   std::string table;
-  uint64_t version = 0;
   int column = -1;
   double scale = 1.0;
   double offset = 0.0;
@@ -65,12 +62,6 @@ class PlaneCache {
 
   /// Evicts the least-recently-used entry. Returns false when empty.
   bool EvictLru();
-
-  /// Drops every plane belonging to `table` (any version, any column).
-  /// Returns the number of entries removed.
-  size_t InvalidateTable(std::string_view table);
-
-  void Clear();
 
   /// Total bytes held (4 bytes per cached depth texel).
   uint64_t bytes() const { return bytes_; }

@@ -57,10 +57,6 @@ Result<QueryResult> AnalyzeTable(core::PoolExecutor* exec,
   stats.table_name = table_name;
   const uint64_t columns = stats.columns.size();
   GPUDB_RETURN_NOT_OK(catalog->SetStats(table_name, std::move(stats)));
-  // ANALYZE re-reads the backing store, so it also refreshes the table's
-  // version: cached depth planes from before the re-read are dropped (lint
-  // rule R6 enforces this pairing on every store writer).
-  GPUDB_RETURN_NOT_OK(catalog->BumpTableVersion(table_name));
   QueryResult result;
   result.kind = Query::Kind::kAnalyzeTable;
   result.count = columns;
@@ -88,18 +84,7 @@ Session::Session(gpu::Device* device, db::Catalog* catalog)
     : device_(device),
       catalog_(catalog),
       own_pool_(device != nullptr ? gpu::DevicePool::Borrow(device)
-                                  : nullptr) {
-  // Plane-cache invalidation (DESIGN.md §14): whenever the catalog bumps a
-  // table's version -- reload, ANALYZE, any backing-store mutation (lint
-  // rule R6) -- the device drops every cached depth plane for that table.
-  // Versioned keys alone would keep results correct (stale versions never
-  // match); the eager drop reclaims the VRAM immediately.
-  if (device_ != nullptr && catalog_ != nullptr) {
-    catalog_->AddVersionListener([device = device_](const std::string& name) {
-      device->InvalidateCachedPlanes(name);
-    });
-  }
-}
+                                  : nullptr) {}
 
 void Session::set_plan_options(const core::PlanOptions& options) {
   MutexLock lock(&execute_mu_);
@@ -185,14 +170,13 @@ Result<core::PoolExecutor*> Session::SoloExecutorForLocked(
     it = executors_.emplace(std::string(table_name), std::move(exec)).first;
   }
   // The session multiplexes tables onto its one device; ShardExecutorFor
-  // restores this table's viewport. The plane-cache identity and the
-  // ANALYZE statistics are refreshed every statement: the catalog may have
-  // bumped the version or re-collected the stats since the last one.
+  // restores this table's viewport. The ANALYZE statistics are re-read
+  // every statement: another session may have re-collected them since the
+  // last one.
   GPUDB_ASSIGN_OR_RETURN(core::Executor* gpu,
                          it->second->ShardExecutorFor(0, 0));
   gpu->set_plan_options(plan_options_);
-  gpu->SetTableIdentity(std::string(table_name),
-                        catalog_->version(table_name));
+  gpu->SetTableIdentity(std::string(table_name));
   gpu->set_table_stats(catalog_->Stats(table_name));
   return it->second.get();
 }

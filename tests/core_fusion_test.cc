@@ -293,7 +293,7 @@ TEST_F(PlannedEvalTest, DnfMatchesRewritesOff) {
 }
 
 // ---------------------------------------------------------------------------
-// Depth-plane cache: hit/miss behaviour, bit-exactness, invalidation, LRU.
+// Depth-plane cache: hit/miss behaviour, bit-exactness, LRU.
 
 class PlaneCacheExecTest : public ::testing::Test {
  protected:
@@ -303,13 +303,11 @@ class PlaneCacheExecTest : public ::testing::Test {
     attr_.column = 0;
   }
 
-  SelectionExecOptions CachedOpts(const std::vector<GpuClause>& clauses,
-                                  uint64_t version = 1) {
+  SelectionExecOptions CachedOpts(const std::vector<GpuClause>& clauses) {
     SelectionExecOptions opts;
     opts.plan = PlanSelectionPasses(clauses, NormalForm::kCnf, true);
     opts.use_cache = true;
     opts.table = "t";
-    opts.table_version = version;
     return opts;
   }
 
@@ -379,28 +377,6 @@ TEST_F(PlaneCacheExecTest, RestoredPlaneIsBitExact) {
   EXPECT_EQ(copied, restored);
 }
 
-TEST_F(PlaneCacheExecTest, TableInvalidationAndVersionChangeBothMiss) {
-  const std::vector<GpuClause> clauses = {
-      {Depth(attr_, CompareOp::kGreater, 100)}};
-  SelectionExecOptions cold = CachedOpts(clauses);
-  ASSERT_TRUE(EvalCnf(&device_, clauses, &cold).ok());
-  ASSERT_EQ(cold.cache_misses, 1);
-
-  // Version bump: the old plane is still resident but its key no longer
-  // matches, so the query misses (and re-caches under the new version).
-  SelectionExecOptions v2 = CachedOpts(clauses, /*version=*/2);
-  ASSERT_TRUE(EvalCnf(&device_, clauses, &v2).ok());
-  EXPECT_EQ(v2.cache_misses, 1);
-  EXPECT_EQ(v2.cache_hits, 0);
-
-  // Eager invalidation: planes for the table are dropped outright.
-  device_.InvalidateCachedPlanes("t");
-  EXPECT_EQ(device_.plane_cache().size(), 0u);
-  SelectionExecOptions after = CachedOpts(clauses, /*version=*/2);
-  ASSERT_TRUE(EvalCnf(&device_, clauses, &after).ok());
-  EXPECT_EQ(after.cache_misses, 1);
-}
-
 TEST_F(PlaneCacheExecTest, PredicateWithoutColumnIdentityIsNotCached) {
   AttributeBinding anon = attr_;
   anon.column = -1;
@@ -416,11 +392,11 @@ TEST_F(PlaneCacheExecTest, PredicateWithoutColumnIdentityIsNotCached) {
 // ---------------------------------------------------------------------------
 // gpu::PlaneCache container semantics.
 
-TEST(PlaneCacheTest, LruEvictionAndInvalidation) {
+TEST(PlaneCacheTest, LruEvictsTheLeastRecentlyUsedPlane) {
   gpu::PlaneCache cache;
-  gpu::PlaneKey a{"t", 1, 0, 1.0, 0.0, 4};
-  gpu::PlaneKey b{"t", 1, 1, 1.0, 0.0, 4};
-  gpu::PlaneKey c{"u", 1, 0, 1.0, 0.0, 4};
+  gpu::PlaneKey a{"t", 0, 1.0, 0.0, 4};
+  gpu::PlaneKey b{"t", 1, 1.0, 0.0, 4};
+  gpu::PlaneKey c{"u", 0, 1.0, 0.0, 4};
   cache.Insert(a, {1, 2, 3, 4});
   cache.Insert(b, {5, 6, 7, 8});
   cache.Insert(c, {9, 10, 11, 12});
@@ -432,13 +408,13 @@ TEST(PlaneCacheTest, LruEvictionAndInvalidation) {
   ASSERT_TRUE(cache.EvictLru());
   EXPECT_EQ(cache.Lookup(b), nullptr);
   EXPECT_NE(cache.Lookup(a), nullptr);
-
-  // Table invalidation drops only that table's planes.
-  EXPECT_EQ(cache.InvalidateTable("t"), 1u);
-  EXPECT_EQ(cache.Lookup(a), nullptr);
   EXPECT_NE(cache.Lookup(c), nullptr);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.bytes(), 2u * 4u * sizeof(uint32_t));
 
-  cache.Clear();
+  // Draining the cache leaves nothing to evict.
+  ASSERT_TRUE(cache.EvictLru());
+  ASSERT_TRUE(cache.EvictLru());
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.bytes(), 0u);
   EXPECT_FALSE(cache.EvictLru());
@@ -446,15 +422,14 @@ TEST(PlaneCacheTest, LruEvictionAndInvalidation) {
 
 TEST(PlaneCacheTest, KeyDiscriminatesEveryField) {
   gpu::PlaneCache cache;
-  const gpu::PlaneKey base{"t", 1, 0, 1.0, 0.0, 8};
+  const gpu::PlaneKey base{"t", 0, 1.0, 0.0, 8};
   cache.Insert(base, std::vector<uint32_t>(8, 7));
   for (gpu::PlaneKey k :
-       {gpu::PlaneKey{"u", 1, 0, 1.0, 0.0, 8},   // table
-        gpu::PlaneKey{"t", 2, 0, 1.0, 0.0, 8},   // version
-        gpu::PlaneKey{"t", 1, 1, 1.0, 0.0, 8},   // column
-        gpu::PlaneKey{"t", 1, 0, 2.0, 0.0, 8},   // scale
-        gpu::PlaneKey{"t", 1, 0, 1.0, 1.0, 8},   // offset
-        gpu::PlaneKey{"t", 1, 0, 1.0, 0.0, 4}}) {  // viewport
+       {gpu::PlaneKey{"u", 0, 1.0, 0.0, 8},   // table
+        gpu::PlaneKey{"t", 1, 1.0, 0.0, 8},   // column
+        gpu::PlaneKey{"t", 0, 2.0, 0.0, 8},   // scale
+        gpu::PlaneKey{"t", 0, 1.0, 1.0, 8},   // offset
+        gpu::PlaneKey{"t", 0, 1.0, 0.0, 4}}) {  // viewport
     EXPECT_EQ(cache.Lookup(k), nullptr);
   }
   EXPECT_NE(cache.Lookup(base), nullptr);
@@ -473,7 +448,7 @@ TEST(PlaneCacheBudgetTest, PlanesNeverDisplaceTexturesAndEvictLruFirst) {
   ASSERT_TRUE(
       device.SetVideoMemoryBudget(texture_bytes + plane_bytes).ok());
 
-  gpu::PlaneKey k0{"t", 1, 0, attr.encoding.scale, attr.encoding.offset,
+  gpu::PlaneKey k0{"t", 0, attr.encoding.scale, attr.encoding.offset,
                    device.viewport_pixels()};
   gpu::PlaneKey k1 = k0;
   k1.column = 1;

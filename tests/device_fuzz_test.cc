@@ -298,7 +298,7 @@ std::vector<std::string> RunPlannedConfig(uint64_t seed, double rate,
   options.allow_cpu_fallback = true;
   exec->set_resilience_options(options);
   gpu_or.ValueOrDie()->set_plan_options(plan);
-  gpu_or.ValueOrDie()->SetTableIdentity("sweep", /*version=*/1);
+  gpu_or.ValueOrDie()->SetTableIdentity("sweep");
   const predicate::ExprPtr where =
       predicate::Expr::Pred(0, CompareOp::kGreater, 5000.0f);
 

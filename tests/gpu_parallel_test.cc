@@ -332,7 +332,6 @@ Snapshot RunPlannedScenario(int threads, const std::vector<uint32_t>& ints) {
                                       /*cache_enabled=*/true);
     cached.use_cache = true;
     cached.table = "sweep";
-    cached.table_version = 1;
     auto cs = EvalCnf(&device, clauses, &cached);
     EXPECT_OK(cs.status());
     if (cs.ok()) snap.results.push_back(cs.ValueOrDie().count);

@@ -354,55 +354,6 @@ TEST(GpulintR5, DisabledWithoutARegistry) {
 }
 
 // ---------------------------------------------------------------------------
-// R6: backing-store mutations bump the catalog table version.
-
-TEST(GpulintR6, FlagsSetStatsWithoutVersionBump) {
-  Corpus c;
-  c.Add("src/sql/session.cc",
-        "Status RunAnalyze(Catalog* catalog) {\n"
-        "  return catalog->SetStats(name, stats);\n"
-        "}\n");
-  const auto diags = RunR6(c.Finalize());
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].rule, "R6");
-  EXPECT_EQ(diags[0].line, 1);
-  EXPECT_NE(diags[0].message.find("BumpTableVersion"), std::string::npos);
-}
-
-TEST(GpulintR6, DirectBumpInTheSameFunctionSatisfiesTheRule) {
-  Corpus c;
-  c.Add("src/sql/session.cc",
-        "Status RunAnalyze(Catalog* catalog) {\n"
-        "  GPUDB_RETURN_NOT_OK(catalog->SetStats(name, stats));\n"
-        "  return catalog->BumpTableVersion(name);\n"
-        "}\n");
-  EXPECT_TRUE(RunR6(c.Finalize()).empty());
-}
-
-TEST(GpulintR6, BumpThroughAHelperSatisfiesTheRule) {
-  Corpus c;
-  c.Add("src/sql/session.cc",
-        "Status RefreshTable(Catalog* catalog) {\n"
-        "  return catalog->BumpTableVersion(name);\n"
-        "}\n"
-        "Status RunAnalyze(Catalog* catalog) {\n"
-        "  GPUDB_RETURN_NOT_OK(catalog->SetStats(name, stats));\n"
-        "  return RefreshTable(catalog);\n"
-        "}\n");
-  EXPECT_TRUE(RunR6(c.Finalize()).empty());
-}
-
-TEST(GpulintR6, CatalogInternalsAreOutOfScope) {
-  Corpus c;
-  // The catalog implements the hook; its own stats plumbing is exempt.
-  c.Add("src/db/catalog.cc",
-        "Status SetStatsImpl(Catalog* c) {\n"
-        "  return c->SetStats(name, stats);\n"
-        "}\n");
-  EXPECT_TRUE(RunR6(c.Finalize()).empty());
-}
-
-// ---------------------------------------------------------------------------
 // R7: guard coverage in mutex-owning classes, no naked lock()/unlock().
 
 TEST(GpulintR7, FlagsUnguardedFieldOfMutexOwningClass) {
@@ -552,7 +503,7 @@ TEST(GpulintR8, FlagsListenerInvocationUnderALock) {
   c.Add("src/db/catalog.cc",
         "void Catalog::Bump() {\n"
         "  MutexLock lock(&mu_);\n"
-        "  FireVersionListener(name);\n"
+        "  FireListener(name);\n"
         "}\n");
   const auto diags = RunR8(c.Finalize());
   ASSERT_EQ(diags.size(), 1u);
@@ -561,19 +512,19 @@ TEST(GpulintR8, FlagsListenerInvocationUnderALock) {
 
 TEST(GpulintR8, ListenerRegistrationAndSnapshotAfterReleaseAreClean) {
   Corpus c;
-  // The shipped BumpTableVersion shape: copy under the lock, fire outside.
+  // The canonical shape: copy under the lock, fire outside.
   c.Add("src/db/catalog.cc",
-        "void Catalog::Bump() {\n"
+        "void Catalog::Notify() {\n"
         "  std::vector<Listener> snapshot;\n"
         "  {\n"
         "    MutexLock lock(&mu_);\n"
-        "    snapshot = version_listeners_;\n"
+        "    snapshot = listeners_;\n"
         "  }\n"
         "  for (const auto& fire : snapshot) fire(name);\n"
         "}\n"
-        "void Catalog::AddVersionListener(Listener fn) {\n"
+        "void Catalog::AddListener(Listener fn) {\n"
         "  MutexLock lock(&mu_);\n"
-        "  version_listeners_.push_back(std::move(fn));\n"
+        "  listeners_.push_back(std::move(fn));\n"
         "}\n");
   EXPECT_TRUE(RunR8(c.Finalize()).empty());
 }

@@ -181,7 +181,6 @@ void Program::Finalize() {
   pool_reentrant_ = Closure({"ParallelFor", "EnsurePool", "SetWorkerThreads",
                              "RenderQuad", "RenderTexturedQuad",
                              "DrawTriangles", "RenderInternal"});
-  version_bumping_ = Closure({"BumpTableVersion"});
 
   // Names defined under two or more distinct qualifiers merge unrelated
   // functions; treating them as lock-transparent would let (for example)
@@ -383,34 +382,6 @@ std::vector<Diagnostic> RunR5(const Program& program) {
   return out;
 }
 
-std::vector<Diagnostic> RunR6(const Program& program) {
-  // The mutators R6 tracks: catalog-visible rewrites of a registered
-  // table's backing store or its derived statistics. Catalog::SetStats is
-  // today's only one (ANALYZE re-reads the store to build the stats); add
-  // new names here when new store writers appear (EXTENDING.md).
-  static constexpr std::string_view kStoreMutators[] = {"SetStats"};
-  std::vector<Diagnostic> out;
-  for (const SourceModel* file : program.files()) {
-    // The catalog itself implements the hook (Register seeds versions,
-    // BumpTableVersion increments them); only callers are on the hook.
-    if (InDir(file->path(), "src/db")) continue;
-    for (const FunctionDef& f : file->functions()) {
-      for (std::string_view mutator : kStoreMutators) {
-        if (f.calls.count(std::string(mutator)) == 0) continue;
-        if (program.BumpsTableVersion(f.name)) continue;
-        out.push_back(
-            {"R6", file->path(), f.line,
-             "'" + f.name + "' mutates a table's backing store via '" +
-                 std::string(mutator) +
-                 "' without bumping the catalog table version; call "
-                 "Catalog::BumpTableVersion so cached depth planes are "
-                 "invalidated (DESIGN.md §14)"});
-      }
-    }
-  }
-  return out;
-}
-
 std::vector<Diagnostic> RunR7(const Program& program) {
   std::vector<Diagnostic> out;
   for (const SourceModel* file : program.files()) {
@@ -487,8 +458,8 @@ std::vector<Diagnostic> RunR8(const Program& program) {
                            "nest"});
       }
       // Listener discipline: user-supplied hooks must run after release
-      // (they may re-enter the subsystem -- Catalog::BumpTableVersion
-      // snapshots its listeners under the lock and invokes them outside).
+      // (they may re-enter the subsystem -- snapshot the listener list
+      // under the lock and invoke the copies outside it).
       for (const std::string& name : calls) {
         if (!IsListenerInvocation(name)) continue;
         out.push_back({"R8", file->path(), site.line,
@@ -586,8 +557,8 @@ std::vector<Diagnostic> RunR9(const Program& program) {
 
 std::vector<Diagnostic> RunAllRules(const Program& program) {
   std::vector<Diagnostic> all;
-  for (auto* run : {RunR1, RunR2, RunR3, RunR4, RunR5, RunR6, RunR7, RunR8,
-                    RunR9}) {
+  for (auto* run :
+       {RunR1, RunR2, RunR3, RunR4, RunR5, RunR7, RunR8, RunR9}) {
     std::vector<Diagnostic> d = run(program);
     all.insert(all.end(), d.begin(), d.end());
   }
@@ -611,10 +582,6 @@ const std::map<std::string, std::string>& RuleDescriptions() {
       {"R5",
        "every literal metric name -- including Tracer::Counter() track "
        "names -- is registered in src/common/metric_names.h"},
-      {"R6",
-       "code paths mutating a table's backing store (Catalog::SetStats "
-       "writers) also call Catalog::BumpTableVersion so cached depth "
-       "planes invalidate"},
       {"R7",
        "every mutable field of a mutex-owning class is GUARDED_BY-annotated "
        "or justified '// lint: lock-free (reason)'; naked .lock()/.unlock() "

@@ -11,8 +11,8 @@
 
 namespace gpulint {
 
-/// One finding. `rule` is the stable id (R1..R5) dashboards and the
-/// suppression file key on.
+/// One finding. `rule` is the stable id (R1..R9; R6 is retired) dashboards
+/// and the suppression file key on.
 struct Diagnostic {
   std::string rule;
   std::string file;  // path as given to the analyzer (repo-relative in CI)
@@ -52,11 +52,6 @@ class Program {
   }
   bool ReentersPool(const std::string& name) const {
     return pool_reentrant_.count(name) != 0;
-  }
-  /// Whether `name` reaches Catalog::BumpTableVersion, directly or through
-  /// a helper (R6's "called the version-bump hook" test).
-  bool BumpsTableVersion(const std::string& name) const {
-    return version_bumping_.count(name) != 0;
   }
   bool MetricRegistered(const std::string& name, bool dynamic_suffix) const;
   bool has_metric_registry() const { return metric_registry_loaded_; }
@@ -101,7 +96,6 @@ class Program {
   std::set<std::string> pass_issuing_;
   std::set<std::string> interrupt_checking_;
   std::set<std::string> pool_reentrant_;
-  std::set<std::string> version_bumping_;
   std::vector<std::string> metric_exact_;
   std::vector<std::string> metric_prefixes_;
   bool metric_registry_loaded_ = false;
@@ -136,11 +130,9 @@ std::vector<Diagnostic> RunR4(const Program& program);
 /// must appear in src/common/metric_names.h.
 std::vector<Diagnostic> RunR5(const Program& program);
 
-/// R6: any code path (outside src/db) that rewrites a table's backing
-/// store or its catalog-attached derivations — today, Catalog::SetStats
-/// after an ANALYZE re-read — must also reach Catalog::BumpTableVersion,
-/// so cached depth planes keyed on the table version are invalidated.
-std::vector<Diagnostic> RunR6(const Program& program);
+// R6 is retired: it paired table-store writers with a catalog version
+// bump, and registered tables have neither (DESIGN.md §12). Its id stays
+// unused so R7-R9 keep their numbers.
 
 /// R7: every mutable field of a mutex-owning class is GUARDED_BY-annotated
 /// or carries a `// lint: lock-free (reason)` justification, and naked
